@@ -119,7 +119,7 @@ def cmd_lh_validate(args) -> int:
 
 def cmd_check_id(args) -> int:
     table = CumulantTable.from_jsonable(_load(args.table))
-    d = args.gram_degree if args.gram_degree else (table.degree - 2) // 2
+    d = (table.degree - 2) // 2 if args.gram_degree is None else args.gram_degree
     cpsd = check_cpsd(table, d)
     bounded = check_cond_bounded(table, d)
     _emit({"cpsd": cpsd.to_jsonable(), "bounded": bounded.to_jsonable(),
@@ -129,7 +129,7 @@ def cmd_check_id(args) -> int:
 
 def cmd_gns(args) -> int:
     table = CumulantTable.from_jsonable(_load(args.table))
-    d = args.gram_degree if args.gram_degree else (table.degree - 2) // 2
+    d = (table.degree - 2) // 2 if args.gram_degree is None else args.gram_degree
     _emit(gns_reconstruct(table, d).to_jsonable())
     return 0
 
@@ -295,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-id", help="conditional positivity and boundedness gates")
     p.add_argument("table")
-    p.add_argument("--gram-degree", type=int, default=0)
+    p.add_argument("--gram-degree", type=int)
     common(p)
     p.set_defaults(func=cmd_check_id)
 
     p = sub.add_parser("gns", help="reconstruct an operator model from cumulants")
     p.add_argument("table")
-    p.add_argument("--gram-degree", type=int, default=0)
+    p.add_argument("--gram-degree", type=int)
     common(p, kind_default=scalars.FLOAT)
     p.set_defaults(func=cmd_gns)
 

@@ -26,6 +26,12 @@ def _check_entries(entries, degree, lowest):
         for m in range(total + 1):
             if (m, total - m) not in entries:
                 raise ValueError(f"missing entry ({m}, {total - m})")
+    # every expected key is present, so any surplus lies outside the window
+    if len(entries) != sum(total + 1 for total in range(lowest, degree + 1)):
+        allowed = {(m, t - m) for t in range(lowest, degree + 1) for m in range(t + 1)}
+        extra = next(k for k in entries if k not in allowed)
+        raise ValueError(f"entry {extra} outside m, n >= 0 and "
+                         f"{lowest} <= m + n <= {degree}")
 
 
 @dataclass
@@ -73,8 +79,6 @@ class CumulantTable:
         scalars.check_kind(self.kind)
         self.entries = {k: scalars.coerce(v, self.kind) for k, v in self.entries.items()}
         _check_entries(self.entries, self.degree, 1)
-        if (0, 0) in self.entries:
-            raise ValueError("cumulant tables have no (0, 0) entry")
 
     def get(self, m: int, n: int):
         return self.entries[(m, n)]
@@ -100,11 +104,11 @@ def zero_cumulants(degree: int, kind: str = scalars.RATIONAL) -> CumulantTable:
     return CumulantTable(degree, kind, entries)
 
 
-def _partition_sum(total, left_count, value_of, kind, include_top):
-    # Sum over non-crossing partitions of [total] of the per-block product of
-    # value_of(a_count, b_count), the word being a^left_count b^rest.
+def _partition_sum(parts, left_count, value_of, kind, include_top):
+    # Sum over the non-crossing partitions `parts` of [total] of the per-block
+    # product of value_of(a_count, b_count), the word being a^left_count b^rest.
     acc = scalars.zero(kind)
-    for part in enumerate_nc(total):
+    for part in parts:
         if not include_top and len(part.blocks) == 1:
             continue
         term = scalars.one(kind)
@@ -128,8 +132,9 @@ def moments_to_cumulants(table: MomentTable) -> CumulantTable:
     kind = table.kind
     out: dict = {}
     for total in range(1, table.degree + 1):
+        parts = enumerate_nc(total)
         for m in range(total + 1):
-            rest = _partition_sum(total, m, lambda a, b: out[(a, b)], kind, include_top=False)
+            rest = _partition_sum(parts, m, lambda a, b: out[(a, b)], kind, include_top=False)
             out[(m, total - m)] = table.get(m, total - m) - rest
     return CumulantTable(table.degree, kind, out)
 
@@ -141,8 +146,9 @@ def cumulants_to_moments(table: CumulantTable) -> MomentTable:
     kind = table.kind
     out = {(0, 0): scalars.one(kind)}
     for total in range(1, table.degree + 1):
+        parts = enumerate_nc(total)
         for m in range(total + 1):
-            out[(m, total - m)] = _partition_sum(total, m, table.get, kind, include_top=True)
+            out[(m, total - m)] = _partition_sum(parts, m, table.get, kind, include_top=True)
     return MomentTable(table.degree, kind, out)
 
 

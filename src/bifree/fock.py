@@ -11,6 +11,17 @@ the level cap discards the word (truncation projection), which is harmless
 whenever the cap is at least the number of operator applications, since
 each operator changes word length by at most one.
 
+Moment tables read every entry as an inner product of vacuum powers,
+
+    phi(a^m b^n) = <a^m b^n vac, vac> = <b^n vac, a^m vac>,
+
+so a^k vac and b^k vac are built once for k = 0..D and each entry costs
+one sparse dot product. Moving a^m across needs only that a is
+self-adjoint: l(f)* is the adjoint of l(f), and gauge_l(T1) and lambda1
+are self-adjoint because T1 is symmetric and lambda1 is real (likewise
+for b). The faces need not commute. No truncation enters, because a^k vac
+never leaves the levels <= k.
+
 Real scalars only: over the reals the mixed-inner-product condition for
 commutation is automatic and all cumulants stay real.
 """
@@ -196,20 +207,42 @@ def apply_operator(kind: str, payload, state: FockState) -> FockState:
     return FockState(state.cap, state.kind, out)
 
 
+def _face(amplitudes: dict, cap: int, vec, mat, lam, left: bool) -> dict:
+    # One pass of l(vec) + l(vec)* + gauge_l(mat) + lam over the words, or of
+    # the right-handed operators when `left` is false; zero amplitudes dropped.
+    creators = [(i, c) for i, c in enumerate(vec) if c]
+    columns = [[(i, row[col]) for i, row in enumerate(mat) if row[col]]
+               for col in range(len(mat))]
+    out: dict = {}
+
+    def put(key, value):
+        out[key] = out[key] + value if key in out else value
+
+    for word, amp in amplitudes.items():
+        if lam:
+            put(word, amp * lam)
+        if word:
+            letter, rest = (word[0], word[1:]) if left else (word[-1], word[:-1])
+            if vec[letter]:
+                put(rest, amp * vec[letter])
+            for i, t in columns[letter]:
+                put((i,) + rest if left else rest + (i,), amp * t)
+        if len(word) < cap:
+            for i, c in creators:
+                put((i,) + word if left else word + (i,), amp * c)
+    return {w: a for w, a in out.items() if a}
+
+
 def apply_left_face(model: FockModel, state: FockState) -> FockState:
     """Apply a = l(f) + l(f)* + gauge_l(T1) + lambda1."""
-    total = apply_operator(CREATE_L, model.f, state)
-    total = state_add(total, apply_operator(ANNIH_L, model.f, state))
-    total = state_add(total, apply_operator(GAUGE_L, model.t1, state))
-    return state_add(total, apply_operator(SCALAR, model.lambda1, state))
+    return FockState(state.cap, state.kind, _face(
+        state.amplitudes, state.cap, model.f, model.t1, model.lambda1, True))
 
 
 def apply_right_face(model: FockModel, state: FockState) -> FockState:
     """Apply b = r(g) + r(g)* + gauge_r(T2) + lambda2."""
-    total = apply_operator(CREATE_R, model.g, state)
-    total = state_add(total, apply_operator(ANNIH_R, model.g, state))
-    total = state_add(total, apply_operator(GAUGE_R, model.t2, state))
-    return state_add(total, apply_operator(SCALAR, model.lambda2, state))
+    return FockState(state.cap, state.kind, _face(
+        state.amplitudes, state.cap, model.g, model.t2, model.lambda2, False))
 
 
 def vacuum_moment(model: FockModel, m: int, n: int, cap: int | None = None):
@@ -228,8 +261,27 @@ def vacuum_moment(model: FockModel, m: int, n: int, cap: int | None = None):
     return state.amplitude(())
 
 
+def _vacuum_powers(model: FockModel, degree: int, left: bool) -> list:
+    vec, mat, lam = ((model.f, model.t1, model.lambda1) if left
+                     else (model.g, model.t2, model.lambda2))
+    powers = [{(): scalars.one(model.kind)}]
+    for _ in range(degree):
+        powers.append(_face(powers[-1], degree, vec, mat, lam, left))
+    return powers
+
+
 def moment_table_from_model(model: FockModel, degree: int) -> MomentTable:
-    entries = {(m, t - m): vacuum_moment(model, m, t - m)
+    """Vacuum moments up to total degree, each read as <b^n vac, a^m vac>."""
+    left = _vacuum_powers(model, degree, True)
+    right = _vacuum_powers(model, degree, False)
+    zero = scalars.zero(model.kind)
+
+    def inner(x, y):
+        if len(y) < len(x):
+            x, y = y, x
+        return sum((a * y[w] for w, a in x.items() if w in y), zero)
+
+    entries = {(m, t - m): inner(left[m], right[t - m])
                for t in range(degree + 1) for m in range(t + 1)}
     return MomentTable(degree, model.kind, entries)
 

@@ -194,6 +194,14 @@ class CpsdReport:
                 "degree_window": self.degree_window}
 
 
+def _check_window(table, d: int, need: int) -> None:
+    if d < 1:
+        raise DegreeError(f"Gram window d = {d} is empty and certifies nothing; "
+                          f"need d >= 1 (table degree {table.degree})")
+    if need > table.degree:
+        raise DegreeError(f"need table degree >= {need}, have {table.degree}")
+
+
 def check_cpsd(table: CumulantTable, d: int) -> CpsdReport:
     """Positivity of the cumulant Gram form on monomials of degree 1..d.
 
@@ -201,13 +209,13 @@ def check_cpsd(table: CumulantTable, d: int) -> CpsdReport:
     (m1+m2, n1+n2). Degenerate faces are handled separately: a vanishing
     (2,0) entry forces every entry of order >= 2 touching the left face to
     vanish (Cauchy-Schwarz), and symmetrically for (0,2); the eigenvalue
-    window alone could miss violations beyond it.
+    window alone could miss violations beyond it. An empty window (d < 1)
+    raises DegreeError instead of passing vacuously.
     """
-    if 2 * d > table.degree:
-        raise DegreeError(f"need table degree >= {2 * d}, have {table.degree}")
+    _check_window(table, d, 2 * d)
     mono = _monomials(d, include_constant=False)
     gram = _gram(table.get, mono)
-    min_eig = float(np.linalg.eigvalsh(gram)[0]) if mono else 0.0
+    min_eig = float(np.linalg.eigvalsh(gram)[0])
     ok = min_eig >= PSD_TOL
     kind = table.kind
     zero = scalars.zero(kind)
@@ -298,8 +306,7 @@ def check_cond_bounded(table: CumulantTable, d: int) -> BoundednessReport:
     max(norm(S1), norm(S2), 1); for data carried by a measure it bounds the
     support coordinates seen by the window.
     """
-    if 2 * d + 2 > table.degree:
-        raise DegreeError(f"need table degree >= {2 * d + 2}, have {table.degree}")
+    _check_window(table, d, 2 * d + 2)
     mono = _monomials(d, include_constant=False)
     gram = _gram(table.get, mono)
     basis, s1, s2, null_res, leak, scale = _shift_analysis(table.get, mono, gram)
@@ -338,7 +345,8 @@ def gns_reconstruct(table: CumulantTable, d: int) -> FockModel:
     T2, and reads f and g off the classes of the two coordinate monomials;
     the scalar parts are the first-order cumulants. The model reproduces
     the table on the window and, when the window saturates the quotient
-    (every atomic case here), on all degrees.
+    (every atomic case here), on all degrees. Like the gates it runs, it
+    raises DegreeError for an empty window d < 1.
     """
     cpsd = check_cpsd(table, d)
     if not cpsd.ok:

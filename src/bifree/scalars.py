@@ -56,7 +56,10 @@ def to_jsonable(x, kind: str):
 def from_jsonable(v, kind: str):
     if kind == RATIONAL:
         return Fraction(str(v))
-    return float(v)
+    value = float(v)
+    if not math.isfinite(value):
+        raise ValueError(f"value {v!r} is not a finite number")
+    return value
 
 
 def sqrt_or_float(x):

@@ -171,3 +171,56 @@ def test_limits_ratios_in_window():
     payload = json.loads(out)
     assert payload["max_residual"] == 0.0
     assert all(8 <= r <= 12 for r in payload["convergence_ratios"])
+
+
+def _write(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_empty_gram_window_is_an_input_error(tmp_path, capsys):
+    # kappa11 = 5 with kappa20 = kappa02 = 1 breaks Cauchy-Schwarz; the default
+    # window (degree - 2) // 2 is 0 on degree 2 and 3 and certifies nothing
+    for degree in (2, 3):
+        entries = [[m, t - m, "0"] for t in range(1, degree + 1) for m in range(t + 1)]
+        for entry in entries:
+            if tuple(entry[:2]) == (1, 1):
+                entry[2] = "5"
+            elif tuple(entry[:2]) in ((2, 0), (0, 2)):
+                entry[2] = "1"
+        table = _write(tmp_path / f"bad{degree}.json",
+                       {"degree": degree, "kind": "rational", "entries": entries})
+        for command in ("check-id", "gns"):
+            code, out = invoke([command, table])
+            assert code == 2
+            assert out == ""
+            assert "window" in capsys.readouterr().err
+    # an explicit empty window is refused too, not replaced by the default
+    for command in ("check-id", "gns"):
+        code, out = invoke([command, str(DATA / "poisson8.json"), "--gram-degree", "0"])
+        assert code == 2
+        assert out == ""
+        assert "window" in capsys.readouterr().err
+
+
+def test_non_finite_entries_are_rejected(tmp_path, capsys):
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        entries = [[m, t - m, 1.0] for t in range(1, 3) for m in range(t + 1)]
+        entries[2][2] = bad
+        table = _write(tmp_path / "nan.json",
+                       {"degree": 2, "kind": "float", "entries": entries})
+        code, out = invoke(["moments", table])
+        assert code == 2
+        assert "NaN" not in out and "Infinity" not in out
+        assert "finite" in capsys.readouterr().err
+
+
+def test_entries_outside_the_degree_bound_are_rejected(tmp_path, capsys):
+    base = [[m, t - m, "1"] for t in range(1, 3) for m in range(t + 1)]
+    for extra in ([5, 0, "6"], [-1, 3, "1"], [0, 0, "1"]):
+        table = _write(tmp_path / "wide.json",
+                       {"degree": 2, "kind": "rational", "entries": base + [extra]})
+        code, out = invoke(["convolve", table, table])
+        assert code == 2
+        assert out == ""
+        assert str(tuple(extra[:2])) in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Moment/cumulant transforms and labelling independence."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,8 @@ from bifree.errors import DegreeError
 from bifree.measures import moment_table, point_mass, product_measure
 from bifree.partitions import block_side_counts, enumerate_nc, mobius_top
 
-from conftest import random_measure_1d, random_moment_table, random_planar_measure
+from conftest import (random_cumulant_table, random_measure_1d, random_moment_table,
+                      random_planar_measure)
 
 
 def mobius_sum_cumulant(table, m, n):
@@ -96,7 +98,6 @@ def test_round_trip_on_random_tables(rng):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_round_trip_cumulant_side(seed):
-    from conftest import random_cumulant_table
     table = random_cumulant_table(random.Random(seed), 4)
     back = moments_to_cumulants(cumulants_to_moments(table))
     assert back.entries == table.entries
@@ -119,7 +120,6 @@ def test_shift_covariance(rng):
 def test_mixed_cumulant_vanishing_two_path(rng):
     # independent tables: moments of the summed cumulants must equal the
     # coloured-partition expansion in which blocks carry a table label
-    from conftest import random_cumulant_table
     k1 = random_cumulant_table(rng, 5)
     k2 = random_cumulant_table(rng, 5)
     summed = CumulantTable(5, scalars.RATIONAL,
@@ -212,6 +212,35 @@ def test_table_validation():
         MomentTable(1, scalars.RATIONAL, {(0, 0): 2, (1, 0): 0, (0, 1): 0})
     with pytest.raises(ValueError):
         MomentTable(1, scalars.RATIONAL, {(0, 0): 1, (1, 0): 0})
+    base = {(0, 0): 1, (1, 0): 0, (0, 1): 0}
+    for extra in ((2, 0), (-1, 1), (0, -1)):
+        with pytest.raises(ValueError, match=re.escape(str(extra))):
+            MomentTable(1, scalars.RATIONAL, {**base, extra: 0})
+    with pytest.raises(ValueError, match=re.escape("(0, 0)")):
+        CumulantTable(1, scalars.RATIONAL, base)
+
+
+def test_non_finite_json_entries_are_rejected():
+    for bad in ("NaN", "Infinity", "-Infinity", float("nan"), float("inf")):
+        data = {"degree": 1, "kind": "float", "entries": [[0, 0, 1.0], [1, 0, bad], [0, 1, 0.0]]}
+        with pytest.raises(ValueError, match="finite"):
+            MomentTable.from_jsonable(data)
+
+
+@pytest.mark.parametrize("transform,make", [
+    (moments_to_cumulants, lambda rng: random_moment_table(rng, 6)),
+    (cumulants_to_moments, lambda rng: random_cumulant_table(rng, 6)),
+])
+def test_transforms_enumerate_each_lattice_once(monkeypatch, transform, make):
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return enumerate_nc(n)
+
+    monkeypatch.setattr("bifree.cumulants.enumerate_nc", spy)
+    transform(make(random.Random(0)))
+    assert calls == list(range(1, 7))
 
 
 def test_json_round_trip(rng):

@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifree import scalars
 from bifree.convolution import bifree_convolve
 from bifree.cumulants import moments_to_cumulants
 from bifree.errors import CommutationError, ShapeError
-from bifree.fock import (ANNIH_L, CREATE_L, CREATE_R, GAUGE_L, GAUGE_R,
+from bifree.fock import (ANNIH_L, ANNIH_R, CREATE_L, CREATE_R, GAUGE_L, GAUGE_R,
                          SCALAR, CommutationReport, FockModel, FockState,
                          amplify, apply_left_face, apply_operator,
                          apply_right_face, check_commutation,
@@ -243,3 +245,74 @@ def test_model_json_round_trip(rng):
     model = random_commuting_model(rng, 3)
     again = FockModel.from_jsonable(model.to_jsonable())
     assert again == model
+
+
+# -- fast paths against their oracles ---------------------------------------
+
+small_rationals = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+
+
+@st.composite
+def fock_models(draw):
+    """Rational models with arbitrary symmetric gauges; the faces need not commute."""
+    dim = draw(st.integers(1, 4))
+    vec = st.lists(small_rationals, min_size=dim, max_size=dim)
+
+    def symmetric():
+        mat = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                mat[i][j] = mat[j][i] = draw(small_rationals)
+        return mat
+
+    return FockModel.from_arrays(draw(vec), draw(vec), symmetric(), symmetric(),
+                                 draw(small_rationals), draw(small_rationals))
+
+
+def as_float_model(model):
+    floats = lambda rows: [[float(x) for x in row] for row in rows]
+    return FockModel.from_arrays(
+        [float(x) for x in model.f], [float(x) for x in model.g],
+        floats(model.t1), floats(model.t2), float(model.lambda1),
+        float(model.lambda2), kind=scalars.FLOAT)
+
+
+def per_entry_table(model, degree):
+    return {(m, t - m): vacuum_moment(model, m, t - m)
+            for t in range(degree + 1) for m in range(t + 1)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(fock_models(), st.integers(0, 6))
+def test_moment_table_matches_per_entry_moments(model, degree):
+    assert moment_table_from_model(model, degree).entries == per_entry_table(model, degree)
+
+
+@settings(max_examples=15, deadline=None)
+@given(fock_models(), st.integers(1, 6))
+def test_float_moment_table_matches_per_entry_moments(model, degree):
+    model = as_float_model(model)
+    fast = moment_table_from_model(model, degree).entries
+    for key, want in per_entry_table(model, degree).items():
+        assert abs(fast[key] - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@st.composite
+def fock_states(draw, dim, cap=4):
+    words = st.lists(st.integers(0, dim - 1), max_size=cap).map(tuple)
+    return FockState(cap, R, draw(st.dictionaries(words, small_rationals, max_size=8)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_one_pass_faces_equal_operator_sums(data):
+    model = data.draw(fock_models())
+    state = data.draw(fock_states(model.dim))
+    for face, ops in ((apply_left_face, ((CREATE_L, model.f), (ANNIH_L, model.f),
+                                         (GAUGE_L, model.t1), (SCALAR, model.lambda1))),
+                      (apply_right_face, ((CREATE_R, model.g), (ANNIH_R, model.g),
+                                          (GAUGE_R, model.t2), (SCALAR, model.lambda2)))):
+        total = FockState(state.cap, R)
+        for kind, payload in ops:
+            total = state_add(total, apply_operator(kind, payload, state))
+        assert face(model, state).amplitudes == total.amplitudes

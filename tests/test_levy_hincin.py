@@ -135,6 +135,19 @@ def test_cpsd_needs_degree():
         check_cpsd(bifree_gaussian(1, 1, 0, 4), 3)
 
 
+def test_empty_window_certifies_nothing():
+    # kappa11 = 5 against kappa20 = kappa02 = 1 breaks Cauchy-Schwarz; a
+    # window of d = 0 has no monomials and must not pass it
+    entries = dict(bifree_gaussian(1, 1, 0, 3).entries)
+    entries[(1, 1)] = Fraction(5)
+    table = CumulantTable(3, R, entries)
+    for gate in (check_cpsd, check_cond_bounded, gns_reconstruct):
+        for d in (0, -1):
+            with pytest.raises(DegreeError, match="window"):
+                gate(table, d)
+    assert not check_cpsd(table, 1).ok
+
+
 def test_bounded_poisson_unit_witness():
     report = check_cond_bounded(bifree_poisson(1, 1, 1, 8), 3)
     assert report.ok
