@@ -39,6 +39,13 @@ def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _finite_float(text: str) -> float:
+    try:
+        return scalars.coerce(text, scalars.FLOAT)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _residual_float(value) -> float:
     return float(value)
 
@@ -237,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, kind_default=scalars.RATIONAL):
         p.add_argument("--kind", choices=list(scalars.KINDS), default=kind_default)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--tolerance", type=float, default=1e-9)
+        p.add_argument("--tolerance", type=_finite_float, default=1e-9)
 
     p = sub.add_parser("partitions", help="enumerate non-crossing or bi-non-crossing partitions")
     p.add_argument("--n", type=int)

@@ -6,6 +6,22 @@ cumulant attached to a left/right word depends only on how many left and
 right letters it contains, so one (m, n)-indexed table covers every
 labelling; the labelling-resolved values are exposed only through
 ``chi_cumulant_values`` / ``verify_chi_independence``.
+
+The transforms read the moment-cumulant formula
+phi(a^m b^n) = sum over pi in NC(m+n) of the block products of kappa on
+the word a^m b^n through the block V that holds position 1 (first-block
+decomposition; Nica-Speicher, Lectures 10-11). Between consecutive
+elements of V, and after its last one, only whole blocks occur, so each
+gap is partitioned on its own; a gap is a contiguous word a^i b^j, and
+its partitions sum to its moment phi(a^i b^j):
+
+    phi(a^m b^n) = sum over V of kappa(V's letter counts) * prod of gap moments.
+
+Every term but V = [m+n] has lower degree, so both directions fill the
+table degree by degree. Walking V left to right with the state (last
+position, a-count, b-count) costs O((m+n)^4) multiply-adds per entry and
+O(D^5) for a table of degree D, against Catalan(m+n) products per entry
+for the literal sum. The one-variable transforms are the n = 0 column.
 """
 
 from __future__ import annotations
@@ -14,8 +30,8 @@ from dataclasses import dataclass, field
 
 from . import scalars
 from .errors import DegreeError
-from .partitions import (apply_permutation, all_chi_maps, block_side_counts,
-                         enumerate_nc, mobius_top, sigma_chi)
+from .partitions import (apply_permutation, all_chi_maps, enumerate_nc, mobius_top,
+                         sigma_chi)
 
 TRANSFORM_MAX_DEGREE = 12
 CHI_MAX_DEGREE = 8
@@ -104,93 +120,82 @@ def zero_cumulants(degree: int, kind: str = scalars.RATIONAL) -> CumulantTable:
     return CumulantTable(degree, kind, entries)
 
 
-def _partition_sum(parts, left_count, value_of, kind, include_top):
-    # Sum over the non-crossing partitions `parts` of [total] of the per-block
-    # product of value_of(a_count, b_count), the word being a^left_count b^rest.
+def _non_top_sum(m, n, moment, kappa, kind):
+    # Sum over pi in NC(m+n), pi != 1, of the block products of kappa on the
+    # word a^m b^n, walking the block V of position 1 left to right. A state
+    # is V's last position p with V's letter counts (a, b); its weight is the
+    # product of the moments of the gaps before p. Positions 1..m are a's.
+    total = m + n
+    frontier = [{} for _ in range(total + 1)]
+    frontier[1][(1, 0) if m else (0, 1)] = scalars.one(kind)
     acc = scalars.zero(kind)
-    for part in parts:
-        if not include_top and len(part.blocks) == 1:
-            continue
-        term = scalars.one(kind)
-        for block in part.blocks:
-            a, b = block_side_counts(block, left_count)
-            term = term * value_of(a, b)
-        acc = acc + term
+    for p in range(1, total + 1):
+        for (a, b), weight in frontier[p].items():
+            if a + b < total:  # V closes at p; the word after p is one gap
+                i = max(m - p, 0)
+                acc += weight * kappa[(a, b)] * moment[(i, total - p - i)]
+            for q in range(p + 1, total + 1):  # V's next element is q
+                i = max(min(q - 1, m) - p, 0)
+                key = (a + 1, b) if q <= m else (a, b + 1)
+                step = weight * moment[(i, q - 1 - p - i)]
+                after = frontier[q]
+                after[key] = after[key] + step if key in after else step
     return acc
 
 
-def moments_to_cumulants(table: MomentTable) -> CumulantTable:
-    """Invert the non-crossing moment-cumulant system.
+def _solve(given, kind, to_cumulants):
+    # The other table (cumulants of moments, or back) at every key of
+    # `given`, lowest degree first: a moment is its cumulant plus the
+    # non-top sum, whose terms all have lower degree.
+    out = {} if to_cumulants else {(0, 0): scalars.one(kind)}
+    moment, kappa = (given, out) if to_cumulants else (out, given)
+    for m, n in sorted(given, key=lambda key: (sum(key), key)):
+        if m + n:
+            rest = _non_top_sum(m, n, moment, kappa, kind)
+            out[(m, n)] = given[(m, n)] - rest if to_cumulants else given[(m, n)] + rest
+    return out
 
-    The cumulants are the Mobius inversion of the moments over NC(m+n) read
-    on the word a^m b^n; they are obtained here by peeling the full-block
-    term off the moment formula degree by degree, which solves the same
-    triangular system without tabulating Mobius values.
-    """
-    if table.degree > TRANSFORM_MAX_DEGREE:
-        raise DegreeError(f"degree {table.degree} exceeds cap {TRANSFORM_MAX_DEGREE}")
-    kind = table.kind
-    out: dict = {}
-    for total in range(1, table.degree + 1):
-        parts = enumerate_nc(total)
-        for m in range(total + 1):
-            rest = _partition_sum(parts, m, lambda a, b: out[(a, b)], kind, include_top=False)
-            out[(m, total - m)] = table.get(m, total - m) - rest
-    return CumulantTable(table.degree, kind, out)
+
+def _check_degree(degree):
+    if degree > TRANSFORM_MAX_DEGREE:
+        raise DegreeError(f"degree {degree} exceeds cap {TRANSFORM_MAX_DEGREE}")
+
+
+def moments_to_cumulants(table: MomentTable) -> CumulantTable:
+    """Invert the non-crossing moment-cumulant system on the word a^m b^n."""
+    _check_degree(table.degree)
+    out = _solve(table.entries, table.kind, to_cumulants=True)
+    return CumulantTable(table.degree, table.kind, out)
 
 
 def cumulants_to_moments(table: CumulantTable) -> MomentTable:
     """Moments as sums of cumulant products over non-crossing partitions."""
-    if table.degree > TRANSFORM_MAX_DEGREE:
-        raise DegreeError(f"degree {table.degree} exceeds cap {TRANSFORM_MAX_DEGREE}")
-    kind = table.kind
-    out = {(0, 0): scalars.one(kind)}
-    for total in range(1, table.degree + 1):
-        parts = enumerate_nc(total)
-        for m in range(total + 1):
-            out[(m, total - m)] = _partition_sum(parts, m, table.get, kind, include_top=True)
-    return MomentTable(table.degree, kind, out)
+    _check_degree(table.degree)
+    out = _solve(table.entries, table.kind, to_cumulants=False)
+    return MomentTable(table.degree, table.kind, out)
 
 
 def moment_seq_to_cumulant_seq(seq, kind: str):
     """One-variable version: seq[j] = phi(a^j) with seq[0] = 1.
 
-    Returns the list [kappa_1, ..., kappa_D] of free cumulants.
+    Returns the list [kappa_1, ..., kappa_D] of free cumulants, the n = 0
+    column of :func:`moments_to_cumulants`.
     """
     degree = len(seq) - 1
-    if degree > TRANSFORM_MAX_DEGREE:
-        raise DegreeError(f"degree {degree} exceeds cap {TRANSFORM_MAX_DEGREE}")
-    seq = [scalars.coerce(v, kind) for v in seq]
-    kappa = [scalars.zero(kind)]  # index 0 unused
-    for total in range(1, degree + 1):
-        rest = scalars.zero(kind)
-        for part in enumerate_nc(total):
-            if len(part.blocks) == 1:
-                continue
-            term = scalars.one(kind)
-            for block in part.blocks:
-                term = term * kappa[len(block)]
-            rest = rest + term
-        kappa.append(seq[total] - rest)
-    return kappa[1:]
+    _check_degree(degree)
+    given = {(j, 0): scalars.coerce(v, kind) for j, v in enumerate(seq)}
+    given[(0, 0)] = scalars.one(kind)
+    out = _solve(given, kind, to_cumulants=True)
+    return [out[(j, 0)] for j in range(1, degree + 1)]
 
 
 def cumulant_seq_to_moment_seq(kappa, kind: str):
     """Inverse of :func:`moment_seq_to_cumulant_seq`; returns [1, m_1, ...]."""
     degree = len(kappa)
-    if degree > TRANSFORM_MAX_DEGREE:
-        raise DegreeError(f"degree {degree} exceeds cap {TRANSFORM_MAX_DEGREE}")
-    kappa = [scalars.zero(kind)] + [scalars.coerce(v, kind) for v in kappa]
-    out = [scalars.one(kind)]
-    for total in range(1, degree + 1):
-        acc = scalars.zero(kind)
-        for part in enumerate_nc(total):
-            term = scalars.one(kind)
-            for block in part.blocks:
-                term = term * kappa[len(block)]
-            acc = acc + term
-        out.append(acc)
-    return out
+    _check_degree(degree)
+    given = {(j, 0): scalars.coerce(v, kind) for j, v in enumerate(kappa, 1)}
+    out = _solve(given, kind, to_cumulants=False)
+    return [out[(j, 0)] for j in range(degree + 1)]
 
 
 def chi_cumulant_values(table: MomentTable, m: int, n: int):

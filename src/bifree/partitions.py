@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -244,52 +243,32 @@ def restrict(p: Partition, subset) -> Partition:
     return Partition(len(subset), tuple(sorted(inside, key=lambda b: b[0])))
 
 
-def _set_partitions(k: int):
-    # All set partitions of range(k) as tuples of index tuples.
-    if k == 0:
-        yield ()
-        return
-    for smaller in _set_partitions(k - 1):
-        for i, group in enumerate(smaller):
-            yield smaller[:i] + (group + (k - 1,),) + smaller[i + 1:]
-        yield smaller + ((k - 1,),)
-
-
-_MOBIUS_TOP_CACHE: dict[tuple, int] = {}
-
-
 def mobius_top(pi: Partition) -> int:
     """Mobius value of the interval [pi, 1_n] in NC(n), exact integer.
 
-    Computed by the defining recursion: the Mobius values over an interval
-    sum to zero, and along a coarsening tau with several blocks the value
-    factors over the restrictions to tau's blocks (blocks of a refinement
-    never cross between two blocks of a non-crossing tau). Memoized on the
-    canonical type of the interval, i.e. the relabelled lower partition.
+    Closed form through the Kreweras complement K(pi) (Kreweras 1972;
+    Nica-Speicher, Lectures 9-10): for non-crossing pi,
+
+        mu(pi, 1_n) = prod over blocks B of K(pi) of (-1)^(|B|-1) Cat(|B|-1).
+
+    The blocks of K(pi) are the cycles of the permutation pi^-1 gamma, where
+    gamma = (1 2 ... n) and each block of pi is a cycle in increasing order.
     """
-    if len(pi.blocks) == 1:
-        return 1
-    key = pi.blocks
-    cached = _MOBIUS_TOP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    blocks = pi.blocks
-    total = 0
-    for grouping in _set_partitions(len(blocks)):
-        if len(grouping) == 1:
-            continue  # tau = 1_n is the value being solved for
-        merged = tuple(
-            sorted((tuple(sorted(x for i in group for x in blocks[i])) for group in grouping),
-                   key=lambda b: b[0]))
-        tau = Partition(pi.n, merged)
-        if not is_noncrossing(tau):
+    before = {}
+    for block in pi.blocks:
+        for x, y in zip(block, block[1:] + block[:1]):
+            before[y] = x
+    seen = set()
+    value = 1
+    for start in range(1, pi.n + 1):
+        if start in seen:
             continue
-        prod = 1
-        for union in merged:
-            prod *= mobius_top(restrict(pi, union))
-        total += prod
-    value = -total
-    _MOBIUS_TOP_CACHE[key] = value
+        size, k = 0, start
+        while k not in seen:
+            seen.add(k)
+            size += 1
+            k = before[k % pi.n + 1]
+        value *= (-1) ** (size - 1) * catalan(size - 1)
     return value
 
 
@@ -314,12 +293,6 @@ def mobius_nc(pi: Partition, sigma: Partition) -> int:
     for block in sigma.blocks:
         value *= mobius_top(restrict(pi, block))
     return value
-
-
-def block_side_counts(block, left_count: int) -> tuple[int, int]:
-    """Split a block of positions in the word a^m b^n into (a-count, b-count)."""
-    a = bisect_right(block, left_count)
-    return a, len(block) - a
 
 
 def all_chi_maps(m: int, n: int):

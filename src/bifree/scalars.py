@@ -22,10 +22,17 @@ def check_kind(kind: str) -> str:
 
 
 def coerce(value, kind: str):
-    """Coerce a number (or 'p/q' string) into the given kind."""
+    """Coerce a number (or 'p/q' string) into the given kind.
+
+    A float that is NaN or infinite raises ValueError, so no such value
+    enters a table, a series or a flag's value.
+    """
     if kind == RATIONAL:
         return value if isinstance(value, Fraction) else Fraction(value)
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"value {value!r} is not a finite number")
+    return number
 
 
 def zero(kind: str):
@@ -56,10 +63,7 @@ def to_jsonable(x, kind: str):
 def from_jsonable(v, kind: str):
     if kind == RATIONAL:
         return Fraction(str(v))
-    value = float(v)
-    if not math.isfinite(value):
-        raise ValueError(f"value {v!r} is not a finite number")
-    return value
+    return coerce(v, kind)
 
 
 def sqrt_or_float(x):

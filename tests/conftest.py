@@ -5,6 +5,7 @@ exact so equality assertions can be strict.
 """
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,12 @@ def nonzero_rational(rng, lo=-3, hi=3, max_den=4) -> Fraction:
         value = rational(rng, lo, hi, max_den)
         if value != 0:
             return value
+
+
+def block_side_counts(block, left_count):
+    """Split a block of positions in the word a^m b^n into (a-count, b-count)."""
+    a = bisect_right(block, left_count)
+    return a, len(block) - a
 
 
 def random_moment_table(rng, degree):

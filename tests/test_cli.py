@@ -173,6 +173,15 @@ def test_limits_ratios_in_window():
     assert all(8 <= r <= 12 for r in payload["convergence_ratios"])
 
 
+def test_float_limits_ratios_match_exact_run():
+    # the float golden moves with summation order; the exact run pins it
+    argv = ["verify", "limits", "--lambda", "1", "--alpha", "2", "--beta", "1",
+            "--degree", "4"]
+    ratios = {kind: json.loads(invoke(argv + ["--kind", kind])[1])["convergence_ratios"]
+              for kind in ("float", "rational")}
+    assert ratios["float"] == pytest.approx(ratios["rational"], rel=1e-12, abs=0)
+
+
 def _write(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
@@ -224,3 +233,31 @@ def test_entries_outside_the_degree_bound_are_rejected(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert str(tuple(extra[:2])) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_numeric_flags_are_rejected(tmp_path, capsys, bad):
+    entries = [[m, t - m, 0.5] for t in range(1, 3) for m in range(t + 1)]
+    table = _write(tmp_path / "float.json", {"degree": 2, "kind": "float", "entries": entries})
+    jump = _write(tmp_path / "jump.json", {"atoms": [[-1.0, 1.0, 0.5], [1.0, 2.0, 0.5]],
+                                            "signed": False})
+    commands = [
+        ["make", "gaussian", f"--s1={bad}", "--kind", "float", "--degree", "2"],
+        ["make", "gaussian", f"--s2={bad}", "--kind", "float", "--degree", "2"],
+        ["make", "gaussian", f"--c={bad}", "--kind", "float", "--degree", "2"],
+        ["make", "poisson", f"--lambda={bad}", "--kind", "float", "--degree", "2"],
+        ["make", "poisson", f"--alpha={bad}", "--kind", "float", "--degree", "2"],
+        ["make", "poisson", f"--beta={bad}", "--kind", "float", "--degree", "2"],
+        ["make", "compound", f"--lambda={bad}", "--nu", jump, "--kind", "float",
+         "--degree", "2"],
+        ["semigroup", table, f"--t={bad}", "--assume-divisible"],
+        ["verify", "semigroup", "--table", table, f"--s={bad}"],
+        ["verify", "semigroup", "--table", table, f"--t={bad}"],
+        ["verify", "limits", f"--lambda={bad}", "--kind", "float", "--degree", "2"],
+        ["verify", "roundtrip", "--measure", str(DATA / "measure.json"),
+         "--degree", "2", f"--tolerance={bad}"],
+    ]
+    for argv in commands:
+        code, out = invoke(argv)
+        assert (code, out) == (2, ""), argv
+        assert "finite" in capsys.readouterr().err, argv

@@ -16,9 +16,9 @@ from bifree.cumulants import cumulants_to_moments, moments_to_cumulants
 from bifree.errors import DegreeError
 from bifree.limits import bifree_gaussian, bifree_poisson
 from bifree.measures import moment_table, point_mass
-from bifree.partitions import block_side_counts, enumerate_nc
+from bifree.partitions import enumerate_nc
 
-from conftest import random_cumulant_table
+from conftest import block_side_counts, random_cumulant_table
 
 R = scalars.RATIONAL
 

@@ -1,5 +1,6 @@
 """Partition lattice: enumeration, crossing predicate, Mobius values."""
 
+import functools
 import itertools
 
 import pytest
@@ -10,7 +11,7 @@ from bifree.errors import OrderError, SizeLimitError
 from bifree.partitions import (ChiMap, Partition, apply_permutation, catalan,
                                enumerate_bnc, enumerate_nc, is_noncrossing,
                                mobius_nc, mobius_top, one_partition, refines,
-                               sigma_chi, zero_partition)
+                               restrict, sigma_chi, zero_partition)
 
 
 def all_set_partitions(n):
@@ -37,6 +38,30 @@ def has_crossing_bruteforce(p):
         if label[a] == label[c] and label[b] == label[d] and label[a] != label[b]:
             return True
     return False
+
+
+@functools.lru_cache(maxsize=None)
+def mobius_top_recursion(pi):
+    """Oracle: mu(pi, 1_n) from the defining recursion over coarsenings of pi.
+
+    The values over [pi, 1_n] sum to zero, and along a non-crossing
+    coarsening tau with several blocks the value factors over the
+    restrictions of pi to tau's blocks.
+    """
+    if len(pi.blocks) == 1:
+        return 1
+    total = 0
+    for grouping in all_set_partitions(len(pi.blocks)):
+        if len(grouping.blocks) == 1:
+            continue  # tau = 1_n is the value being solved for
+        unions = [[x for i in group for x in pi.blocks[i - 1]] for group in grouping.blocks]
+        if not is_noncrossing(Partition.from_blocks(pi.n, unions)):
+            continue
+        prod = 1
+        for union in unions:
+            prod *= mobius_top_recursion(restrict(pi, union))
+        total += prod
+    return -total
 
 
 def test_singleton_ground_set():
@@ -129,6 +154,12 @@ def test_mobius_closed_form_at_bottom():
     for n in range(2, 8):
         assert mobius_nc(zero_partition(n), one_partition(n)) \
             == (-1) ** (n - 1) * catalan(n - 1)
+
+
+def test_mobius_closed_form_matches_recursion():
+    for n in range(1, 8):
+        for pi in enumerate_nc(n):
+            assert mobius_top(pi) == mobius_top_recursion(pi), pi.blocks
 
 
 def test_mobius_axiom_at_top():
