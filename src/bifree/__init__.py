@@ -30,8 +30,7 @@ from .limits import (bifree_gaussian, bifree_poisson, compound_bifree_poisson,
                      compound_family, poisson_family, row_sum_moments,
                      triangular_limit_estimate)
 from .measures import (DiscreteMeasure1D, DiscretePlanarMeasure, marginal,
-                       measure_moment, moment_table, point_mass,
-                       product_measure)
+                       moment_table, point_mass, product_measure)
 from .partitions import (ChiMap, Partition, catalan, enumerate_bnc,
                          enumerate_nc, is_noncrossing, mobius_nc, mobius_top,
                          sigma_chi)

@@ -15,7 +15,7 @@ import sys
 from . import scalars
 from .convolution import bifree_convolve, free_convolve_marginal, semigroup_scale
 from .cumulants import (CumulantTable, MomentTable, chi_cumulant_values,
-                        cumulants_to_moments, moments_to_cumulants)
+                        cumulants_to_moments, moments_to_cumulants, table_keys)
 from .errors import BifreeError
 from .fock import FockModel, moment_table_from_model, vacuum_moment
 from .levy_hincin import (LevyHincinData, check_cond_bounded, check_cpsd,
@@ -44,10 +44,6 @@ def _finite_float(text: str) -> float:
         return scalars.coerce(text, scalars.FLOAT)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _residual_float(value) -> float:
-    return float(value)
 
 
 def cmd_partitions(args) -> int:
@@ -167,22 +163,22 @@ def _verify_payload(args):
             mu = DiscretePlanarMeasure.from_jsonable(_load(args.measure), args.kind)
             table = moment_table(mu, args.degree)
         residual = verify_voiculescu_identity(table)
-        return {"suite": "voiculescu", "max_residual": _residual_float(residual)}
+        return {"suite": "voiculescu", "max_residual": float(residual)}
     if args.suite == "chi":
         mu = DiscretePlanarMeasure.from_jsonable(_load(args.measure), args.kind)
         table = moment_table(mu, args.degree)
+        # every labelling's Mobius sum against the first-block transform
+        kappa = moments_to_cumulants(table)
         worst = 0.0
-        for total in range(1, args.degree + 1):
-            for m in range(total + 1):
-                values = chi_cumulant_values(table, m, total - m)
-                spread = max(_residual_float(abs(v - values[0])) for v in values)
-                worst = max(worst, spread)
+        for m, n in table_keys(args.degree, 1):
+            for value in chi_cumulant_values(table, m, n):
+                worst = max(worst, float(abs(value - kappa.get(m, n))))
         return {"suite": "chi", "max_residual": worst}
     if args.suite == "roundtrip":
         mu = DiscretePlanarMeasure.from_jsonable(_load(args.measure), args.kind)
         table = moment_table(mu, args.degree)
         back = cumulants_to_moments(moments_to_cumulants(table))
-        worst = max(_residual_float(abs(back.get(m, n) - table.get(m, n)))
+        worst = max(float(abs(back.get(m, n) - table.get(m, n)))
                     for (m, n) in table.entries)
         return {"suite": "roundtrip", "max_residual": worst}
     if args.suite == "limits":
@@ -194,17 +190,15 @@ def _verify_payload(args):
                                 scalars.coerce(args.alpha, kind),
                                 scalars.coerce(args.beta, kind), args.degree, kind)
         worst = 0.0
-        for total in range(1, args.degree + 1):
-            for m in range(total + 1):
-                estimates = triangular_limit_estimate(family, m, total - m, [10, 100])
-                for est in estimates:
-                    worst = max(worst, _residual_float(abs(est - target.get(m, total - m))))
+        for m, n in table_keys(args.degree, 1):
+            for est in triangular_limit_estimate(family, m, n, [10, 100]):
+                worst = max(worst, float(abs(est - target.get(m, n))))
         limit_moments = cumulants_to_moments(target)
         ratios = []
         errors = []
         for n_rows in (10, 100, 1000):
             approx = row_sum_moments(family, n_rows, args.degree)
-            errors.append(max(_residual_float(abs(approx.get(m, n) - limit_moments.get(m, n)))
+            errors.append(max(float(abs(approx.get(m, n) - limit_moments.get(m, n)))
                               for (m, n) in limit_moments.entries))
         for early, late in zip(errors, errors[1:]):
             ratios.append(early / late if late else float("inf"))
@@ -217,14 +211,14 @@ def _verify_payload(args):
     combined = bifree_convolve(semigroup_scale(table, s, assume_divisible=True),
                                semigroup_scale(table, t, assume_divisible=True))
     direct = semigroup_scale(table, s + t, assume_divisible=True)
-    worst = max(_residual_float(abs(combined.get(m, n) - direct.get(m, n)))
+    worst = max(float(abs(combined.get(m, n) - direct.get(m, n)))
                 for (m, n) in direct.entries)
     moments = cumulants_to_moments(table)
     first_marginal = [moments.get(m, 0) for m in range(table.degree + 1)]
     convolved = free_convolve_marginal(first_marginal, first_marginal,
                                        table.degree, table.kind)
     doubled = cumulants_to_moments(semigroup_scale(table, 2, assume_divisible=True))
-    worst_marginal = max(_residual_float(abs(convolved[m] - doubled.get(m, 0)))
+    worst_marginal = max(float(abs(convolved[m] - doubled.get(m, 0)))
                          for m in range(table.degree + 1))
     return {"suite": "semigroup", "max_residual": max(worst, worst_marginal)}
 
@@ -241,38 +235,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="bi-free probability pipelines with deterministic JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kind_default=scalars.RATIONAL):
-        p.add_argument("--kind", choices=list(scalars.KINDS), default=kind_default)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=_finite_float, default=1e-9)
-
     p = sub.add_parser("partitions", help="enumerate non-crossing or bi-non-crossing partitions")
     p.add_argument("--n", type=int)
     p.add_argument("--chi", help="left/right word such as LRRL; overrides --n")
-    common(p)
     p.set_defaults(func=cmd_partitions)
 
     p = sub.add_parser("cumulants", help="moment table -> cumulant table")
     p.add_argument("table")
-    common(p)
     p.set_defaults(func=cmd_cumulants)
 
     p = sub.add_parser("moments", help="cumulant table -> moment table")
     p.add_argument("table")
-    common(p)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("convolve", help="additive bi-free convolution of two cumulant tables")
     p.add_argument("left")
     p.add_argument("right")
-    common(p)
     p.set_defaults(func=cmd_convolve)
 
     p = sub.add_parser("semigroup", help="scale a cumulant table by t")
     p.add_argument("table")
     p.add_argument("--t", required=True)
     p.add_argument("--assume-divisible", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_semigroup)
 
     p = sub.add_parser("make", help="construct a named cumulant table")
@@ -285,35 +269,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="1")
     p.add_argument("--beta", default="1")
     p.add_argument("--nu", help="jump distribution JSON (compound)")
-    common(p)
+    p.add_argument("--kind", choices=list(scalars.KINDS), default=scalars.RATIONAL)
     p.set_defaults(func=cmd_make)
 
     p = sub.add_parser("lh-cumulants", help="Levy-Hincin triple -> cumulant table")
     p.add_argument("data")
     p.add_argument("--degree", type=int, default=8)
-    common(p)
     p.set_defaults(func=cmd_lh_cumulants)
 
     p = sub.add_parser("lh-validate", help="check the Levy-Hincin measure relations")
     p.add_argument("data")
-    common(p)
+    p.add_argument("--tolerance", type=_finite_float, default=1e-9)
     p.set_defaults(func=cmd_lh_validate)
 
     p = sub.add_parser("check-id", help="conditional positivity and boundedness gates")
     p.add_argument("table")
     p.add_argument("--gram-degree", type=int)
-    common(p)
     p.set_defaults(func=cmd_check_id)
 
     p = sub.add_parser("gns", help="reconstruct an operator model from cumulants")
     p.add_argument("table")
     p.add_argument("--gram-degree", type=int)
-    common(p, kind_default=scalars.FLOAT)
     p.set_defaults(func=cmd_gns)
 
     p = sub.add_parser("extract", help="Levy measures of an operator model")
     p.add_argument("model")
-    common(p, kind_default=scalars.FLOAT)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("fock-moments", help="vacuum moments of an operator model")
@@ -321,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=6)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
-    common(p)
     p.set_defaults(func=cmd_fock_moments)
 
     p = sub.add_parser("verify", help="run a named invariant suite")
@@ -335,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default="1")
     p.add_argument("--s", default="1")
     p.add_argument("--t", default="2")
-    common(p)
+    p.add_argument("--kind", choices=list(scalars.KINDS), default=scalars.RATIONAL)
+    p.add_argument("--tolerance", type=_finite_float, default=1e-9)
     p.set_defaults(func=cmd_verify)
 
     return parser

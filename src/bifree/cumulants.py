@@ -30,94 +30,78 @@ from dataclasses import dataclass, field
 
 from . import scalars
 from .errors import DegreeError
-from .partitions import (apply_permutation, all_chi_maps, enumerate_nc, mobius_top,
-                         sigma_chi)
+from .partitions import all_chi_maps, enumerate_nc, mobius_top, sigma_chi
 
 TRANSFORM_MAX_DEGREE = 12
 CHI_MAX_DEGREE = 8
 
 
+def table_keys(degree: int, lowest: int) -> list:
+    """The keys (m, n) with m, n >= 0 and lowest <= m + n <= degree, by degree."""
+    return [(m, t - m) for t in range(lowest, degree + 1) for m in range(t + 1)]
+
+
 def _check_entries(entries, degree, lowest):
-    for total in range(lowest, degree + 1):
-        for m in range(total + 1):
-            if (m, total - m) not in entries:
-                raise ValueError(f"missing entry ({m}, {total - m})")
+    keys = table_keys(degree, lowest)
+    for key in keys:
+        if key not in entries:
+            raise ValueError(f"missing entry {key}")
     # every expected key is present, so any surplus lies outside the window
-    if len(entries) != sum(total + 1 for total in range(lowest, degree + 1)):
-        allowed = {(m, t - m) for t in range(lowest, degree + 1) for m in range(t + 1)}
-        extra = next(k for k in entries if k not in allowed)
+    if len(entries) != len(keys):
+        extra = next(k for k in entries if k not in keys)
         raise ValueError(f"entry {extra} outside m, n >= 0 and "
                          f"{lowest} <= m + n <= {degree}")
 
 
 @dataclass
-class MomentTable:
-    """Joint moments phi(a^m b^n) for 0 <= m+n <= degree; entry (0,0) is 1."""
-
+class _Table:
+    # The body shared by both tables: entries on table_keys(degree, lowest).
     degree: int
     kind: str
     entries: dict = field(repr=False)
+    lowest = 0
 
     def __post_init__(self):
         scalars.check_kind(self.kind)
         self.entries = {k: scalars.coerce(v, self.kind) for k, v in self.entries.items()}
-        _check_entries(self.entries, self.degree, 0)
+        _check_entries(self.entries, self.degree, self.lowest)
+
+    def get(self, m: int, n: int):
+        return self.entries[(m, n)]
+
+    def to_jsonable(self) -> dict:
+        items = sorted(self.entries.items())
+        return {
+            "degree": self.degree,
+            "kind": self.kind,
+            "entries": [[m, n, scalars.to_jsonable(v, self.kind)] for (m, n), v in items],
+        }
+
+    @classmethod
+    def from_jsonable(cls, data):
+        kind = scalars.check_kind(data["kind"])
+        entries = {(m, n): scalars.from_jsonable(v, kind) for m, n, v in data["entries"]}
+        return cls(degree=int(data["degree"]), kind=kind, entries=entries)
+
+
+class MomentTable(_Table):
+    """Joint moments phi(a^m b^n) for 0 <= m+n <= degree; entry (0,0) is 1."""
+
+    def __post_init__(self):
+        super().__post_init__()
         if not scalars.close(self.entries[(0, 0)], scalars.one(self.kind), self.kind, 1e-12):
             raise ValueError("entry (0, 0) must equal 1")
 
-    def get(self, m: int, n: int):
-        return self.entries[(m, n)]
 
-    def to_jsonable(self) -> dict:
-        items = sorted(self.entries.items())
-        return {
-            "degree": self.degree,
-            "kind": self.kind,
-            "entries": [[m, n, scalars.to_jsonable(v, self.kind)] for (m, n), v in items],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data) -> "MomentTable":
-        kind = scalars.check_kind(data["kind"])
-        entries = {(m, n): scalars.from_jsonable(v, kind) for m, n, v in data["entries"]}
-        return cls(degree=int(data["degree"]), kind=kind, entries=entries)
-
-
-@dataclass
-class CumulantTable:
+class CumulantTable(_Table):
     """Bi-free cumulants kappa_{m,n} for 1 <= m+n <= degree."""
 
-    degree: int
-    kind: str
-    entries: dict = field(repr=False)
-
-    def __post_init__(self):
-        scalars.check_kind(self.kind)
-        self.entries = {k: scalars.coerce(v, self.kind) for k, v in self.entries.items()}
-        _check_entries(self.entries, self.degree, 1)
-
-    def get(self, m: int, n: int):
-        return self.entries[(m, n)]
-
-    def to_jsonable(self) -> dict:
-        items = sorted(self.entries.items())
-        return {
-            "degree": self.degree,
-            "kind": self.kind,
-            "entries": [[m, n, scalars.to_jsonable(v, self.kind)] for (m, n), v in items],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data) -> "CumulantTable":
-        kind = scalars.check_kind(data["kind"])
-        entries = {(m, n): scalars.from_jsonable(v, kind) for m, n, v in data["entries"]}
-        return cls(degree=int(data["degree"]), kind=kind, entries=entries)
+    lowest = 1
 
 
 def zero_cumulants(degree: int, kind: str = scalars.RATIONAL) -> CumulantTable:
     z = scalars.zero(kind)
-    entries = {(m, t - m): z for t in range(1, degree + 1) for m in range(t + 1)}
-    return CumulantTable(degree, kind, entries)
+    return CumulantTable(degree, kind, dict.fromkeys(table_keys(degree, 1), z))
 
 
 def _non_top_sum(m, n, moment, kappa, kind):
@@ -204,8 +188,15 @@ def chi_cumulant_values(table: MomentTable, m: int, n: int):
     For each of the binom(m+n, m) left/right labellings chi, evaluates the
     Mobius sum over the bi-non-crossing lattice for chi, reading each
     block's moment off the table by its left/right letter counts (the pair
-    commutes, so only the counts matter). For a genuine commuting pair all
-    returned values coincide.
+    commutes, so only the counts matter). The bi-non-crossing partitions
+    are the images sigma_chi(pi) of pi in NC(m+n), so a block's left count
+    is read over its source block without relabelling the partition.
+
+    The values agree by construction: sigma_chi sends the positions 1..m
+    to the left positions, so a block's left count is the number of its
+    source elements <= m whatever chi is. Each value is the Mobius sum of
+    the table over NC(m+n), which ``verify chi`` compares with the
+    first-block value of :func:`moments_to_cumulants`.
     """
     total = m + n
     if not 1 <= total <= CHI_MAX_DEGREE:
@@ -219,12 +210,12 @@ def chi_cumulant_values(table: MomentTable, m: int, n: int):
     for chi in all_chi_maps(m, n):
         left_set = set(chi.left_positions())
         perm = sigma_chi(chi)
+        is_left = {k: perm[k - 1] in left_set for k in range(1, total + 1)}
         acc = scalars.zero(kind)
         for source, mu in zip(sources, mobius):
-            image = apply_permutation(source, perm)
             term = scalars.one(kind)
-            for block in image.blocks:
-                a = sum(1 for k in block if k in left_set)
+            for block in source.blocks:
+                a = sum(is_left[k] for k in block)
                 term = term * table.get(a, len(block) - a)
             acc = acc + term * mu
         values.append(acc)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import scalars
-from .cumulants import CumulantTable, MomentTable
+from .cumulants import CumulantTable, MomentTable, table_keys
 from .errors import CommutationError, ShapeError
 
 MAX_MODEL_DIM = 12
@@ -281,8 +281,7 @@ def moment_table_from_model(model: FockModel, degree: int) -> MomentTable:
             x, y = y, x
         return sum((a * y[w] for w, a in x.items() if w in y), zero)
 
-    entries = {(m, t - m): inner(left[m], right[t - m])
-               for t in range(degree + 1) for m in range(t + 1)}
+    entries = {(m, n): inner(left[m], right[n]) for m, n in table_keys(degree, 0)}
     return MomentTable(degree, model.kind, entries)
 
 
@@ -304,8 +303,8 @@ def check_commutation(model: FockModel, tol: float = 1e-10) -> CommutationReport
     p12 = _mat_mul(model.t1, model.t2)
     p21 = _mat_mul(model.t2, model.t1)
     diff_mat = [p12[i][j] - p21[i][j] for i in range(model.dim) for j in range(model.dim)]
-    gauge_res = max((abs(scalars.as_float(x)) for x in diff_vec), default=0.0)
-    comm_res = max((abs(scalars.as_float(x)) for x in diff_mat), default=0.0)
+    gauge_res = max((abs(float(x)) for x in diff_vec), default=0.0)
+    comm_res = max((abs(float(x)) for x in diff_mat), default=0.0)
     if model.kind == scalars.RATIONAL:
         ok = all(x == 0 for x in diff_vec) and all(x == 0 for x in diff_mat)
     else:
@@ -332,20 +331,18 @@ def model_cumulants(model: FockModel, degree: int) -> CumulantTable:
         t2g.append(_matvec(model.t2, t2g[-1]))
     zero = scalars.zero(kind)
     entries: dict = {}
-    for total in range(1, degree + 1):
-        for m in range(total + 1):
-            n = total - m
-            if (m, n) == (1, 0):
-                value = model.lambda1
-            elif (m, n) == (0, 1):
-                value = model.lambda2
-            elif n == 0:
-                value = _dot(t1f[m - 2], model.f) if model.dim else zero
-            elif m == 0:
-                value = _dot(t2g[n - 2], model.g) if model.dim else zero
-            else:
-                value = _dot(t1f[m - 1], t2g[n - 1]) if model.dim else zero
-            entries[(m, n)] = value
+    for m, n in table_keys(degree, 1):
+        if (m, n) == (1, 0):
+            value = model.lambda1
+        elif (m, n) == (0, 1):
+            value = model.lambda2
+        elif n == 0:
+            value = _dot(t1f[m - 2], model.f) if model.dim else zero
+        elif m == 0:
+            value = _dot(t2g[n - 2], model.g) if model.dim else zero
+        else:
+            value = _dot(t1f[m - 1], t2g[n - 1]) if model.dim else zero
+        entries[(m, n)] = value
     return CumulantTable(degree, kind, entries)
 
 

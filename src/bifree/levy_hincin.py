@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scalars
-from .cumulants import CumulantTable, MomentTable
+from .cumulants import CumulantTable, MomentTable, table_keys
 from .errors import (CommutationError, DegreeError, InconsistentDataError,
                      RealizabilityError)
 from .fock import FockModel, check_commutation, model_cumulants
@@ -119,7 +119,7 @@ def validate_lh(data: LevyHincinData, tol: float = 1e-10) -> LhValidation:
             rel1_ok = False
         if not scalars.close(r2, zero, kind, tol):
             rel2_ok = False
-        worst = max(worst, abs(scalars.as_float(r1)), abs(scalars.as_float(r2)))
+        worst = max(worst, abs(float(r1)), abs(float(r2)))
     origin = (zero, zero)
     w0 = data.rho.weight_at(*origin)
     atom_ok = w0 * w0 <= data.rho1.weight_at(*origin) * data.rho2.weight_at(*origin) \
@@ -143,28 +143,26 @@ def lh_to_cumulants(data: LevyHincinData, degree: int,
     """
     kind = data.kind
     entries: dict = {}
-    for total in range(1, degree + 1):
-        for m in range(total + 1):
-            n = total - m
-            candidates = []
-            if (m, n) == (1, 0):
-                candidates.append(data.kappa10)
-            elif (m, n) == (0, 1):
-                candidates.append(data.kappa01)
-            else:
-                if m >= 2:
-                    candidates.append(data.rho1.moment(m - 2, n))
-                if n >= 2:
-                    candidates.append(data.rho2.moment(m, n - 2))
-                if m >= 1 and n >= 1:
-                    candidates.append(data.rho.moment(m - 1, n - 1))
-            first = candidates[0]
-            for other in candidates[1:]:
-                if not scalars.close(other, first, kind, tol):
-                    raise InconsistentDataError(
-                        f"measure formulas disagree at index ({m}, {n}): "
-                        f"{first} vs {other}")
-            entries[(m, n)] = first
+    for m, n in table_keys(degree, 1):
+        candidates = []
+        if (m, n) == (1, 0):
+            candidates.append(data.kappa10)
+        elif (m, n) == (0, 1):
+            candidates.append(data.kappa01)
+        else:
+            if m >= 2:
+                candidates.append(data.rho1.moment(m - 2, n))
+            if n >= 2:
+                candidates.append(data.rho2.moment(m, n - 2))
+            if m >= 1 and n >= 1:
+                candidates.append(data.rho.moment(m - 1, n - 1))
+        first = candidates[0]
+        for other in candidates[1:]:
+            if not scalars.close(other, first, kind, tol):
+                raise InconsistentDataError(
+                    f"measure formulas disagree at index ({m}, {n}): "
+                    f"{first} vs {other}")
+        entries[(m, n)] = first
     return CumulantTable(degree, kind, entries)
 
 
@@ -179,7 +177,7 @@ def _gram(get, monomials, shift=(0, 0)) -> np.ndarray:
     out = np.empty((size, size))
     for i, (m1, n1) in enumerate(monomials):
         for j, (m2, n2) in enumerate(monomials):
-            out[i, j] = scalars.as_float(get(m1 + m2 + shift[0], n1 + n2 + shift[1]))
+            out[i, j] = float(get(m1 + m2 + shift[0], n1 + n2 + shift[1]))
     return (out + out.T) / 2.0
 
 
@@ -325,7 +323,7 @@ def check_moment_2sequence(table: MomentTable, d: int) -> BoundednessReport:
     """
     if 2 * d + 2 > table.degree:
         raise DegreeError(f"need table degree >= {2 * d + 2}, have {table.degree}")
-    if scalars.as_float(table.get(0, 0)) <= 0:
+    if float(table.get(0, 0)) <= 0:
         raise ValueError("the (0, 0) entry must be positive")
     mono = _monomials(d, include_constant=True)
     gram = _gram(table.get, mono)
@@ -365,7 +363,7 @@ def gns_reconstruct(table: CumulantTable, d: int) -> FockModel:
     g = coords[:, idx_t]
     return FockModel.from_arrays(
         f.tolist(), g.tolist(), s1.tolist(), s2.tolist(),
-        scalars.as_float(table.get(1, 0)), scalars.as_float(table.get(0, 1)),
+        float(table.get(1, 0)), float(table.get(0, 1)),
         kind=scalars.FLOAT)
 
 
@@ -382,16 +380,16 @@ def extract_levy_measures(model: FockModel, seed: int = 0) -> LevyHincinData:
     if not report.ok:
         raise CommutationError(f"faces do not commute: {report}")
     dim = model.dim
-    lam1 = scalars.as_float(model.lambda1)
-    lam2 = scalars.as_float(model.lambda2)
+    lam1 = float(model.lambda1)
+    lam2 = float(model.lambda2)
     if dim == 0:
         empty = DiscretePlanarMeasure.from_atoms([], kind=scalars.FLOAT)
         empty_signed = DiscretePlanarMeasure.from_atoms([], signed=True, kind=scalars.FLOAT)
         return LevyHincinData(lam1, lam2, empty, empty, empty_signed, scalars.FLOAT)
-    t1 = np.array([[scalars.as_float(x) for x in row] for row in model.t1])
-    t2 = np.array([[scalars.as_float(x) for x in row] for row in model.t2])
-    fvec = np.array([scalars.as_float(x) for x in model.f])
-    gvec = np.array([scalars.as_float(x) for x in model.g])
+    t1 = np.array([[float(x) for x in row] for row in model.t1])
+    t2 = np.array([[float(x) for x in row] for row in model.t2])
+    fvec = np.array([float(x) for x in model.f])
+    gvec = np.array([float(x) for x in model.g])
     scale = max(1.0, float(np.max(np.abs(t1))), float(np.max(np.abs(t2))))
     rng = random.Random(seed)
     basis = None

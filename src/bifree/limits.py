@@ -10,13 +10,10 @@ from __future__ import annotations
 
 from . import scalars
 from .convolution import semigroup_scale
-from .cumulants import CumulantTable, cumulants_to_moments, moments_to_cumulants
+from .cumulants import (CumulantTable, cumulants_to_moments, moments_to_cumulants,
+                        table_keys)
 from .errors import RealizabilityError
-from .measures import DiscretePlanarMeasure, measure_moment, moment_table
-
-
-def _full_entries(degree, fill):
-    return {(m, t - m): fill(m, t - m) for t in range(1, degree + 1) for m in range(t + 1)}
+from .measures import DiscretePlanarMeasure, moment_table
 
 
 def bifree_gaussian(s1, s2, c, degree: int, kind: str = scalars.RATIONAL) -> CumulantTable:
@@ -32,8 +29,7 @@ def bifree_gaussian(s1, s2, c, degree: int, kind: str = scalars.RATIONAL) -> Cum
         raise ValueError("variances must be positive")
     if c * c > s1 * s2:
         raise RealizabilityError(f"covariance {c} violates Cauchy-Schwarz")
-    zero = scalars.zero(kind)
-    entries = _full_entries(degree, lambda m, n: zero)
+    entries = dict.fromkeys(table_keys(degree, 1), scalars.zero(kind))
     entries[(2, 0)] = s1
     entries[(0, 2)] = s2
     entries[(1, 1)] = c
@@ -47,7 +43,7 @@ def bifree_poisson(rate, alpha, beta, degree: int, kind: str = scalars.RATIONAL)
     beta = scalars.coerce(beta, kind)
     if rate <= 0:
         raise ValueError("rate must be positive")
-    entries = _full_entries(degree, lambda m, n: rate * alpha**m * beta**n)
+    entries = {(m, n): rate * alpha**m * beta**n for m, n in table_keys(degree, 1)}
     return CumulantTable(degree, kind, entries)
 
 
@@ -59,7 +55,7 @@ def compound_bifree_poisson(rate, jump: DiscretePlanarMeasure, degree: int) -> C
         raise ValueError("rate must be positive")
     if not jump.is_probability():
         raise ValueError("jump distribution must be a probability measure")
-    entries = _full_entries(degree, lambda m, n: rate * jump.moment(m, n))
+    entries = {(m, n): rate * jump.moment(m, n) for m, n in table_keys(degree, 1)}
     return CumulantTable(degree, kind, entries)
 
 
@@ -102,7 +98,7 @@ def triangular_limit_estimate(family, m: int, n: int, n_list):
     Poisson families the value is already exact at every N.
     """
     return [scalars.coerce(n_rows, family(n_rows).kind)
-            * measure_moment(family(n_rows), m, n) for n_rows in n_list]
+            * family(n_rows).moment(m, n) for n_rows in n_list]
 
 
 def row_sum_moments(family, n_rows: int, degree: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import scalars
-from .cumulants import MomentTable
+from .cumulants import MomentTable, table_keys
 from .errors import UnsupportedMeasureError
 
 MERGE_TOL = 1e-12
@@ -136,11 +136,6 @@ def point_mass(s, t, kind=scalars.RATIONAL) -> DiscretePlanarMeasure:
     return DiscretePlanarMeasure.from_atoms([(s, t, 1)], kind=kind)
 
 
-def measure_moment(mu: DiscretePlanarMeasure, m: int, n: int):
-    """The joint moment of order (m, n): sum of w * s^m * t^n over atoms."""
-    return mu.moment(m, n)
-
-
 def marginal(mu: DiscretePlanarMeasure, axis: str) -> DiscreteMeasure1D:
     """Pushforward onto one coordinate; atoms with equal coordinate merge."""
     if mu.signed:
@@ -161,6 +156,5 @@ def product_measure(nu1: DiscreteMeasure1D, nu2: DiscreteMeasure1D) -> DiscreteP
 
 def moment_table(mu: DiscretePlanarMeasure, degree: int) -> MomentTable:
     """Moments of mu collected into a table of the given total degree."""
-    entries = {(m, t - m): mu.moment(m, t - m)
-               for t in range(degree + 1) for m in range(t + 1)}
+    entries = {(m, n): mu.moment(m, n) for m, n in table_keys(degree, 0)}
     return MomentTable(degree, mu.kind, entries)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,16 +22,7 @@ from .errors import OrderError, SizeLimitError
 LEFT = "L"
 RIGHT = "R"
 
-DEFAULT_MAX_N = 14
-HARD_MAX_N = 16
-
-
-def size_cap() -> int:
-    """Enumeration cap; BIFREE_MAX_N may raise it up to the hard ceiling."""
-    raw = os.environ.get("BIFREE_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_N
-    return min(int(raw), HARD_MAX_N)
+MAX_N = 14
 
 
 def catalan(n: int) -> int:
@@ -145,8 +135,9 @@ def _nc_blocks(elems):
             yield (head,) + tail
 
 
-@functools.lru_cache(maxsize=None)
-def _enumerate_nc_cached(n: int) -> tuple[Partition, ...]:
+@functools.lru_cache(maxsize=1)
+def _nc_lattice(n: int) -> tuple[Partition, ...]:
+    # One lattice is kept: repeated callers ask for the same n in a row.
     parts = [Partition(n, blocks) for blocks in _nc_blocks(tuple(range(1, n + 1)))]
     parts.sort(key=Partition.rgs)
     return tuple(parts)
@@ -158,14 +149,9 @@ def enumerate_nc(n: int) -> tuple[Partition, ...]:
     >>> [len(enumerate_nc(k)) for k in (1, 2, 3, 4)]
     [1, 2, 5, 14]
     """
-    cap = size_cap()
-    if not 1 <= n <= cap:
-        raise SizeLimitError(f"n = {n} outside [1, {cap}] (Catalan growth)")
-    if n <= 11:
-        return _enumerate_nc_cached(n)
-    parts = [Partition(n, blocks) for blocks in _nc_blocks(tuple(range(1, n + 1)))]
-    parts.sort(key=Partition.rgs)
-    return tuple(parts)
+    if not 1 <= n <= MAX_N:
+        raise SizeLimitError(f"n = {n} outside [1, {MAX_N}] (Catalan growth)")
+    return _nc_lattice(n)
 
 
 @dataclass(frozen=True)

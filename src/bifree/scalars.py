@@ -22,17 +22,29 @@ def check_kind(kind: str) -> str:
 
 
 def coerce(value, kind: str):
-    """Coerce a number (or 'p/q' string) into the given kind.
+    """Coerce a number, or a decimal or 'p/q' string, into the given kind.
 
-    A float that is NaN or infinite raises ValueError, so no such value
-    enters a table, a series or a flag's value.
+    Flags and JSON files parse through here. A zero denominator and a NaN
+    or infinite value raise ValueError, so no such value enters a table, a
+    series or a flag's value.
     """
-    if kind == RATIONAL:
-        return value if isinstance(value, Fraction) else Fraction(value)
-    number = float(value)
+    number = value
+    if isinstance(value, str):
+        try:
+            number = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"value {value!r} has a zero denominator") from None
+        except ValueError:
+            number = float(value)  # 'nan' and 'inf' reach the check below
+    if kind == RATIONAL and not isinstance(number, float):
+        return number if isinstance(number, Fraction) else Fraction(number)
+    try:
+        number = float(number)
+    except OverflowError:  # an exact value beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise ValueError(f"value {value!r} is not a finite number")
-    return number
+    return Fraction(number) if kind == RATIONAL else number
 
 
 def zero(kind: str):
@@ -50,10 +62,6 @@ def close(a, b, kind: str, tol: float = 1e-10) -> bool:
     return abs(a - b) <= tol
 
 
-def as_float(x) -> float:
-    return float(x)
-
-
 def to_jsonable(x, kind: str):
     if kind == RATIONAL:
         return str(x)
@@ -61,9 +69,8 @@ def to_jsonable(x, kind: str):
 
 
 def from_jsonable(v, kind: str):
-    if kind == RATIONAL:
-        return Fraction(str(v))
-    return coerce(v, kind)
+    # str() keeps a JSON float such as 0.1 at its decimal value in rational mode
+    return coerce(str(v) if kind == RATIONAL else v, kind)
 
 
 def sqrt_or_float(x):

@@ -28,8 +28,7 @@ from bifree.levy_hincin import (check_cond_bounded, check_cpsd,
 from bifree.limits import (bifree_gaussian, bifree_poisson,
                            compound_bifree_poisson, poisson_family,
                            row_sum_moments, triangular_limit_estimate)
-from bifree.measures import (DiscretePlanarMeasure, measure_moment,
-                             moment_table)
+from bifree.measures import DiscretePlanarMeasure, moment_table
 from bifree.partitions import (catalan, enumerate_nc, mobius_nc, mobius_top,
                                one_partition, zero_partition)
 from bifree.series import verify_voiculescu_identity

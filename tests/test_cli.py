@@ -3,15 +3,17 @@
 Regenerate the golden files with BIFREE_REGEN_GOLDEN=1 pytest tests/test_cli.py.
 """
 
+import argparse
 import io
 import json
 import os
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from bifree.cli import run
+from bifree.cli import build_parser, run
 from bifree.cumulants import CumulantTable, MomentTable
 from bifree.fock import FockModel
 from bifree.levy_hincin import LevyHincinData
@@ -261,3 +263,81 @@ def test_non_finite_numeric_flags_are_rejected(tmp_path, capsys, bad):
         code, out = invoke(argv)
         assert (code, out) == (2, ""), argv
         assert "finite" in capsys.readouterr().err, argv
+
+
+def test_ratio_text_parses_in_float_mode():
+    code, out = invoke(["make", "poisson", "--lambda", "1/2", "--kind", "float",
+                        "--degree", "1"])
+    assert code == 0
+    assert json.loads(out)["entries"] == [[0, 1, 0.5], [1, 0, 0.5]]
+    # jump.json holds the weights "2/3" and "1/3"
+    runs = {kind: invoke(["make", "compound", "--nu", str(DATA / "jump.json"),
+                          "--kind", kind, "--degree", "3"]) for kind in ("float", "rational")}
+    assert runs["float"][0] == runs["rational"][0] == 0
+    exact = [float(Fraction(v)) for _, _, v in json.loads(runs["rational"][1])["entries"]]
+    floats = [v for _, _, v in json.loads(runs["float"][1])["entries"]]
+    assert floats == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_zero_denominators_are_input_errors(tmp_path, capsys):
+    entries = [[m, t - m, "1"] for t in range(1, 3) for m in range(t + 1)]
+    entries[1][2] = "1/0"
+    table = _write(tmp_path / "zero.json", {"degree": 2, "kind": "rational", "entries": entries})
+    commands = [
+        ["make", "poisson", "--lambda", "1/0", "--degree", "2"],
+        ["make", "poisson", "--lambda", "1/0", "--kind", "float", "--degree", "2"],
+        ["semigroup", str(DATA / "poisson4.json"), "--t", "1/0"],
+        ["moments", table],
+    ]
+    for argv in commands:
+        code, out = invoke(argv)
+        assert (code, out) == (2, ""), argv
+        assert "denominator" in capsys.readouterr().err, argv
+
+
+# Each subcommand's optional flags; --kind, --seed and --tolerance only where read.
+FLAGS = {
+    "partitions": ["--chi", "--n"],
+    "cumulants": [],
+    "moments": [],
+    "convolve": [],
+    "semigroup": ["--assume-divisible", "--t"],
+    "make": ["--alpha", "--beta", "--c", "--degree", "--kind", "--lambda", "--nu",
+             "--s1", "--s2"],
+    "lh-cumulants": ["--degree"],
+    "lh-validate": ["--tolerance"],
+    "check-id": ["--gram-degree"],
+    "gns": ["--gram-degree"],
+    "extract": ["--seed"],
+    "fock-moments": ["--degree", "--m", "--n"],
+    "verify": ["--alpha", "--beta", "--degree", "--kind", "--lambda", "--measure",
+               "--model", "--s", "--t", "--table", "--tolerance"],
+}
+
+
+def _subparsers():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_subcommand_flags(command):
+    parsers = _subparsers()
+    assert set(parsers) == set(FLAGS)
+    flags = sorted(flag for action in parsers[command]._actions
+                   for flag in action.option_strings if flag not in ("-h", "--help"))
+    assert flags == FLAGS[command]
+
+
+REMOVED = [(argv, flag, value)
+           for argv in {argv[0]: argv for _, argv in reversed(CASES)}.values()
+           for flag, value in (("--kind", "float"), ("--seed", "1"), ("--tolerance", "3"))
+           if flag not in FLAGS[argv[0]]]
+
+
+@pytest.mark.parametrize("argv,flag,value", REMOVED, ids=[f"{a[0]}{f}" for a, f, _ in REMOVED])
+def test_flags_a_subcommand_does_not_read_exit_2(capsys, argv, flag, value):
+    assert invoke(argv)[0] == 0
+    assert invoke(argv + [flag, value]) == (2, "")
+    assert "unrecognized arguments" in capsys.readouterr().err

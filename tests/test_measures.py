@@ -8,21 +8,21 @@ from bifree import scalars
 from bifree.cumulants import moments_to_cumulants
 from bifree.errors import UnsupportedMeasureError
 from bifree.measures import (FIRST, SECOND, DiscreteMeasure1D,
-                             DiscretePlanarMeasure, marginal, measure_moment,
-                             moment_table, point_mass, product_measure)
+                             DiscretePlanarMeasure, marginal, moment_table,
+                             point_mass, product_measure)
 
 from conftest import random_measure_1d, random_planar_measure
 
 
 def test_point_mass_moment():
-    assert measure_moment(point_mass(2, 3), 1, 1) == 6
+    assert point_mass(2, 3).moment(1, 1) == 6
 
 
 def test_symmetric_bernoulli_moment():
     mu = DiscretePlanarMeasure.from_atoms(
         [(1, 0, Fraction(1, 2)), (-1, 0, Fraction(1, 2))])
-    assert measure_moment(mu, 2, 0) == 1
-    assert measure_moment(mu, 1, 0) == 0
+    assert mu.moment(2, 0) == 1
+    assert mu.moment(1, 0) == 0
 
 
 def test_poisson_row_scaled_moment():
@@ -32,7 +32,7 @@ def test_poisson_row_scaled_moment():
         mu = DiscretePlanarMeasure.from_atoms(
             [(0, 0, 1 - p), (alpha, beta, p)])
         for m, n in [(1, 0), (2, 1), (0, 3)]:
-            assert n_rows * measure_moment(mu, m, n) == lam * alpha**m * beta**n
+            assert n_rows * mu.moment(m, n) == lam * alpha**m * beta**n
 
 
 def test_marginal_examples():
@@ -115,7 +115,7 @@ def test_moment_table_matches_pointwise(rng):
     table = moment_table(mu, 5)
     assert table.get(0, 0) == 1
     for (m, n), value in table.entries.items():
-        assert value == measure_moment(mu, m, n)
+        assert value == mu.moment(m, n)
 
 
 def test_json_round_trip(rng):

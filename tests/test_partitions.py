@@ -190,15 +190,11 @@ def test_mobius_incomparable_raises():
         mobius_nc(one_partition(4), zero_partition(4))
 
 
-def test_size_cap(monkeypatch):
-    monkeypatch.delenv("BIFREE_MAX_N", raising=False)
+def test_size_cap():
     with pytest.raises(SizeLimitError):
         enumerate_nc(15)
     with pytest.raises(SizeLimitError):
         enumerate_nc(0)
-    monkeypatch.setenv("BIFREE_MAX_N", "20")
-    with pytest.raises(SizeLimitError):
-        enumerate_nc(17)  # hard ceiling is 16
 
 
 def test_canonical_form_and_json_roundtrip():
