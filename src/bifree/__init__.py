@@ -9,10 +9,10 @@ rational arithmetic or small-matrix numerics.
 from . import scalars
 from .convolution import (UncertifiedScaleWarning, bifree_convolve,
                           free_convolve_marginal, semigroup_scale)
-from .cumulants import (CumulantTable, MomentTable, chi_cumulant_values,
-                        cumulant_seq_to_moment_seq, cumulants_to_moments,
+from .cumulants import (CumulantTable, MomentTable, cumulant_seq_to_moment_seq,
+                        cumulants_to_moments, mobius_cumulant,
                         moment_seq_to_cumulant_seq, moments_to_cumulants,
-                        verify_chi_independence, zero_cumulants)
+                        zero_cumulants)
 from .errors import (BifreeError, CommutationError, DegreeError,
                      InconsistentDataError, OrderError, RealizabilityError,
                      ShapeError, SingularSeriesError, SizeLimitError,

@@ -14,8 +14,8 @@ import sys
 
 from . import scalars
 from .convolution import bifree_convolve, free_convolve_marginal, semigroup_scale
-from .cumulants import (CumulantTable, MomentTable, chi_cumulant_values,
-                        cumulants_to_moments, moments_to_cumulants, table_keys)
+from .cumulants import (CumulantTable, MomentTable, cumulants_to_moments,
+                        mobius_cumulant, moments_to_cumulants, table_keys)
 from .errors import BifreeError
 from .fock import FockModel, moment_table_from_model, vacuum_moment
 from .levy_hincin import (LevyHincinData, check_cond_bounded, check_cpsd,
@@ -44,6 +44,20 @@ def _finite_float(text: str) -> float:
         return scalars.coerce(text, scalars.FLOAT)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _degree(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"degree must be an integer >= 1, got {text!r}")
+
+
+def _gram_window(args, table) -> int:
+    # the largest window a table of this degree supports for both gates
+    return (table.degree - 2) // 2 if args.gram_degree is None else args.gram_degree
 
 
 def cmd_partitions(args) -> int:
@@ -122,7 +136,7 @@ def cmd_lh_validate(args) -> int:
 
 def cmd_check_id(args) -> int:
     table = CumulantTable.from_jsonable(_load(args.table))
-    d = (table.degree - 2) // 2 if args.gram_degree is None else args.gram_degree
+    d = _gram_window(args, table)
     cpsd = check_cpsd(table, d)
     bounded = check_cond_bounded(table, d)
     _emit({"cpsd": cpsd.to_jsonable(), "bounded": bounded.to_jsonable(),
@@ -132,8 +146,7 @@ def cmd_check_id(args) -> int:
 
 def cmd_gns(args) -> int:
     table = CumulantTable.from_jsonable(_load(args.table))
-    d = (table.degree - 2) // 2 if args.gram_degree is None else args.gram_degree
-    _emit(gns_reconstruct(table, d).to_jsonable())
+    _emit(gns_reconstruct(table, _gram_window(args, table)).to_jsonable())
     return 0
 
 
@@ -167,12 +180,10 @@ def _verify_payload(args):
     if args.suite == "chi":
         mu = DiscretePlanarMeasure.from_jsonable(_load(args.measure), args.kind)
         table = moment_table(mu, args.degree)
-        # every labelling's Mobius sum against the first-block transform
+        # the literal Mobius sum against the first-block transform
         kappa = moments_to_cumulants(table)
-        worst = 0.0
-        for m, n in table_keys(args.degree, 1):
-            for value in chi_cumulant_values(table, m, n):
-                worst = max(worst, float(abs(value - kappa.get(m, n))))
+        worst = max(float(abs(mobius_cumulant(table, m, n) - kappa.get(m, n)))
+                    for m, n in table_keys(args.degree, 1))
         return {"suite": "chi", "max_residual": worst}
     if args.suite == "roundtrip":
         mu = DiscretePlanarMeasure.from_jsonable(_load(args.measure), args.kind)
@@ -201,7 +212,8 @@ def _verify_payload(args):
             errors.append(max(float(abs(approx.get(m, n) - limit_moments.get(m, n)))
                               for (m, n) in limit_moments.entries))
         for early, late in zip(errors, errors[1:]):
-            ratios.append(early / late if late else float("inf"))
+            # null where the later error is exactly 0 and the ratio is undefined
+            ratios.append(early / late if late else None)
         return {"suite": "limits", "max_residual": worst,
                 "convergence_ratios": ratios}
     # semigroup
@@ -261,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make", help="construct a named cumulant table")
     p.add_argument("distribution", choices=["gaussian", "poisson", "compound"])
-    p.add_argument("--degree", type=int, default=6)
+    p.add_argument("--degree", type=_degree, default=6)
     p.add_argument("--s1", default="1")
     p.add_argument("--s2", default="1")
     p.add_argument("--c", default="0")
@@ -274,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lh-cumulants", help="Levy-Hincin triple -> cumulant table")
     p.add_argument("data")
-    p.add_argument("--degree", type=int, default=8)
+    p.add_argument("--degree", type=_degree, default=8)
     p.set_defaults(func=cmd_lh_cumulants)
 
     p = sub.add_parser("lh-validate", help="check the Levy-Hincin measure relations")
@@ -299,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fock-moments", help="vacuum moments of an operator model")
     p.add_argument("model")
-    p.add_argument("--degree", type=int, default=6)
+    p.add_argument("--degree", type=_degree, default=6)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
     p.set_defaults(func=cmd_fock_moments)
@@ -309,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--measure")
     p.add_argument("--table")
-    p.add_argument("--degree", type=int, default=6)
+    p.add_argument("--degree", type=_degree, default=6)
     p.add_argument("--lambda", dest="rate", default="1")
     p.add_argument("--alpha", default="1")
     p.add_argument("--beta", default="1")

@@ -4,8 +4,7 @@ A table stores the two-index family {v_{m,n}} of a pair (a, b) with
 [a, b] = 0 up to a total-degree bound. Because the pair commutes, the
 cumulant attached to a left/right word depends only on how many left and
 right letters it contains, so one (m, n)-indexed table covers every
-labelling; the labelling-resolved values are exposed only through
-``chi_cumulant_values`` / ``verify_chi_independence``.
+labelling.
 
 The transforms read the moment-cumulant formula
 phi(a^m b^n) = sum over pi in NC(m+n) of the block products of kappa on
@@ -30,10 +29,10 @@ from dataclasses import dataclass, field
 
 from . import scalars
 from .errors import DegreeError
-from .partitions import all_chi_maps, enumerate_nc, mobius_top, sigma_chi
+from .partitions import enumerate_nc, mobius_top
 
 TRANSFORM_MAX_DEGREE = 12
-CHI_MAX_DEGREE = 8
+MOBIUS_MAX_DEGREE = 8
 
 
 def table_keys(degree: int, lowest: int) -> list:
@@ -63,6 +62,8 @@ class _Table:
 
     def __post_init__(self):
         scalars.check_kind(self.kind)
+        if self.degree < self.lowest:
+            raise ValueError(f"degree {self.degree} < {self.lowest} leaves the table empty")
         self.entries = {k: scalars.coerce(v, self.kind) for k, v in self.entries.items()}
         _check_entries(self.entries, self.degree, self.lowest)
 
@@ -182,48 +183,28 @@ def cumulant_seq_to_moment_seq(kappa, kind: str):
     return [out[(j, 0)] for j in range(degree + 1)]
 
 
-def chi_cumulant_values(table: MomentTable, m: int, n: int):
-    """The order-(m+n) cumulant computed separately for every labelling.
+def mobius_cumulant(table: MomentTable, m: int, n: int):
+    """kappa_{m,n} as the literal Mobius sum over NC(m+n) on the word a^m b^n.
 
-    For each of the binom(m+n, m) left/right labellings chi, evaluates the
-    Mobius sum over the bi-non-crossing lattice for chi, reading each
-    block's moment off the table by its left/right letter counts (the pair
-    commutes, so only the counts matter). The bi-non-crossing partitions
-    are the images sigma_chi(pi) of pi in NC(m+n), so a block's left count
-    is read over its source block without relabelling the partition.
+        kappa_{m,n} = sum over pi in NC(m+n) of mu(pi, 1) * prod over blocks V
+                      of phi(a^i b^(|V| - i)), i = |V meets {1..m}|.
 
-    The values agree by construction: sigma_chi sends the positions 1..m
-    to the left positions, so a block's left count is the number of its
-    source elements <= m whatever chi is. Each value is the Mobius sum of
-    the table over NC(m+n), which ``verify chi`` compares with the
-    first-block value of :func:`moments_to_cumulants`.
+    For a commuting pair this one sum is the cumulant of every left/right
+    labelling with m left letters: the bi-non-crossing partitions of a
+    labelling chi are the images sigma_chi(pi), and sigma_chi sends the
+    positions 1..m to the left positions. ``verify chi`` compares it with
+    the first-block recursion of :func:`moments_to_cumulants`.
     """
     total = m + n
-    if not 1 <= total <= CHI_MAX_DEGREE:
-        raise DegreeError(f"m + n = {total} outside [1, {CHI_MAX_DEGREE}]")
+    if not 1 <= total <= MOBIUS_MAX_DEGREE:
+        raise DegreeError(f"m + n = {total} outside [1, {MOBIUS_MAX_DEGREE}]")
     if total > table.degree:
         raise DegreeError(f"table degree {table.degree} < m + n = {total}")
-    kind = table.kind
-    values = []
-    sources = enumerate_nc(total)
-    mobius = [mobius_top(p) for p in sources]
-    for chi in all_chi_maps(m, n):
-        left_set = set(chi.left_positions())
-        perm = sigma_chi(chi)
-        is_left = {k: perm[k - 1] in left_set for k in range(1, total + 1)}
-        acc = scalars.zero(kind)
-        for source, mu in zip(sources, mobius):
-            term = scalars.one(kind)
-            for block in source.blocks:
-                a = sum(is_left[k] for k in block)
-                term = term * table.get(a, len(block) - a)
-            acc = acc + term * mu
-        values.append(acc)
-    return values
-
-
-def verify_chi_independence(table: MomentTable, m: int, n: int, tol: float = 1e-10) -> bool:
-    """True iff the cumulant value is the same for every left/right labelling."""
-    values = chi_cumulant_values(table, m, n)
-    first = values[0]
-    return all(scalars.close(v, first, table.kind, tol) for v in values[1:]) or len(values) == 1
+    acc = scalars.zero(table.kind)
+    for pi in enumerate_nc(total):
+        term = scalars.one(table.kind)
+        for block in pi.blocks:
+            a = sum(k <= m for k in block)
+            term = term * table.get(a, len(block) - a)
+        acc = acc + term * mobius_top(pi)
+    return acc

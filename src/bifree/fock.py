@@ -45,8 +45,6 @@ GAUGE_L = "gauge_l"
 GAUGE_R = "gauge_r"
 SCALAR = "scalar"
 
-OPERATOR_KINDS = (CREATE_L, ANNIH_L, CREATE_R, ANNIH_R, GAUGE_L, GAUGE_R, SCALAR)
-
 
 def _dot(x, y):
     return sum((a * b for a, b in zip(x, y)), start=x[0] * 0) if x else 0

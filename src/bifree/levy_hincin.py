@@ -192,10 +192,10 @@ class CpsdReport:
                 "degree_window": self.degree_window}
 
 
-def _check_window(table, d: int, need: int) -> None:
-    if d < 1:
+def _check_window(table, d: int, need: int, smallest: int = 1) -> None:
+    if d < smallest:
         raise DegreeError(f"Gram window d = {d} is empty and certifies nothing; "
-                          f"need d >= 1 (table degree {table.degree})")
+                          f"need d >= {smallest} (table degree {table.degree})")
     if need > table.degree:
         raise DegreeError(f"need table degree >= {need}, have {table.degree}")
 
@@ -319,10 +319,9 @@ def check_moment_2sequence(table: MomentTable, d: int) -> BoundednessReport:
     Same Gram-and-shift machinery as the cumulant gates but over the
     monomials of degree 0..d including the constant; requires the (0,0)
     entry positive, positivity of the form, and shifts that act on the
-    quotient with a finite witness.
+    quotient with a finite witness. A window d < 0 raises DegreeError.
     """
-    if 2 * d + 2 > table.degree:
-        raise DegreeError(f"need table degree >= {2 * d + 2}, have {table.degree}")
+    _check_window(table, d, 2 * d + 2, smallest=0)
     if float(table.get(0, 0)) <= 0:
         raise ValueError("the (0, 0) entry must be positive")
     mono = _monomials(d, include_constant=True)

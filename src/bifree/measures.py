@@ -56,9 +56,6 @@ class DiscreteMeasure1D:
         positive = all(w > 0 for _, w in self.atoms)
         return positive and scalars.close(self.total_mass(), scalars.one(self.kind), self.kind, tol)
 
-    def moment_sequence(self, degree: int):
-        return [self.moment(k) for k in range(degree + 1)]
-
     def to_jsonable(self):
         return [[scalars.to_jsonable(x, self.kind), scalars.to_jsonable(w, self.kind)]
                 for x, w in self.atoms]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import OrderError, SizeLimitError
 
@@ -57,12 +56,6 @@ class Partition:
             for k in block:
                 label[k] = i
         return tuple(label[k] for k in range(1, self.n + 1))
-
-    def block_of(self, k: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if k in block:
-                return block
-        raise KeyError(k)
 
     def to_jsonable(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
@@ -280,10 +273,3 @@ def mobius_nc(pi: Partition, sigma: Partition) -> int:
         value *= mobius_top(restrict(pi, block))
     return value
 
-
-def all_chi_maps(m: int, n: int):
-    """Every labelling of [m+n] with m left symbols, deterministic order."""
-    total = m + n
-    for lefts in combinations(range(1, total + 1), m):
-        left_set = set(lefts)
-        yield ChiMap(tuple(LEFT if k in left_set else RIGHT for k in range(1, total + 1)))

@@ -35,10 +35,6 @@ class UnivariateSeries:
     def get(self, k: int):
         return self.coeffs[k]
 
-    @classmethod
-    def zeros(cls, degree, kind):
-        return cls(degree, kind, (scalars.zero(kind),) * (degree + 1))
-
 
 def uni_multiply(f: UnivariateSeries, g: UnivariateSeries) -> UnivariateSeries:
     if f.degree != g.degree or f.kind != g.kind:
@@ -85,10 +81,6 @@ class BivariateSeries:
 
     def get(self, m: int, n: int):
         return self.coeffs.get((m, n), scalars.zero(self.kind))
-
-    @classmethod
-    def zeros(cls, degree, kind):
-        return cls(degree, kind, {})
 
     def to_jsonable(self) -> dict:
         items = sorted((k, v) for k, v in self.coeffs.items() if k != (0, 0))

@@ -175,6 +175,38 @@ def test_limits_ratios_in_window():
     assert all(8 <= r <= 12 for r in payload["convergence_ratios"])
 
 
+def test_limits_ratio_with_exact_later_error_is_null():
+    # alpha = beta = 0 makes every row-sum moment exact, so no ratio exists
+    code, out = invoke(["verify", "limits", "--alpha", "0", "--beta", "0",
+                        "--degree", "4"])
+    assert code == 0
+    # the strict JSON rule: NaN and Infinity are refused
+    payload = json.loads(out, parse_constant=lambda token: pytest.fail(f"{token} in stdout"))
+    assert payload["convergence_ratios"] == [None, None]
+
+
+DEGREES_BELOW_ONE = {
+    "verify-chi-0": ["verify", "chi", "--measure", str(DATA / "measure.json"),
+                     "--degree", "0"],
+    "verify-chi-neg": ["verify", "chi", "--measure", str(DATA / "measure.json"),
+                       "--degree", "-1"],
+    "verify-roundtrip-0": ["verify", "roundtrip", "--measure", str(DATA / "measure.json"),
+                           "--degree", "0"],
+    "verify-limits-0": ["verify", "limits", "--degree", "0"],
+    "lh-cumulants-neg": ["lh-cumulants", str(DATA / "lh_poisson.json"), "--degree", "-2"],
+    "fock-moments-neg": ["fock-moments", str(DATA / "model_gaussian.json"),
+                         "--degree", "-1"],
+    "make-0": ["make", "poisson", "--degree", "0"],
+    "make-text": ["make", "poisson", "--degree", "two"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGREES_BELOW_ONE))
+def test_degrees_below_one_are_input_errors(capsys, case):
+    assert invoke(DEGREES_BELOW_ONE[case]) == (2, "")
+    assert "degree must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_float_limits_ratios_match_exact_run():
     # the float golden moves with summation order; the exact run pins it
     argv = ["verify", "limits", "--lambda", "1", "--alpha", "2", "--beta", "1",

@@ -1,4 +1,4 @@
-"""Moment/cumulant transforms and labelling independence."""
+"""Moment/cumulant transforms and the literal Mobius sum."""
 
 import random
 import re
@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifree import scalars
-from bifree.cumulants import (CumulantTable, MomentTable, chi_cumulant_values,
-                              cumulant_seq_to_moment_seq, cumulants_to_moments,
+from bifree.cumulants import (CumulantTable, MomentTable, cumulant_seq_to_moment_seq,
+                              cumulants_to_moments, mobius_cumulant,
                               moment_seq_to_cumulant_seq, moments_to_cumulants,
-                              verify_chi_independence, zero_cumulants)
+                              zero_cumulants)
 from bifree.errors import DegreeError
 from bifree.measures import moment_table, point_mass, product_measure
 from bifree.partitions import enumerate_nc, mobius_top
@@ -181,57 +181,42 @@ def test_mixed_cumulant_vanishing_two_path(rng):
             assert acc == mom.get(m, total - m)
 
 
+def assert_mobius_sums_match_transform(table):
+    # the literal Mobius sum over NC(m+n) and the first-block recursion share
+    # no arithmetic, so equality checks both
+    kappa = moments_to_cumulants(table)
+    for m, n in kappa.entries:
+        assert mobius_cumulant(table, m, n) == kappa.get(m, n)
+
+
 def test_chi_independence_trivial_cases(rng):
-    table = random_moment_table(rng, 4)
-    assert verify_chi_independence(table, 1, 0)
-    assert verify_chi_independence(table, 0, 1)
+    table = random_moment_table(rng, 5)
+    assert mobius_cumulant(table, 1, 0) == table.get(1, 0)
+    assert mobius_cumulant(table, 0, 1) == table.get(0, 1)
+    assert_mobius_sums_match_transform(table)
 
 
 def test_chi_independence_on_measures(rng):
     for _ in range(4):
-        table = moment_table(random_planar_measure(rng, 3), 5)
-        for total in range(2, 6):
-            for m in range(total + 1):
-                assert verify_chi_independence(table, m, total - m)
+        assert_mobius_sums_match_transform(moment_table(random_planar_measure(rng, 3), 5))
 
 
 def test_chi_values_on_point_mass():
     table = moment_table(point_mass(1, 2), 5)
-    values = chi_cumulant_values(table, 2, 1)
-    assert len(values) == 3
-    assert all(v == values[0] for v in values)
-    assert verify_chi_independence(table, 2, 1)
-
-
-def test_chi_values_all_labellings_evaluated(rng):
-    # the collapsed table encodes commutativity, so all labellings must
-    # agree exactly; the check exercises every one of the binom(m+n, m)
-    # relabelled Mobius sums, each equal to the first-block transform
-    import math
-    table = random_moment_table(rng, 5)
-    kappa = moments_to_cumulants(table)
-    for total in range(2, 6):
-        for m in range(total + 1):
-            values = chi_cumulant_values(table, m, total - m)
-            assert len(values) == math.comb(total, m)
-            assert all(v == kappa.get(m, total - m) for v in values)
+    assert mobius_cumulant(table, 2, 1) == 0  # only first-order cumulants survive
+    assert_mobius_sums_match_transform(table)
 
 
 def test_product_measure_tables_pass_chi(rng):
     table = moment_table(product_measure(random_measure_1d(rng, 2),
                                          random_measure_1d(rng, 2)), 5)
-    for total in range(1, 6):
-        for m in range(total + 1):
-            assert verify_chi_independence(table, m, total - m)
+    assert_mobius_sums_match_transform(table)
 
 
 def test_fock_model_tables_pass_chi(rng):
     from bifree.fock import moment_table_from_model
     from conftest import random_commuting_model
-    table = moment_table_from_model(random_commuting_model(rng, 3), 5)
-    for total in range(1, 6):
-        for m in range(total + 1):
-            assert verify_chi_independence(table, m, total - m)
+    assert_mobius_sums_match_transform(moment_table_from_model(random_commuting_model(rng, 3), 5))
 
 
 def test_univariate_sequence_round_trip(rng):
@@ -244,9 +229,10 @@ def test_univariate_sequence_round_trip(rng):
 def test_degree_caps():
     with pytest.raises(DegreeError):
         moments_to_cumulants(random_moment_table(random.Random(0), 13))
-    table = random_moment_table(random.Random(0), 3)
-    with pytest.raises(DegreeError):
-        chi_cumulant_values(table, 5, 4)
+    with pytest.raises(DegreeError, match="outside"):
+        mobius_cumulant(random_moment_table(random.Random(0), 9), 5, 4)
+    with pytest.raises(DegreeError, match="table degree 3"):
+        mobius_cumulant(random_moment_table(random.Random(0), 3), 2, 2)
 
 
 def test_table_validation():
@@ -260,6 +246,10 @@ def test_table_validation():
             MomentTable(1, scalars.RATIONAL, {**base, extra: 0})
     with pytest.raises(ValueError, match=re.escape("(0, 0)")):
         CumulantTable(1, scalars.RATIONAL, base)
+    with pytest.raises(ValueError, match="degree 0 < 1"):
+        CumulantTable(0, scalars.RATIONAL, {})
+    with pytest.raises(ValueError, match="degree -1 < 0"):
+        MomentTable(-1, scalars.RATIONAL, {})
 
 
 def test_non_finite_json_entries_are_rejected():

@@ -388,6 +388,13 @@ def test_moment_2sequence_psd_violation():
     assert not check_moment_2sequence(table, 2).ok
 
 
+def test_moment_2sequence_negative_window_is_a_degree_error():
+    table = moment_table(point_mass(1, 2), 8)
+    assert check_moment_2sequence(table, 0).ok  # the constant alone is a window
+    with pytest.raises(DegreeError, match="window d = -1"):
+        check_moment_2sequence(table, -1)
+
+
 def test_moment_2sequence_origin_point():
     report = check_moment_2sequence(moment_table(point_mass(0, 0), 8), 2)
     assert report.ok
