@@ -1,5 +1,6 @@
 """Moment/cumulant transforms and the literal Mobius sum."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -15,7 +16,7 @@ from bifree.cumulants import (CumulantTable, MomentTable, cumulant_seq_to_moment
                               zero_cumulants)
 from bifree.errors import DegreeError
 from bifree.measures import moment_table, point_mass, product_measure
-from bifree.partitions import enumerate_nc, mobius_top
+from bifree.partitions import LEFT, RIGHT, ChiMap, enumerate_bnc, enumerate_nc, mobius_top
 
 from conftest import (block_side_counts, random_cumulant_table, random_measure_1d,
                       random_moment_table, random_planar_measure)
@@ -205,6 +206,33 @@ def test_chi_values_on_point_mass():
     table = moment_table(point_mass(1, 2), 5)
     assert mobius_cumulant(table, 2, 1) == 0  # only first-order cumulants survive
     assert_mobius_sums_match_transform(table)
+
+
+def test_chi_values_all_labellings_evaluated(rng):
+    # every one of the binom(m+n, m) labellings chi gets its own Mobius sum
+    # over the bi-non-crossing partitions sigma_chi(pi), each block counted
+    # by the labels chi puts on it; for a commuting pair all of them must
+    # equal the single (m, n) sum and the first-block transform
+    from itertools import combinations
+    table = random_moment_table(rng, 5)
+    kappa = moments_to_cumulants(table)
+    for total in range(2, 6):
+        for m in range(total + 1):
+            values = []
+            for lefts in combinations(range(1, total + 1), m):
+                chi = ChiMap(tuple(LEFT if k in lefts else RIGHT
+                                   for k in range(1, total + 1)))
+                acc = Fraction(0)
+                for image, source in enumerate_bnc(chi):
+                    term = Fraction(1)
+                    for block in image.blocks:
+                        a = sum(chi.labels[k - 1] == LEFT for k in block)
+                        term *= table.get(a, len(block) - a)
+                    acc += term * mobius_top(source)
+                values.append(acc)
+            assert len(values) == math.comb(total, m)
+            assert all(v == mobius_cumulant(table, m, total - m) for v in values)
+            assert all(v == kappa.get(m, total - m) for v in values)
 
 
 def test_product_measure_tables_pass_chi(rng):
