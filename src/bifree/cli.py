@@ -46,13 +46,18 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _degree(text: str) -> int:
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"degree must be an integer >= 1, got {text!r}")
+def _integer_at_least(lowest: int, name: str):
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= lowest:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{name} must be an integer >= {lowest}, got {text!r}")
+    return parse
+
+
+_degree = _integer_at_least(1, "degree")
 
 
 def _gram_window(args, table) -> int:
@@ -157,8 +162,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_fock_moments(args) -> int:
+    if (args.m is None) != (args.n is None):
+        raise ValueError("--m and --n go together: both for one moment, neither for the table")
     model = FockModel.from_jsonable(_load(args.model))
-    if args.m is not None and args.n is not None:
+    if args.m is not None:
         value = vacuum_moment(model, args.m, args.n)
         _emit({"m": args.m, "n": args.n,
                "value": scalars.to_jsonable(value, model.kind)})
@@ -168,38 +175,31 @@ def cmd_fock_moments(args) -> int:
 
 
 def _verify_payload(args):
-    if args.suite == "voiculescu":
-        if args.model:
+    if args.suite in ("voiculescu", "chi", "roundtrip"):
+        if getattr(args, "model", None):  # only voiculescu takes --model
             table = moment_table_from_model(FockModel.from_jsonable(_load(args.model)),
                                             args.degree)
         else:
             mu = DiscretePlanarMeasure.from_jsonable(_load(args.measure), args.kind)
             table = moment_table(mu, args.degree)
-        residual = verify_voiculescu_identity(table)
-        return {"suite": "voiculescu", "max_residual": float(residual)}
+    if args.suite == "voiculescu":
+        return {"suite": "voiculescu", "max_residual": float(verify_voiculescu_identity(table))}
     if args.suite == "chi":
-        mu = DiscretePlanarMeasure.from_jsonable(_load(args.measure), args.kind)
-        table = moment_table(mu, args.degree)
         # the literal Mobius sum against the first-block transform
         kappa = moments_to_cumulants(table)
         worst = max(float(abs(mobius_cumulant(table, m, n) - kappa.get(m, n)))
                     for m, n in table_keys(args.degree, 1))
         return {"suite": "chi", "max_residual": worst}
     if args.suite == "roundtrip":
-        mu = DiscretePlanarMeasure.from_jsonable(_load(args.measure), args.kind)
-        table = moment_table(mu, args.degree)
         back = cumulants_to_moments(moments_to_cumulants(table))
         worst = max(float(abs(back.get(m, n) - table.get(m, n)))
                     for (m, n) in table.entries)
         return {"suite": "roundtrip", "max_residual": worst}
     if args.suite == "limits":
         kind = args.kind
-        family = poisson_family(scalars.coerce(args.rate, kind),
-                                scalars.coerce(args.alpha, kind),
-                                scalars.coerce(args.beta, kind), kind)
-        target = bifree_poisson(scalars.coerce(args.rate, kind),
-                                scalars.coerce(args.alpha, kind),
-                                scalars.coerce(args.beta, kind), args.degree, kind)
+        rate, alpha, beta = (scalars.coerce(v, kind) for v in (args.rate, args.alpha, args.beta))
+        family = poisson_family(rate, alpha, beta, kind)
+        target = bifree_poisson(rate, alpha, beta, args.degree, kind)
         worst = 0.0
         for m, n in table_keys(args.degree, 1):
             for est in triangular_limit_estimate(family, m, n, [10, 100]):
@@ -241,8 +241,13 @@ def cmd_verify(args) -> int:
     return 0 if payload["max_residual"] <= args.tolerance else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # a flag is its full name: --t is not --tolerance
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bifree",
         description="bi-free probability pipelines with deterministic JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -312,24 +317,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fock-moments", help="vacuum moments of an operator model")
     p.add_argument("model")
     p.add_argument("--degree", type=_degree, default=6)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--m", type=_integer_at_least(0, "index"))
+    p.add_argument("--n", type=_integer_at_least(0, "index"))
     p.set_defaults(func=cmd_fock_moments)
 
     p = sub.add_parser("verify", help="run a named invariant suite")
-    p.add_argument("suite", choices=["voiculescu", "chi", "roundtrip", "limits", "semigroup"])
-    p.add_argument("--model")
-    p.add_argument("--measure")
-    p.add_argument("--table")
-    p.add_argument("--degree", type=_degree, default=6)
-    p.add_argument("--lambda", dest="rate", default="1")
-    p.add_argument("--alpha", default="1")
-    p.add_argument("--beta", default="1")
-    p.add_argument("--s", default="1")
-    p.add_argument("--t", default="2")
-    p.add_argument("--kind", choices=list(scalars.KINDS), default=scalars.RATIONAL)
-    p.add_argument("--tolerance", type=_finite_float, default=1e-9)
-    p.set_defaults(func=cmd_verify)
+    suites = p.add_subparsers(dest="suite", required=True)
+    options = {"model": {}, "measure": {}, "table": {},
+               "degree": {"type": _degree, "default": 6},
+               "lambda": {"dest": "rate", "default": "1"},
+               "alpha": {"default": "1"}, "beta": {"default": "1"},
+               "s": {"default": "1"}, "t": {"default": "2"},
+               "kind": {"choices": list(scalars.KINDS), "default": scalars.RATIONAL}}
+    # each suite declares only the flags it reads
+    for suite, flags in (("voiculescu", "model measure degree kind"),
+                         ("chi", "measure degree kind"),
+                         ("roundtrip", "measure degree kind"),
+                         ("limits", "lambda alpha beta degree kind"),
+                         ("semigroup", "table s t")):
+        q = suites.add_parser(suite)
+        for flag in flags.split():
+            q.add_argument(f"--{flag}", **options[flag])
+        q.add_argument("--tolerance", type=_finite_float, default=1e-9)
+        q.set_defaults(func=cmd_verify)
 
     return parser
 

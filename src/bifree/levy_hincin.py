@@ -14,6 +14,17 @@ Certification is windowed: positivity and boundedness are checked on the
 monomials of total degree <= d, which needs table entries up to degree
 2d + 2. A table can pass at one window and fail at a larger one; reports
 state the window used.
+
+Float tolerances and what each is relative to ("scale" is max(1, the
+largest |entry| of the (2,0)- and (0,2)-shifted Grams)): PSD_TOL bounds
+the smallest Gram eigenvalue, absolute in check_cpsd and times scale in
+check_moment_2sequence; Gram eigenvalues <= NULL_SPACE_TOL (absolute) are
+null directions; NULL_SHIFT_TOL bounds the shifted Grams on the null
+directions and LEAK_TOL what escapes the quotient, both times scale;
+DIAG_RESIDUAL_TOL bounds the off-diagonal residual of the joint
+diagonalization times max(1, |T1|, |T2|); the `tol` of lh_to_cumulants
+bounds how far its formulas for one entry disagree, times max(1, |entry|)
+in float mode and exact in rational mode.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from .errors import (CommutationError, DegreeError, InconsistentDataError,
                      RealizabilityError)
 from .fock import FockModel, check_commutation, model_cumulants
 from .measures import DiscretePlanarMeasure
-from .series import BivariateSeries
+from .series import BivariateSeries, r_transform_series
 
 PSD_TOL = -1e-9
 NULL_SPACE_TOL = 1e-10
@@ -104,9 +115,7 @@ def validate_lh(data: LevyHincinData, tol: float = 1e-10) -> LhValidation:
     """
     kind = data.kind
     zero = scalars.zero(kind)
-    support = {(s, t) for s, t, _ in data.rho1.atoms}
-    support |= {(s, t) for s, t, _ in data.rho2.atoms}
-    support |= {(s, t) for s, t, _ in data.rho.atoms}
+    support = {(s, t) for mu in (data.rho1, data.rho2, data.rho) for s, t, _ in mu.atoms}
     rel1_ok = rel2_ok = True
     worst = 0.0
     for s, t in sorted(support):
@@ -120,12 +129,9 @@ def validate_lh(data: LevyHincinData, tol: float = 1e-10) -> LhValidation:
         if not scalars.close(r2, zero, kind, tol):
             rel2_ok = False
         worst = max(worst, abs(float(r1)), abs(float(r2)))
-    origin = (zero, zero)
-    w0 = data.rho.weight_at(*origin)
-    atom_ok = w0 * w0 <= data.rho1.weight_at(*origin) * data.rho2.weight_at(*origin) \
-        or scalars.close(w0 * w0,
-                         data.rho1.weight_at(*origin) * data.rho2.weight_at(*origin),
-                         kind, tol)
+    w0 = data.rho.weight_at(zero, zero)
+    bound = data.rho1.weight_at(zero, zero) * data.rho2.weight_at(zero, zero)
+    atom_ok = w0 * w0 <= bound or scalars.close(w0 * w0, bound, kind, tol)
     positive = all(w > 0 for _, _, w in data.rho1.atoms) \
         and all(w > 0 for _, _, w in data.rho2.atoms)
     return LhValidation(rel1_ok, rel2_ok, atom_ok, positive, worst)
@@ -139,7 +145,7 @@ def lh_to_cumulants(data: LevyHincinData, degree: int,
     s^m t^(n-2) against rho2 when n >= 2, and s^(m-1) t^(n-1) against rho
     when m, n >= 1. Where several formulas apply they must agree; the
     measure relations guarantee it, and a disagreement raises naming the
-    index.
+    index. Float mode allows `tol` times max(1, |entry|).
     """
     kind = data.kind
     entries: dict = {}
@@ -157,8 +163,10 @@ def lh_to_cumulants(data: LevyHincinData, degree: int,
             if m >= 1 and n >= 1:
                 candidates.append(data.rho.moment(m - 1, n - 1))
         first = candidates[0]
+        # float entries reach the hundreds, so the float bound scales with them
+        bound = tol * max(1.0, abs(first)) if kind == scalars.FLOAT else tol
         for other in candidates[1:]:
-            if not scalars.close(other, first, kind, tol):
+            if not scalars.close(other, first, kind, bound):
                 raise InconsistentDataError(
                     f"measure formulas disagree at index ({m}, {n}): "
                     f"{first} vs {other}")
@@ -172,13 +180,21 @@ def _monomials(d: int, include_constant: bool) -> list[tuple[int, int]]:
             for m in range(total, -1, -1)]
 
 
-def _gram(get, monomials, shift=(0, 0)) -> np.ndarray:
-    size = len(monomials)
-    out = np.empty((size, size))
-    for i, (m1, n1) in enumerate(monomials):
-        for j, (m2, n2) in enumerate(monomials):
-            out[i, j] = float(get(m1 + m2 + shift[0], n1 + n2 + shift[1]))
-    return (out + out.T) / 2.0
+def _gram_source(table, d: int, top: int, include_constant: bool = False):
+    """The window's monomials and every Gram of it, read from one float array.
+
+    Each entry of total degree 2..top (0..top with the constant monomial)
+    is converted to float once, into values[m, n]. The Gram of shift (a, b)
+    pairs s^m1 t^n1 with s^m2 t^n2 through values[m1 + m2 + a, n1 + n2 + b],
+    one fancy-index; a Gram of this Hankel type is symmetric as built.
+    """
+    mono = _monomials(d, include_constant)
+    values = np.zeros((top + 1, top + 1))
+    for m, n in table_keys(top, 0 if include_constant else 2):
+        values[m, n] = float(table.get(m, n))
+    ms, ns = np.array(mono, dtype=int).reshape(-1, 2).T
+    rows, cols = np.add.outer(ms, ms), np.add.outer(ns, ns)
+    return mono, lambda a=0, b=0: values[rows + a, cols + b]
 
 
 @dataclass(frozen=True)
@@ -200,19 +216,7 @@ def _check_window(table, d: int, need: int, smallest: int = 1) -> None:
         raise DegreeError(f"need table degree >= {need}, have {table.degree}")
 
 
-def check_cpsd(table: CumulantTable, d: int) -> CpsdReport:
-    """Positivity of the cumulant Gram form on monomials of degree 1..d.
-
-    The form pairs s^(m1) t^(n1) with s^(m2) t^(n2) through the entry at
-    (m1+m2, n1+n2). Degenerate faces are handled separately: a vanishing
-    (2,0) entry forces every entry of order >= 2 touching the left face to
-    vanish (Cauchy-Schwarz), and symmetrically for (0,2); the eigenvalue
-    window alone could miss violations beyond it. An empty window (d < 1)
-    raises DegreeError instead of passing vacuously.
-    """
-    _check_window(table, d, 2 * d)
-    mono = _monomials(d, include_constant=False)
-    gram = _gram(table.get, mono)
+def _cpsd(table, d: int, gram: np.ndarray) -> CpsdReport:
     min_eig = float(np.linalg.eigvalsh(gram)[0])
     ok = min_eig >= PSD_TOL
     kind = table.kind
@@ -224,6 +228,21 @@ def check_cpsd(table: CumulantTable, d: int) -> CpsdReport:
         ok = all(scalars.close(v, zero, kind, 1e-10)
                  for (m, n), v in table.entries.items() if n >= 1 and m + n >= 2)
     return CpsdReport(ok, min_eig, d)
+
+
+def check_cpsd(table: CumulantTable, d: int) -> CpsdReport:
+    """Positivity of the cumulant Gram form on monomials of degree 1..d.
+
+    The form pairs s^(m1) t^(n1) with s^(m2) t^(n2) through the entry at
+    (m1+m2, n1+n2). Degenerate faces are handled separately: a vanishing
+    (2,0) entry forces every entry of order >= 2 touching the left face to
+    vanish (Cauchy-Schwarz), and symmetrically for (0,2); the eigenvalue
+    window alone could miss violations beyond it. An empty window (d < 1)
+    raises DegreeError instead of passing vacuously.
+    """
+    _check_window(table, d, 2 * d)
+    _, gram_of = _gram_source(table, d, 2 * d)
+    return _cpsd(table, d, gram_of())
 
 
 @dataclass(frozen=True)
@@ -241,57 +260,52 @@ class BoundednessReport:
                 "degree_window": self.degree_window}
 
 
-def _quotient(gram: np.ndarray):
-    # Orthonormal quotient basis (columns) and the null directions.
-    if gram.size == 0:
-        return np.zeros((0, 0)), np.zeros((0, 0))
+def _largest(values: np.ndarray) -> float:
+    # the largest |entry|; 0.0 when there is none (no null or no quotient direction)
+    return float(np.max(np.abs(values), initial=0.0))
+
+
+def _quotient(gram_of, gram: np.ndarray, d: int, min_eig: float | None = None):
+    """Boundedness report, quotient basis and compressed shifts S1, S2.
+
+    The basis (columns) is orthonormal for the form on the eigenvalues
+    above NULL_SPACE_TOL. Multiplication by s and by t are operators on
+    the quotient only if they send null vectors to null vectors and map
+    the quotient span into itself; the second condition is measured by
+    comparing the true degree-two Gram against the square of the
+    compressed shift (the difference is the squared norm of what escapes
+    the span). With `min_eig`, positivity of the form is required too.
+    """
     eigvals, eigvecs = np.linalg.eigh(gram)
     keep = eigvals > NULL_SPACE_TOL
     basis = eigvecs[:, keep] / np.sqrt(eigvals[keep])
     null = eigvecs[:, ~keep]
-    return basis, null
-
-
-def _shift_analysis(get, monomials, gram):
-    """Quotient basis, compressed shift matrices, and their defects.
-
-    The multiplication-by-s and -by-t maps are operators on the quotient
-    only if they send null vectors to null vectors and map the quotient
-    span into itself; the second condition is measured by comparing the
-    true degree-two Gram against the square of the compressed shift
-    (the difference is the squared norm of what escapes the span).
-    """
-    basis, null = _quotient(gram)
-    g10 = _gram(get, monomials, (1, 0))
-    g01 = _gram(get, monomials, (0, 1))
-    g20 = _gram(get, monomials, (2, 0))
-    g02 = _gram(get, monomials, (0, 2))
-    g11 = _gram(get, monomials, (1, 1))
-
-    null_res = 0.0
-    if null.size:
-        null_res = max(float(np.max(np.abs(null.T @ g20 @ null))),
-                       float(np.max(np.abs(null.T @ g02 @ null))))
-
-    s1 = basis.T @ g10 @ basis
-    s2 = basis.T @ g01 @ basis
+    g20, g02 = gram_of(2, 0), gram_of(0, 2)
+    null_res = max(_largest(null.T @ g20 @ null), _largest(null.T @ g02 @ null))
+    s1 = basis.T @ gram_of(1, 0) @ basis
+    s2 = basis.T @ gram_of(0, 1) @ basis
     s1 = (s1 + s1.T) / 2.0
     s2 = (s2 + s2.T) / 2.0
+    scale = max(1.0, float(np.max(np.abs(g20))), float(np.max(np.abs(g02))))
+    leak = max(_largest(basis.T @ g20 @ basis - s1 @ s1),
+               _largest(basis.T @ g02 @ basis - s2 @ s2),
+               _largest(basis.T @ gram_of(1, 1) @ basis - (s1 @ s2 + s2 @ s1) / 2.0))
+    witness = max(_largest(np.linalg.eigvalsh(s1)), _largest(np.linalg.eigvalsh(s2)), 1.0)
+    ok = null_res <= NULL_SHIFT_TOL * scale and leak <= LEAK_TOL * scale
+    if min_eig is not None:
+        ok = ok and min_eig >= PSD_TOL * scale
+    return BoundednessReport(ok, witness, null_res, leak, d), basis, s1, s2
 
-    scale = max(1.0, float(np.max(np.abs(g20))) if g20.size else 0.0,
-                float(np.max(np.abs(g02))) if g02.size else 0.0)
-    leak = 0.0
-    if basis.size:
-        leak = max(float(np.max(np.abs(basis.T @ g20 @ basis - s1 @ s1))),
-                   float(np.max(np.abs(basis.T @ g02 @ basis - s2 @ s2))),
-                   float(np.max(np.abs(basis.T @ g11 @ basis - (s1 @ s2 + s2 @ s1) / 2.0))))
-    return basis, s1, s2, null_res, leak, scale
 
-
-def _operator_norm(mat: np.ndarray) -> float:
-    if mat.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+def _bounded(table, d: int, include_constant: bool) -> BoundednessReport:
+    # the body of check_cond_bounded and, with the constant, check_moment_2sequence
+    _check_window(table, d, 2 * d + 2, smallest=0 if include_constant else 1)
+    if include_constant and float(table.get(0, 0)) <= 0:
+        raise ValueError("the (0, 0) entry must be positive")
+    _, gram_of = _gram_source(table, d, 2 * d + 2, include_constant)
+    gram = gram_of()
+    min_eig = float(np.linalg.eigvalsh(gram)[0]) if include_constant else None
+    return _quotient(gram_of, gram, d, min_eig)[0]
 
 
 def check_cond_bounded(table: CumulantTable, d: int) -> BoundednessReport:
@@ -304,13 +318,7 @@ def check_cond_bounded(table: CumulantTable, d: int) -> BoundednessReport:
     max(norm(S1), norm(S2), 1); for data carried by a measure it bounds the
     support coordinates seen by the window.
     """
-    _check_window(table, d, 2 * d + 2)
-    mono = _monomials(d, include_constant=False)
-    gram = _gram(table.get, mono)
-    basis, s1, s2, null_res, leak, scale = _shift_analysis(table.get, mono, gram)
-    witness = max(_operator_norm(s1), _operator_norm(s2), 1.0)
-    ok = null_res <= NULL_SHIFT_TOL * scale and leak <= LEAK_TOL * scale
-    return BoundednessReport(ok, witness, null_res, leak, d)
+    return _bounded(table, d, include_constant=False)
 
 
 def check_moment_2sequence(table: MomentTable, d: int) -> BoundednessReport:
@@ -321,17 +329,7 @@ def check_moment_2sequence(table: MomentTable, d: int) -> BoundednessReport:
     entry positive, positivity of the form, and shifts that act on the
     quotient with a finite witness. A window d < 0 raises DegreeError.
     """
-    _check_window(table, d, 2 * d + 2, smallest=0)
-    if float(table.get(0, 0)) <= 0:
-        raise ValueError("the (0, 0) entry must be positive")
-    mono = _monomials(d, include_constant=True)
-    gram = _gram(table.get, mono)
-    min_eig = float(np.linalg.eigvalsh(gram)[0])
-    basis, s1, s2, null_res, leak, scale = _shift_analysis(table.get, mono, gram)
-    witness = max(_operator_norm(s1), _operator_norm(s2), 1.0)
-    ok = (min_eig >= PSD_TOL * scale and null_res <= NULL_SHIFT_TOL * scale
-          and leak <= LEAK_TOL * scale)
-    return BoundednessReport(ok, witness, null_res, leak, d)
+    return _bounded(table, d, include_constant=True)
 
 
 def gns_reconstruct(table: CumulantTable, d: int) -> FockModel:
@@ -342,24 +340,24 @@ def gns_reconstruct(table: CumulantTable, d: int) -> FockModel:
     T2, and reads f and g off the classes of the two coordinate monomials;
     the scalar parts are the first-order cumulants. The model reproduces
     the table on the window and, when the window saturates the quotient
-    (every atomic case here), on all degrees. Like the gates it runs, it
-    raises DegreeError for an empty window d < 1.
+    (every atomic case here), on all degrees. Both gates decide on the same
+    Gram and quotient first, raising as check_cpsd and check_cond_bounded
+    do; an empty window d < 1 raises DegreeError.
     """
-    cpsd = check_cpsd(table, d)
+    _check_window(table, d, 2 * d)
+    mono, gram_of = _gram_source(table, d, min(table.degree, 2 * d + 2))
+    gram = gram_of()
+    cpsd = _cpsd(table, d, gram)
     if not cpsd.ok:
         raise RealizabilityError(f"not conditionally positive: {cpsd}")
-    bounded = check_cond_bounded(table, d)
+    _check_window(table, d, 2 * d + 2)
+    bounded, basis, s1, s2 = _quotient(gram_of, gram, d)
     if not bounded.ok:
         raise RealizabilityError(f"not conditionally bounded: {bounded}")
-    mono = _monomials(d, include_constant=False)
-    gram = _gram(table.get, mono)
-    basis, s1, s2, _, _, _ = _shift_analysis(table.get, mono, gram)
     # coordinates of the class of a monomial p: column of basis^T G e_p
     coords = basis.T @ gram
-    idx_s = mono.index((1, 0))
-    idx_t = mono.index((0, 1))
-    f = coords[:, idx_s]
-    g = coords[:, idx_t]
+    f = coords[:, mono.index((1, 0))]
+    g = coords[:, mono.index((0, 1))]
     return FockModel.from_arrays(
         f.tolist(), g.tolist(), s1.tolist(), s2.tolist(),
         float(table.get(1, 0)), float(table.get(0, 1)),
@@ -385,10 +383,8 @@ def extract_levy_measures(model: FockModel, seed: int = 0) -> LevyHincinData:
         empty = DiscretePlanarMeasure.from_atoms([], kind=scalars.FLOAT)
         empty_signed = DiscretePlanarMeasure.from_atoms([], signed=True, kind=scalars.FLOAT)
         return LevyHincinData(lam1, lam2, empty, empty, empty_signed, scalars.FLOAT)
-    t1 = np.array([[float(x) for x in row] for row in model.t1])
-    t2 = np.array([[float(x) for x in row] for row in model.t2])
-    fvec = np.array([float(x) for x in model.f])
-    gvec = np.array([float(x) for x in model.g])
+    t1, t2, fvec, gvec = (np.array(x, dtype=float)
+                          for x in (model.t1, model.t2, model.f, model.g))
     scale = max(1.0, float(np.max(np.abs(t1))), float(np.max(np.abs(t2))))
     rng = random.Random(seed)
     basis = None
@@ -428,20 +424,13 @@ def extract_levy_measures(model: FockModel, seed: int = 0) -> LevyHincinData:
 def r_transform_from_lh(data: LevyHincinData, degree: int) -> BivariateSeries:
     """Transform series of the triple, expanded to total degree `degree`.
 
-    z R_1(z) contributes the pure-z row through rho1 moments, w R_2(w) the
-    pure-w column through rho2, and the mixed kernel zw/((1-zs)(1-wt))
-    integrated against rho fills the interior; the result coincides with
-    the series of lh_to_cumulants.
+    The coefficients are the cumulants: z R_1(z) is the pure-z row (rho1
+    moments), w R_2(w) the pure-w column (rho2), and the mixed kernel
+    zw/((1-zs)(1-wt)) integrated against rho fills the interior. So the
+    series is r_transform_series(lh_to_cumulants(data, degree)), after the
+    triple passes validate_lh.
     """
     check = validate_lh(data)
     if not check.ok:
         raise RealizabilityError(f"triple fails validation: {check}")
-    kind = data.kind
-    coeffs: dict = {(1, 0): data.kappa10, (0, 1): data.kappa01}
-    for m in range(2, degree + 1):
-        coeffs[(m, 0)] = data.rho1.moment(m - 2, 0)
-        coeffs[(0, m)] = data.rho2.moment(0, m - 2)
-    for m in range(1, degree):
-        for n in range(1, degree + 1 - m):
-            coeffs[(m, n)] = data.rho.moment(m - 1, n - 1)
-    return BivariateSeries(degree, kind, coeffs)
+    return r_transform_series(lh_to_cumulants(data, degree))

@@ -8,6 +8,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bifree import scalars
@@ -39,6 +40,22 @@ def block_side_counts(block, left_count):
     """Split a block of positions in the word a^m b^n into (a-count, b-count)."""
     a = bisect_right(block, left_count)
     return a, len(block) - a
+
+
+def window_monomials(d, include_constant):
+    """s^m t^n of total degree 1..d (0..d with the constant), s-heavy first."""
+    start = 0 if include_constant else 1
+    return [(m, total - m) for total in range(start, d + 1) for m in range(total, -1, -1)]
+
+
+def gram_entry_by_entry(get, monomials, shift=(0, 0)):
+    """The Gram of a window built one entry at a time, then symmetrized."""
+    size = len(monomials)
+    out = np.empty((size, size))
+    for i, (m1, n1) in enumerate(monomials):
+        for j, (m2, n2) in enumerate(monomials):
+            out[i, j] = float(get(m1 + m2 + shift[0], n1 + n2 + shift[1]))
+    return (out + out.T) / 2.0
 
 
 def random_moment_table(rng, degree):

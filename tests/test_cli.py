@@ -61,8 +61,7 @@ CASES = [
     ("verify_limits", ["verify", "limits", "--lambda", "1", "--alpha", "2",
                        "--beta", "1", "--degree", "4", "--kind", "float"]),
     ("verify_semigroup", ["verify", "semigroup", "--table",
-                          str(DATA / "poisson8.json"), "--degree", "8",
-                          "--s", "1", "--t", "2"]),
+                          str(DATA / "poisson8.json"), "--s", "1", "--t", "2"]),
 ]
 
 
@@ -327,7 +326,8 @@ def test_zero_denominators_are_input_errors(tmp_path, capsys):
         assert "denominator" in capsys.readouterr().err, argv
 
 
-# Each subcommand's optional flags; --kind, --seed and --tolerance only where read.
+# Each subcommand's optional flags (per suite for verify); --kind, --seed and
+# --tolerance only where read.
 FLAGS = {
     "partitions": ["--chi", "--n"],
     "cumulants": [],
@@ -342,30 +342,46 @@ FLAGS = {
     "gns": ["--gram-degree"],
     "extract": ["--seed"],
     "fock-moments": ["--degree", "--m", "--n"],
-    "verify": ["--alpha", "--beta", "--degree", "--kind", "--lambda", "--measure",
-               "--model", "--s", "--t", "--table", "--tolerance"],
+    "verify": {
+        "voiculescu": ["--degree", "--kind", "--measure", "--model", "--tolerance"],
+        "chi": ["--degree", "--kind", "--measure", "--tolerance"],
+        "roundtrip": ["--degree", "--kind", "--measure", "--tolerance"],
+        "limits": ["--alpha", "--beta", "--degree", "--kind", "--lambda", "--tolerance"],
+        "semigroup": ["--s", "--t", "--table", "--tolerance"],
+    },
 }
 
 
-def _subparsers():
-    action = next(a for a in build_parser()._actions
-                  if isinstance(a, argparse._SubParsersAction))
-    return action.choices
+def _subparsers(parser):
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), None)
+
+
+def _flags(parser):
+    """A parser's optional flags, or a dict of them per sub-parser."""
+    subparsers = _subparsers(parser)
+    if subparsers:
+        return {name: _flags(sub) for name, sub in subparsers.items()}
+    return sorted(flag for action in parser._actions
+                  for flag in action.option_strings if flag not in ("-h", "--help"))
+
+
+def _declared(argv):
+    flags = FLAGS[argv[0]]
+    return flags[argv[1]] if isinstance(flags, dict) else flags
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))
 def test_subcommand_flags(command):
-    parsers = _subparsers()
+    parsers = _subparsers(build_parser())
     assert set(parsers) == set(FLAGS)
-    flags = sorted(flag for action in parsers[command]._actions
-                   for flag in action.option_strings if flag not in ("-h", "--help"))
-    assert flags == FLAGS[command]
+    assert _flags(parsers[command]) == FLAGS[command]
 
 
 REMOVED = [(argv, flag, value)
            for argv in {argv[0]: argv for _, argv in reversed(CASES)}.values()
            for flag, value in (("--kind", "float"), ("--seed", "1"), ("--tolerance", "3"))
-           if flag not in FLAGS[argv[0]]]
+           if flag not in _declared(argv)]
 
 
 @pytest.mark.parametrize("argv,flag,value", REMOVED, ids=[f"{a[0]}{f}" for a, f, _ in REMOVED])
@@ -373,3 +389,39 @@ def test_flags_a_subcommand_does_not_read_exit_2(capsys, argv, flag, value):
     assert invoke(argv)[0] == 0
     assert invoke(argv + [flag, value]) == (2, "")
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+VERIFY_VALUES = {"--model": str(DATA / "model_gaussian.json"),
+                 "--measure": str(DATA / "measure.json"),
+                 "--table": str(DATA / "poisson8.json"), "--degree": "4",
+                 "--lambda": "1", "--alpha": "1", "--beta": "1", "--s": "1", "--t": "2",
+                 "--kind": "float", "--tolerance": "1e-9"}
+SUITE_REMOVED = [(argv, flag) for _, argv in CASES if argv[0] == "verify"
+                 for flag in sorted(VERIFY_VALUES) if flag not in _declared(argv)]
+
+
+@pytest.mark.parametrize("argv,flag", SUITE_REMOVED,
+                         ids=[f"{argv[1]}{flag}" for argv, flag in SUITE_REMOVED])
+def test_verify_suite_flags_it_does_not_read_exit_2(capsys, argv, flag):
+    # e.g. semigroup reads the table's own degree, chi reads no model or table
+    assert invoke(argv)[0] == 0
+    assert invoke(argv + [flag, VERIFY_VALUES[flag]]) == (2, "")
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--m", "1"], ["--n", "1"], ["--m", "-1", "--n", "2"],
+                                   ["--m", "1", "--n", "x"]],
+                         ids=["m-alone", "n-alone", "m-negative", "n-text"])
+def test_fock_moment_indices_are_checked(capsys, flags):
+    argv = ["fock-moments", str(DATA / "model_gaussian.json")] + flags
+    assert invoke(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert "--m and --n go together" in err or "index must be an integer >= 0" in err
+
+
+def test_flag_prefixes_are_not_abbreviations(capsys):
+    # --t would otherwise stand in for --tolerance where a suite has no --t
+    for argv in (["make", "poisson", "--lam", "2"],
+                 ["verify", "chi", "--measure", str(DATA / "measure.json"), "--t", "2"]):
+        assert invoke(argv) == (2, ""), argv
+        assert "unrecognized arguments" in capsys.readouterr().err

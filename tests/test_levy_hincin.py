@@ -3,9 +3,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bifree import scalars
+from bifree import levy_hincin, scalars
 from bifree.cumulants import CumulantTable, MomentTable
 from bifree.errors import (DegreeError, InconsistentDataError,
                            RealizabilityError)
@@ -20,8 +21,10 @@ from bifree.measures import (DiscretePlanarMeasure, moment_table, point_mass,
                              product_measure)
 from bifree.series import r_transform_series
 
-from conftest import (random_commuting_model, random_measure_1d,
-                      random_validated_lh)
+from conftest import (gram_entry_by_entry, random_commuting_model,
+                      random_cumulant_table, random_measure_1d,
+                      random_moment_table, random_validated_lh,
+                      window_monomials)
 
 R = scalars.RATIONAL
 
@@ -101,6 +104,70 @@ def test_lh_to_cumulants_overlap_disagreement_names_index():
                          DiscretePlanarMeasure.from_atoms([(1, 1, 1)], signed=True))
     with pytest.raises(InconsistentDataError, match=r"\(1, 2\)"):
         lh_to_cumulants(bad, 4)
+
+
+def float_lh(rho1_weight, rho2_weight, rho_weight):
+    atom = lambda w, signed=False: DiscretePlanarMeasure.from_atoms(
+        [(1.0, 1.0, w)], signed=signed, kind=scalars.FLOAT)
+    return LevyHincinData(0.0, 0.0, atom(rho1_weight), atom(rho2_weight),
+                          atom(rho_weight, True), scalars.FLOAT)
+
+
+def test_lh_to_cumulants_float_check_is_relative_to_the_entry():
+    # entries near 1000 agreeing to 1e-12 relative pass; 1e-6 relative fails
+    lh_to_cumulants(float_lh(1000.0, 1000.0, 1000.0 * (1 + 1e-12)), 6)
+    with pytest.raises(InconsistentDataError, match=r"\(1, 2\)"):
+        lh_to_cumulants(float_lh(1000.0, 1000.0, 1000.0 * (1 + 1e-6)), 6)
+
+
+def test_round_trip_four_atom_triple_with_entries_in_the_hundreds():
+    # kappa_{1,6} is about 184; the float triple extracted from the GNS model
+    # gives it by two formulas that differ by 1.2e-10, which an absolute
+    # 1e-10 cross-check refused
+    coords = [(-2, Fraction(-3, 2)), (-1, Fraction(-3, 2)), (-1, -1), (Fraction(1, 2), -2)]
+    weights = [Fraction(5, 3), Fraction(5, 3), Fraction(2, 3), Fraction(5, 3)]
+    atoms1 = [(s, t, a) for (s, t), a in zip(coords, weights)]
+    atoms = [(s, t, t * a / s) for s, t, a in atoms1]
+    atoms2 = [(s, t, t * c / s) for s, t, c in atoms]
+    data = LevyHincinData(Fraction(-4, 3), Fraction(-4, 3),
+                          DiscretePlanarMeasure.from_atoms(atoms1),
+                          DiscretePlanarMeasure.from_atoms(atoms2),
+                          DiscretePlanarMeasure.from_atoms(atoms, signed=True))
+    cum = lh_to_cumulants(data, 8)
+    assert cum.get(1, 6) == sum(c * t**5 for _, t, c in atoms)
+    rebuilt = lh_to_cumulants(extract_levy_measures(gns_reconstruct(cum, 3)), 8)
+    for key, value in cum.entries.items():
+        assert rebuilt.entries[key] == pytest.approx(float(value), rel=1e-9, abs=1e-8)
+
+
+SHIFTS = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+
+
+@pytest.mark.parametrize("include_constant", [False, True], ids=["cumulant", "moment"])
+def test_gram_source_equals_entry_by_entry_grams(rng, include_constant):
+    make = random_moment_table if include_constant else random_cumulant_table
+    for _ in range(4):
+        table = make(rng, 8)
+        for d in range(4):
+            mono, gram_of = levy_hincin._gram_source(table, d, 2 * d + 2, include_constant)
+            assert mono == window_monomials(d, include_constant)
+            for shift in SHIFTS:
+                want = gram_entry_by_entry(table.get, mono, shift)
+                assert np.array_equal(gram_of(*shift), want), (d, shift)
+
+
+def test_gns_builds_one_gram_source_and_one_quotient(rng, monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(levy_hincin, name)
+        monkeypatch.setattr(levy_hincin, name,
+                            lambda *args, **kw: calls.append(name) or real(*args, **kw))
+
+    spy("_gram_source")
+    spy("_quotient")
+    gns_reconstruct(lh_to_cumulants(random_validated_lh(rng, 3), 8), 3)
+    assert calls == ["_gram_source", "_quotient"]
 
 
 def test_cpsd_gaussian_verdicts():
@@ -260,6 +327,18 @@ def test_gns_rejects_bad_tables():
         gns_reconstruct(CumulantTable(8, R, bad_entries), 3)
     with pytest.raises(RealizabilityError):
         gns_reconstruct(factorial_table(), 3)
+
+
+def test_gns_raises_in_gate_order():
+    # positivity is decided on degree 2d before degree 2d + 2 is required
+    bad_entries = dict(bifree_gaussian(1, 1, 0, 6).entries)
+    bad_entries[(1, 1)] = Fraction(2)
+    with pytest.raises(RealizabilityError, match="not conditionally positive"):
+        gns_reconstruct(CumulantTable(6, R, bad_entries), 3)
+    with pytest.raises(DegreeError, match="need table degree >= 8, have 6"):
+        gns_reconstruct(bifree_poisson(1, 1, 1, 6), 3)
+    with pytest.raises(DegreeError, match="need table degree >= 6, have 4"):
+        gns_reconstruct(bifree_poisson(1, 1, 1, 4), 3)
 
 
 def test_extract_gaussian_concentrates_at_origin():
