@@ -1,7 +1,7 @@
 """Executable bi-free probability at desk scale.
 
 Partition-lattice combinatorics, moment/cumulant transforms, additive
-bi-free convolution and semigroups, truncated Fock-space operator models,
+bi-free convolution and semigroups, Fock-space operator models,
 and the bi-free Levy-Hincin correspondence, all checkable by exact
 rational arithmetic or small-matrix numerics.
 """
@@ -17,10 +17,8 @@ from .errors import (BifreeError, CommutationError, DegreeError,
                      InconsistentDataError, OrderError, RealizabilityError,
                      ShapeError, SingularSeriesError, SizeLimitError,
                      UnsupportedMeasureError)
-from .fock import (FockModel, FockState, amplify, apply_left_face,
-                   apply_operator, apply_right_face, check_commutation,
-                   levy_marginal_model, model_cumulants,
-                   moment_table_from_model, vacuum_moment)
+from .fock import (FockModel, amplify, check_commutation, levy_marginal_model,
+                   model_cumulants, moment_table_from_model, vacuum_moment)
 from .levy_hincin import (BoundednessReport, CpsdReport, LevyHincinData,
                           LhValidation, check_cond_bounded, check_cpsd,
                           check_moment_2sequence, extract_levy_measures,
@@ -29,13 +27,13 @@ from .levy_hincin import (BoundednessReport, CpsdReport, LevyHincinData,
 from .limits import (bifree_gaussian, bifree_poisson, compound_bifree_poisson,
                      compound_family, poisson_family, row_sum_moments,
                      triangular_limit_estimate)
-from .measures import (DiscreteMeasure1D, DiscretePlanarMeasure, marginal,
-                       moment_table, point_mass, product_measure)
+from .measures import (DiscretePlanarMeasure, marginal, moment_table,
+                       point_mass, product_measure)
 from .partitions import (ChiMap, Partition, catalan, enumerate_bnc,
                          enumerate_nc, is_noncrossing, mobius_nc, mobius_top,
                          sigma_chi)
-from .series import (BivariateSeries, UnivariateSeries, moment_series,
-                     r_transform_series, series_compose_bi, series_multiply,
-                     series_reciprocal, verify_voiculescu_identity)
+from .series import (BivariateSeries, moment_series, r_transform_series,
+                     series_compose_bi, series_multiply, series_reciprocal,
+                     verify_voiculescu_identity)
 
 __version__ = "0.1.0"

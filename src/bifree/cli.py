@@ -164,13 +164,16 @@ def cmd_extract(args) -> int:
 def cmd_fock_moments(args) -> int:
     if (args.m is None) != (args.n is None):
         raise ValueError("--m and --n go together: both for one moment, neither for the table")
+    if args.m is not None and args.degree is not None:
+        raise ValueError("--degree sizes the table; it does not go with --m and --n")
     model = FockModel.from_jsonable(_load(args.model))
     if args.m is not None:
         value = vacuum_moment(model, args.m, args.n)
         _emit({"m": args.m, "n": args.n,
                "value": scalars.to_jsonable(value, model.kind)})
     else:
-        _emit(moment_table_from_model(model, args.degree).to_jsonable())
+        degree = 6 if args.degree is None else args.degree
+        _emit(moment_table_from_model(model, degree).to_jsonable())
     return 0
 
 
@@ -246,6 +249,31 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(allow_abbrev=False, **kwargs)
 
 
+# The flags of the `make` distributions and the `verify` suites; each
+# sub-parser declares only the ones it reads.
+_OPTIONS = {"model": {}, "measure": {}, "table": {}, "nu": {"help": "jump distribution JSON"},
+            "degree": {"type": _degree, "default": 6},
+            "s1": {"default": "1"}, "s2": {"default": "1"}, "c": {"default": "0"},
+            "lambda": {"dest": "rate", "default": "1"},
+            "alpha": {"default": "1"}, "beta": {"default": "1"},
+            "s": {"default": "1"}, "t": {"default": "2"},
+            "kind": {"choices": list(scalars.KINDS), "default": scalars.RATIONAL},
+            "tolerance": {"type": _finite_float, "default": 1e-9}}
+
+
+def _add_parsers(sub, func, table) -> None:
+    # table rows: (name, input files of which exactly one is required, flags)
+    for name, inputs, flags in table:
+        q = sub.add_parser(name)
+        if inputs:
+            group = q.add_mutually_exclusive_group(required=True)
+            for flag in inputs.split():
+                group.add_argument(f"--{flag}", **_OPTIONS[flag])
+        for flag in flags.split():
+            q.add_argument(f"--{flag}", **_OPTIONS[flag])
+        q.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bifree",
@@ -277,17 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_semigroup)
 
     p = sub.add_parser("make", help="construct a named cumulant table")
-    p.add_argument("distribution", choices=["gaussian", "poisson", "compound"])
-    p.add_argument("--degree", type=_degree, default=6)
-    p.add_argument("--s1", default="1")
-    p.add_argument("--s2", default="1")
-    p.add_argument("--c", default="0")
-    p.add_argument("--lambda", dest="rate", default="1")
-    p.add_argument("--alpha", default="1")
-    p.add_argument("--beta", default="1")
-    p.add_argument("--nu", help="jump distribution JSON (compound)")
-    p.add_argument("--kind", choices=list(scalars.KINDS), default=scalars.RATIONAL)
-    p.set_defaults(func=cmd_make)
+    _add_parsers(p.add_subparsers(dest="distribution", required=True), cmd_make,
+                 (("gaussian", "", "s1 s2 c degree kind"),
+                  ("poisson", "", "lambda alpha beta degree kind"),
+                  ("compound", "nu", "lambda degree kind")))
 
     p = sub.add_parser("lh-cumulants", help="Levy-Hincin triple -> cumulant table")
     p.add_argument("data")
@@ -316,30 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fock-moments", help="vacuum moments of an operator model")
     p.add_argument("model")
-    p.add_argument("--degree", type=_degree, default=6)
+    p.add_argument("--degree", type=_degree, help="table mode only; default 6")
     p.add_argument("--m", type=_integer_at_least(0, "index"))
     p.add_argument("--n", type=_integer_at_least(0, "index"))
     p.set_defaults(func=cmd_fock_moments)
 
     p = sub.add_parser("verify", help="run a named invariant suite")
-    suites = p.add_subparsers(dest="suite", required=True)
-    options = {"model": {}, "measure": {}, "table": {},
-               "degree": {"type": _degree, "default": 6},
-               "lambda": {"dest": "rate", "default": "1"},
-               "alpha": {"default": "1"}, "beta": {"default": "1"},
-               "s": {"default": "1"}, "t": {"default": "2"},
-               "kind": {"choices": list(scalars.KINDS), "default": scalars.RATIONAL}}
-    # each suite declares only the flags it reads
-    for suite, flags in (("voiculescu", "model measure degree kind"),
-                         ("chi", "measure degree kind"),
-                         ("roundtrip", "measure degree kind"),
-                         ("limits", "lambda alpha beta degree kind"),
-                         ("semigroup", "table s t")):
-        q = suites.add_parser(suite)
-        for flag in flags.split():
-            q.add_argument(f"--{flag}", **options[flag])
-        q.add_argument("--tolerance", type=_finite_float, default=1e-9)
-        q.set_defaults(func=cmd_verify)
+    _add_parsers(p.add_subparsers(dest="suite", required=True), cmd_verify,
+                 (("voiculescu", "model measure", "degree kind tolerance"),
+                  ("chi", "measure", "degree kind tolerance"),
+                  ("roundtrip", "measure", "degree kind tolerance"),
+                  ("limits", "", "lambda alpha beta degree kind tolerance"),
+                  ("semigroup", "table", "s t tolerance")))
 
     return parser
 

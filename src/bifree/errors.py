@@ -6,7 +6,7 @@ class BifreeError(Exception):
 
 
 class SizeLimitError(BifreeError):
-    """Ground-set size exceeds the enumeration cap."""
+    """A size exceeds its cap: a partition ground set or a Fock vacuum power."""
 
 
 class DegreeError(BifreeError):
@@ -22,7 +22,7 @@ class SingularSeriesError(BifreeError):
 
 
 class ShapeError(BifreeError):
-    """Operator payload does not match the operator kind."""
+    """Arrays of the wrong shape, or an operator of an unknown kind."""
 
 
 class CommutationError(BifreeError):

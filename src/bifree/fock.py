@@ -1,15 +1,13 @@
-"""Truncated full Fock space over R^d and the two-faced operator model.
+"""Full Fock space over R^d and the two-faced operator model.
 
 The model (f, g, T1, T2, lambda1, lambda2) realizes the pair
 
     a = l(f) + l(f)* + gauge_l(T1) + lambda1,
     b = r(g) + r(g)* + gauge_r(T2) + lambda2,
 
-on the Fock space over R^d. States are sparse maps from words over the
-letters {0..d-1} to amplitudes; the empty word is the vacuum. Creation at
-the level cap discards the word (truncation projection), which is harmless
-whenever the cap is at least the number of operator applications, since
-each operator changes word length by at most one.
+on the full Fock space over R^d. Vectors are sparse maps from words over
+the letters {0..d-1} to amplitudes; the empty word is the vacuum. A face
+acts on such a map in one pass over its words.
 
 Moment tables read every entry as an inner product of vacuum powers,
 
@@ -20,7 +18,8 @@ one sparse dot product. Moving a^m across needs only that a is
 self-adjoint: l(f)* is the adjoint of l(f), and gauge_l(T1) and lambda1
 are self-adjoint because T1 is symmetric and lambda1 is real (likewise
 for b). The faces need not commute. No truncation enters, because a^k vac
-never leaves the levels <= k.
+never leaves the levels <= k; but it can hold d^k words, so a power whose
+words could exceed MAX_FOCK_WORDS is refused before it is built.
 
 Real scalars only: over the reals the mixed-inner-product condition for
 commutation is automatic and all cumulants stay real.
@@ -28,22 +27,15 @@ commutation is automatic and all cumulants stay real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import scalars
 from .cumulants import CumulantTable, MomentTable, table_keys
-from .errors import CommutationError, ShapeError
+from .errors import CommutationError, ShapeError, SizeLimitError
 
 MAX_MODEL_DIM = 12
-
-CREATE_L = "create_l"
-ANNIH_L = "annih_l"
-CREATE_R = "create_r"
-ANNIH_R = "annih_r"
-GAUGE_L = "gauge_l"
-GAUGE_R = "gauge_r"
-SCALAR = "scalar"
+MAX_FOCK_WORDS = 2 ** 14
 
 
 def _dot(x, y):
@@ -121,91 +113,7 @@ class FockModel:
             dec(data["lambda1"]), dec(data["lambda2"]), kind)
 
 
-@dataclass
-class FockState:
-    """Sparse vector in the truncated Fock space; keys are letter words."""
-
-    cap: int
-    kind: str
-    amplitudes: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.amplitudes = {w: a for w, a in self.amplitudes.items()
-                           if a != scalars.zero(self.kind)}
-        if any(len(w) > self.cap for w in self.amplitudes):
-            raise ValueError("word longer than the level cap")
-
-    @classmethod
-    def vacuum(cls, cap: int, kind: str) -> "FockState":
-        return cls(cap, kind, {(): scalars.one(kind)})
-
-    def amplitude(self, word: tuple):
-        return self.amplitudes.get(tuple(word), scalars.zero(self.kind))
-
-
-def state_add(x: FockState, y: FockState) -> FockState:
-    out = dict(x.amplitudes)
-    zero = scalars.zero(x.kind)
-    for w, a in y.amplitudes.items():
-        out[w] = out.get(w, zero) + a
-    return FockState(x.cap, x.kind, out)
-
-
-def apply_operator(kind: str, payload, state: FockState) -> FockState:
-    """Apply a creation, annihilation, gauge, or scalar operator.
-
-    Creation prepends (left) or appends (right) the payload vector,
-    discarding words that would exceed the cap; annihilation contracts the
-    first (left) or last (right) letter against the payload and kills the
-    vacuum; gauge applies the payload matrix to the first or last letter
-    and kills the vacuum; scalar multiplies throughout.
-    """
-    zero = scalars.zero(state.kind)
-    out: dict = {}
-
-    def put(word, value):
-        if value != zero:
-            out[word] = out.get(word, zero) + value
-
-    if kind in (CREATE_L, CREATE_R, ANNIH_L, ANNIH_R):
-        vec = tuple(payload)
-        for word, amp in state.amplitudes.items():
-            if kind == CREATE_L:
-                if len(word) < state.cap:
-                    for i, c in enumerate(vec):
-                        put((i,) + word, amp * c)
-            elif kind == CREATE_R:
-                if len(word) < state.cap:
-                    for i, c in enumerate(vec):
-                        put(word + (i,), amp * c)
-            elif kind == ANNIH_L:
-                if word:
-                    put(word[1:], amp * vec[word[0]])
-            else:
-                if word:
-                    put(word[:-1], amp * vec[word[-1]])
-    elif kind in (GAUGE_L, GAUGE_R):
-        mat = payload
-        for word, amp in state.amplitudes.items():
-            if not word:
-                continue
-            if kind == GAUGE_L:
-                col = word[0]
-                for i in range(len(mat)):
-                    put((i,) + word[1:], amp * mat[i][col])
-            else:
-                col = word[-1]
-                for i in range(len(mat)):
-                    put(word[:-1] + (i,), amp * mat[i][col])
-    elif kind == SCALAR:
-        for word, amp in state.amplitudes.items():
-            put(word, amp * payload)
-    else:
-        raise ShapeError(f"unknown operator kind {kind!r}")
-    return FockState(state.cap, state.kind, out)
-
-
-def _face(amplitudes: dict, cap: int, vec, mat, lam, left: bool) -> dict:
+def _face(amplitudes: dict, vec, mat, lam, left: bool) -> dict:
     # One pass of l(vec) + l(vec)* + gauge_l(mat) + lam over the words, or of
     # the right-handed operators when `left` is false; zero amplitudes dropped.
     creators = [(i, c) for i, c in enumerate(vec) if c]
@@ -225,47 +133,40 @@ def _face(amplitudes: dict, cap: int, vec, mat, lam, left: bool) -> dict:
                 put(rest, amp * vec[letter])
             for i, t in columns[letter]:
                 put((i,) + rest if left else rest + (i,), amp * t)
-        if len(word) < cap:
-            for i, c in creators:
-                put((i,) + word if left else word + (i,), amp * c)
+        for i, c in creators:
+            put((i,) + word if left else word + (i,), amp * c)
     return {w: a for w, a in out.items() if a}
 
 
-def apply_left_face(model: FockModel, state: FockState) -> FockState:
-    """Apply a = l(f) + l(f)* + gauge_l(T1) + lambda1."""
-    return FockState(state.cap, state.kind, _face(
-        state.amplitudes, state.cap, model.f, model.t1, model.lambda1, True))
-
-
-def apply_right_face(model: FockModel, state: FockState) -> FockState:
-    """Apply b = r(g) + r(g)* + gauge_r(T2) + lambda2."""
-    return FockState(state.cap, state.kind, _face(
-        state.amplitudes, state.cap, model.g, model.t2, model.lambda2, False))
-
-
-def vacuum_moment(model: FockModel, m: int, n: int, cap: int | None = None):
-    """The joint moment <a^m b^n vacuum, vacuum>.
-
-    The word is applied right to left, so b acts n times first. The level
-    cap defaults to m + n, which is exact: levels above m + n are
-    unreachable from the vacuum in m + n applications.
-    """
-    cap = m + n if cap is None else cap
-    state = FockState.vacuum(cap, model.kind)
-    for _ in range(n):
-        state = apply_right_face(model, state)
-    for _ in range(m):
-        state = apply_left_face(model, state)
-    return state.amplitude(())
+def _inner(x: dict, y: dict, zero):
+    if len(y) < len(x):
+        x, y = y, x
+    return sum((a * y[w] for w, a in x.items() if w in y), zero)
 
 
 def _vacuum_powers(model: FockModel, degree: int, left: bool) -> list:
+    # a^k vac (or b^k vac) for k = 0..degree; the top power can hold
+    # dim^degree words, so the bound is checked before any work
+    words = max(model.dim, 2) ** degree
+    if words > MAX_FOCK_WORDS:
+        raise SizeLimitError(f"degree {degree} over dimension {model.dim} reaches {words} "
+                             f"Fock words, above the cap {MAX_FOCK_WORDS}")
     vec, mat, lam = ((model.f, model.t1, model.lambda1) if left
                      else (model.g, model.t2, model.lambda2))
     powers = [{(): scalars.one(model.kind)}]
     for _ in range(degree):
-        powers.append(_face(powers[-1], degree, vec, mat, lam, left))
+        powers.append(_face(powers[-1], vec, mat, lam, left))
     return powers
+
+
+def vacuum_moment(model: FockModel, m: int, n: int):
+    """The joint moment <a^m b^n vac, vac>, read as <b^n vac, a^m vac>.
+
+    The same inner product of the same vacuum powers as entry (m, n) of
+    moment_table_from_model, so the two agree bit for bit in float mode.
+    """
+    return _inner(_vacuum_powers(model, m, True)[m], _vacuum_powers(model, n, False)[n],
+                  scalars.zero(model.kind))
 
 
 def moment_table_from_model(model: FockModel, degree: int) -> MomentTable:
@@ -273,13 +174,7 @@ def moment_table_from_model(model: FockModel, degree: int) -> MomentTable:
     left = _vacuum_powers(model, degree, True)
     right = _vacuum_powers(model, degree, False)
     zero = scalars.zero(model.kind)
-
-    def inner(x, y):
-        if len(y) < len(x):
-            x, y = y, x
-        return sum((a * y[w] for w, a in x.items() if w in y), zero)
-
-    entries = {(m, n): inner(left[m], right[n]) for m, n in table_keys(degree, 0)}
+    entries = {(m, n): _inner(left[m], right[n], zero) for m, n in table_keys(degree, 0)}
     return MomentTable(degree, model.kind, entries)
 
 

@@ -3,7 +3,8 @@
 Only purely atomic measures are representable; that covers every
 desk-scale object here (Gaussian and Poisson Levy data, compound jumps
 with finitely many atoms). Atoms with equal coordinates are merged, within
-1e-12 in float mode, so canonical form is deterministic.
+1e-12 in float mode, so canonical form is deterministic. A law on the
+line is a planar measure on one axis: marginals are returned that way.
 """
 
 from __future__ import annotations
@@ -18,52 +19,6 @@ MERGE_TOL = 1e-12
 
 FIRST = "first"
 SECOND = "second"
-
-
-def _merge_1d(pairs, kind):
-    pairs = sorted(pairs)
-    merged = []
-    for x, w in pairs:
-        if merged and scalars.close(merged[-1][0], x, kind, MERGE_TOL):
-            merged[-1][1] = merged[-1][1] + w
-        else:
-            merged.append([x, w])
-    return tuple((x, w) for x, w in merged if not scalars.close(w, scalars.zero(kind), kind, 0.0))
-
-
-@dataclass(frozen=True)
-class DiscreteMeasure1D:
-    """Finite atomic measure on the line; atoms sorted by coordinate."""
-
-    atoms: tuple
-    kind: str
-
-    @classmethod
-    def from_atoms(cls, atoms, kind=scalars.RATIONAL):
-        pairs = [(scalars.coerce(x, kind), scalars.coerce(w, kind)) for x, w in atoms]
-        return cls(_merge_1d(pairs, kind), kind)
-
-    def moment(self, k: int):
-        acc = scalars.zero(self.kind)
-        for x, w in self.atoms:
-            acc = acc + w * x**k
-        return acc
-
-    def total_mass(self):
-        return self.moment(0)
-
-    def is_probability(self, tol: float = 1e-12) -> bool:
-        positive = all(w > 0 for _, w in self.atoms)
-        return positive and scalars.close(self.total_mass(), scalars.one(self.kind), self.kind, tol)
-
-    def to_jsonable(self):
-        return [[scalars.to_jsonable(x, self.kind), scalars.to_jsonable(w, self.kind)]
-                for x, w in self.atoms]
-
-    @classmethod
-    def from_jsonable(cls, data, kind):
-        return cls.from_atoms([(scalars.from_jsonable(x, kind), scalars.from_jsonable(w, kind))
-                               for x, w in data], kind)
 
 
 def _merge_2d(triples, kind):
@@ -133,21 +88,28 @@ def point_mass(s, t, kind=scalars.RATIONAL) -> DiscretePlanarMeasure:
     return DiscretePlanarMeasure.from_atoms([(s, t, 1)], kind=kind)
 
 
-def marginal(mu: DiscretePlanarMeasure, axis: str) -> DiscreteMeasure1D:
-    """Pushforward onto one coordinate; atoms with equal coordinate merge."""
+def marginal(mu: DiscretePlanarMeasure, axis: str) -> DiscretePlanarMeasure:
+    """Pushforward onto one coordinate axis: atoms (s, 0, w) or (0, t, w).
+
+    Atoms with equal coordinate on that axis merge.
+    """
     if mu.signed:
         raise UnsupportedMeasureError("marginal of a signed measure is not supported")
     if axis not in (FIRST, SECOND):
         raise ValueError(f"axis must be {FIRST!r} or {SECOND!r}")
-    idx = 0 if axis == FIRST else 1
-    return DiscreteMeasure1D.from_atoms([(atom[idx], atom[2]) for atom in mu.atoms], mu.kind)
+    atoms = [(s, 0, w) if axis == FIRST else (0, t, w) for s, t, w in mu.atoms]
+    return DiscretePlanarMeasure.from_atoms(atoms, kind=mu.kind)
 
 
-def product_measure(nu1: DiscreteMeasure1D, nu2: DiscreteMeasure1D) -> DiscretePlanarMeasure:
-    """Product measure; its moment table factorizes along the two axes."""
+def product_measure(nu1: DiscretePlanarMeasure,
+                    nu2: DiscretePlanarMeasure) -> DiscretePlanarMeasure:
+    """Product of nu1's first coordinate and nu2's second; its moments factorize.
+
+    Entry (m, n) of its moment table is nu1.moment(m, 0) * nu2.moment(0, n).
+    """
     if nu1.kind != nu2.kind:
         raise ValueError("factors must share a scalar kind")
-    atoms = [(s, t, w1 * w2) for s, w1 in nu1.atoms for t, w2 in nu2.atoms]
+    atoms = [(s, t, w1 * w2) for s, _, w1 in nu1.atoms for _, t, w2 in nu2.atoms]
     return DiscretePlanarMeasure.from_atoms(atoms, kind=nu1.kind)
 
 

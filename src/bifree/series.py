@@ -18,50 +18,27 @@ from .cumulants import CumulantTable, MomentTable, moments_to_cumulants, table_k
 from .errors import DegreeError, SingularSeriesError
 
 
-@dataclass
-class UnivariateSeries:
-    """Coefficients c_0..c_degree of a one-variable truncated series."""
-
-    degree: int
-    kind: str
-    coeffs: tuple = field(repr=False)
-
-    def __post_init__(self):
-        scalars.check_kind(self.kind)
-        self.coeffs = tuple(scalars.coerce(c, self.kind) for c in self.coeffs)
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient count must be degree + 1")
-
-    def get(self, k: int):
-        return self.coeffs[k]
+def _uni_multiply(f: tuple, g: tuple, zero) -> tuple:
+    # one-variable series are coefficient tuples c_0..c_D of equal length
+    out = [zero] * len(f)
+    for i, a in enumerate(f):
+        for j in range(len(f) - i):
+            out[i + j] = out[i + j] + a * g[j]
+    return tuple(out)
 
 
-def uni_multiply(f: UnivariateSeries, g: UnivariateSeries) -> UnivariateSeries:
-    if f.degree != g.degree or f.kind != g.kind:
-        raise DegreeError("series degree or kind mismatch")
-    out = [scalars.zero(f.kind)] * (f.degree + 1)
-    for i, a in enumerate(f.coeffs):
-        for j in range(f.degree + 1 - i):
-            out[i + j] = out[i + j] + a * g.coeffs[j]
-    return UnivariateSeries(f.degree, f.kind, tuple(out))
-
-
-def uni_reciprocal(f: UnivariateSeries) -> UnivariateSeries:
-    if f.coeffs[0] == scalars.zero(f.kind):
+def _uni_reciprocal(f: tuple, kind: str) -> tuple:
+    zero = scalars.zero(kind)
+    if f[0] == zero:
         raise SingularSeriesError("reciprocal of a series with zero constant term")
-    inv0 = scalars.one(f.kind) / f.coeffs[0]
-    out = [inv0] + [scalars.zero(f.kind)] * f.degree
-    for k in range(1, f.degree + 1):
-        acc = scalars.zero(f.kind)
+    inv0 = scalars.one(kind) / f[0]
+    out = [inv0] + [zero] * (len(f) - 1)
+    for k in range(1, len(f)):
+        acc = zero
         for i in range(1, k + 1):
-            acc = acc + f.coeffs[i] * out[k - i]
+            acc = acc + f[i] * out[k - i]
         out[k] = -inv0 * acc
-    return UnivariateSeries(f.degree, f.kind, tuple(out))
-
-
-def uni_shift(f: UnivariateSeries) -> UnivariateSeries:
-    """Multiply by the variable, truncating the top coefficient."""
-    return UnivariateSeries(f.degree, f.kind, (scalars.zero(f.kind),) + f.coeffs[:-1])
+    return tuple(out)
 
 
 @dataclass
@@ -136,35 +113,36 @@ def series_reciprocal(f: BivariateSeries) -> BivariateSeries:
     return BivariateSeries(f.degree, f.kind, out)
 
 
-def series_compose_bi(M: BivariateSeries, u: UnivariateSeries,
-                      v: UnivariateSeries) -> BivariateSeries:
+def series_compose_bi(M: BivariateSeries, u: tuple, v: tuple) -> BivariateSeries:
     """Substitute u(z) for the first variable and v(w) for the second.
 
-    Both substituted series must vanish at 0 so the composition is
-    well-defined on truncations.
+    u and v are coefficient tuples c_0..c_D of one-variable series, D the
+    degree of M. Both must vanish at 0 so the composition is well-defined
+    on truncations.
     """
-    zero = scalars.zero(M.kind)
-    if u.coeffs[0] != zero or v.coeffs[0] != zero:
-        raise SingularSeriesError("substituted series must have zero constant term")
     degree = M.degree
+    if len(u) != degree + 1 or len(v) != degree + 1:
+        raise DegreeError(f"substituted series need {degree + 1} coefficients")
+    zero = scalars.zero(M.kind)
+    if u[0] != zero or v[0] != zero:
+        raise SingularSeriesError("substituted series must have zero constant term")
     # powers of u contribute only from z-degree >= power, so degree many suffice
-    one_u = UnivariateSeries(degree, M.kind, (scalars.one(M.kind),) + (zero,) * degree)
-    u_pows = [one_u]
-    v_pows = [one_u]
+    u_pows = [(scalars.one(M.kind),) + (zero,) * degree]
+    v_pows = [u_pows[0]]
     for _ in range(degree):
-        u_pows.append(uni_multiply(u_pows[-1], u))
-        v_pows.append(uni_multiply(v_pows[-1], v))
+        u_pows.append(_uni_multiply(u_pows[-1], u, zero))
+        v_pows.append(_uni_multiply(v_pows[-1], v, zero))
     out: dict = {}
     for (m, n), c in M.coeffs.items():
         if c == zero:
             continue
         up, vp = u_pows[m], v_pows[n]
         for i in range(m, degree + 1):
-            a = up.coeffs[i]
+            a = up[i]
             if a == zero:
                 continue
             for j in range(n, degree + 1 - i):
-                b = vp.coeffs[j]
+                b = vp[j]
                 if b == zero:
                     continue
                 key = (i, j)
@@ -186,18 +164,19 @@ def moment_series(table: MomentTable) -> BivariateSeries:
     return BivariateSeries(table.degree, table.kind, dict(table.entries))
 
 
-def _outer_product(f: UnivariateSeries, g: UnivariateSeries, degree: int) -> BivariateSeries:
+def _outer_product(f: tuple, g: tuple, kind: str) -> BivariateSeries:
     out = {}
-    zero = scalars.zero(f.kind)
-    for i, a in enumerate(f.coeffs):
+    zero = scalars.zero(kind)
+    degree = len(f) - 1
+    for i, a in enumerate(f):
         if a == zero:
             continue
-        for j, b in enumerate(g.coeffs):
+        for j, b in enumerate(g):
             if i + j > degree:
                 break
             if b != zero:
                 out[(i, j)] = a * b
-    return BivariateSeries(degree, f.kind, out)
+    return BivariateSeries(degree, kind, out)
 
 
 def verify_voiculescu_identity(table: MomentTable):
@@ -215,24 +194,22 @@ def verify_voiculescu_identity(table: MomentTable):
     kind = table.kind
     cum = moments_to_cumulants(table)
 
-    one = scalars.one(kind)
+    one, zero = scalars.one(kind), scalars.zero(kind)
     # 1 + z R_a(z) and 1 + w R_b(w): coefficient m holds kappa_{m,0}
-    one_plus_zra = UnivariateSeries(degree, kind,
-                                    (one,) + tuple(cum.get(m, 0) for m in range(1, degree + 1)))
-    one_plus_wrb = UnivariateSeries(degree, kind,
-                                    (one,) + tuple(cum.get(0, n) for n in range(1, degree + 1)))
+    one_plus_zra = (one,) + tuple(cum.get(m, 0) for m in range(1, degree + 1))
+    one_plus_wrb = (one,) + tuple(cum.get(0, n) for n in range(1, degree + 1))
 
-    u = uni_shift(uni_reciprocal(one_plus_zra))  # 1 / K_a(z), vanishes at 0
-    v = uni_shift(uni_reciprocal(one_plus_wrb))
+    # 1 / K_a(z) = z / (1 + z R_a(z)): the reciprocal shifted up by one, vanishing at 0
+    u = (zero,) + _uni_reciprocal(one_plus_zra, kind)[:-1]
+    v = (zero,) + _uni_reciprocal(one_plus_wrb, kind)[:-1]
 
     composed = series_compose_bi(moment_series(table), u, v)
-    green_term = series_multiply(_outer_product(one_plus_zra, one_plus_wrb, degree),
+    green_term = series_multiply(_outer_product(one_plus_zra, one_plus_wrb, kind),
                                  series_reciprocal(composed))
 
     # The right side, 1 + z R_a(z) + w R_b(w) minus the Green term, is one at
     # the origin, kappa on the two axes and zero inside before the subtraction.
     left = r_transform_series(cum)
-    zero = scalars.zero(kind)
     worst = zero
     for m, n in table_keys(degree - 1, 0):
         base = one if m == n == 0 else left.get(m, n) if m * n == 0 else zero

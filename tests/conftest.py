@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from bifree import scalars
+from bifree.errors import ShapeError
 from bifree.fock import FockModel
 from bifree.levy_hincin import LevyHincinData
-from bifree.measures import DiscreteMeasure1D, DiscretePlanarMeasure
+from bifree.measures import FIRST, DiscretePlanarMeasure
 
 # rational rotation pairs (cos, sin) from Pythagorean triples
 ROTATIONS = [
@@ -85,14 +86,16 @@ def random_planar_measure(rng, natoms=3) -> DiscretePlanarMeasure:
     return DiscretePlanarMeasure.from_atoms(atoms)
 
 
-def random_measure_1d(rng, natoms=2) -> DiscreteMeasure1D:
+def random_line_measure(rng, natoms=2, axis=FIRST) -> DiscretePlanarMeasure:
+    """Random rational probability measure on one coordinate axis."""
     coords = set()
     while len(coords) < natoms:
         coords.add(rational(rng, -2, 2, 3))
     weights = [Fraction(rng.randint(1, 5)) for _ in range(natoms)]
     total = sum(weights)
-    return DiscreteMeasure1D.from_atoms(
-        [(x, w / total) for x, w in zip(sorted(coords), weights)])
+    return DiscretePlanarMeasure.from_atoms(
+        [(x, 0, w / total) if axis == FIRST else (0, x, w / total)
+         for x, w in zip(sorted(coords), weights)])
 
 
 def rational_orthogonal(rng, dim):
@@ -158,6 +161,76 @@ def random_validated_lh(rng, natoms=3) -> LevyHincinData:
         DiscretePlanarMeasure.from_atoms(atoms1),
         DiscretePlanarMeasure.from_atoms(atoms2),
         DiscretePlanarMeasure.from_atoms(atoms, signed=True))
+
+
+# -- the operator-by-operator Fock engine, the oracle for bifree.fock ----------
+
+CREATE_L, ANNIH_L, GAUGE_L = "create_l", "annih_l", "gauge_l"
+CREATE_R, ANNIH_R, GAUGE_R = "create_r", "annih_r", "gauge_r"
+SCALAR = "scalar"
+
+
+def apply_operator(kind, payload, amplitudes, cap):
+    """One creation, annihilation, gauge or scalar operator on a word -> amplitude map.
+
+    Creation prepends (left) or appends (right) the payload vector and
+    discards words that would exceed the level cap; annihilation contracts
+    the first (left) or last (right) letter against the payload and kills
+    the vacuum; gauge applies the payload matrix to the first or last letter
+    and kills the vacuum; scalar multiplies throughout. Zero amplitudes are
+    dropped.
+    """
+    if kind not in (CREATE_L, ANNIH_L, GAUGE_L, CREATE_R, ANNIH_R, GAUGE_R, SCALAR):
+        raise ShapeError(f"unknown operator kind {kind!r}")
+    out: dict = {}
+
+    def put(word, value):
+        out[word] = out.get(word, 0) + value
+
+    for word, amp in amplitudes.items():
+        if kind == SCALAR:
+            put(word, amp * payload)
+        elif kind in (CREATE_L, CREATE_R):
+            if len(word) < cap:
+                for i, c in enumerate(payload):
+                    put((i,) + word if kind == CREATE_L else word + (i,), amp * c)
+        elif word:
+            left = kind in (ANNIH_L, GAUGE_L)
+            letter, rest = (word[0], word[1:]) if left else (word[-1], word[:-1])
+            if kind in (ANNIH_L, ANNIH_R):
+                put(rest, amp * payload[letter])
+            else:
+                for i in range(len(payload)):
+                    put((i,) + rest if left else rest + (i,), amp * payload[i][letter])
+    return {w: a for w, a in out.items() if a}
+
+
+def face_by_operators(model, amplitudes, cap, left):
+    """a (or b when not left) applied as the sum of its four operators."""
+    ops = (((CREATE_L, model.f), (ANNIH_L, model.f), (GAUGE_L, model.t1),
+            (SCALAR, model.lambda1)) if left else
+           ((CREATE_R, model.g), (ANNIH_R, model.g), (GAUGE_R, model.t2),
+            (SCALAR, model.lambda2)))
+    total: dict = {}
+    for kind, payload in ops:
+        for word, amp in apply_operator(kind, payload, amplitudes, cap).items():
+            total[word] = total.get(word, 0) + amp
+    return {w: a for w, a in total.items() if a}
+
+
+def oracle_vacuum_moment(model, m, n, cap=None):
+    """<a^m b^n vac, vac>: b applied n times, then a m times, read at the vacuum.
+
+    The level cap defaults to m + n, which is exact: levels above m + n are
+    unreachable from the vacuum in m + n applications.
+    """
+    cap = m + n if cap is None else cap
+    state = {(): scalars.one(model.kind)}
+    for _ in range(n):
+        state = face_by_operators(model, state, cap, left=False)
+    for _ in range(m):
+        state = face_by_operators(model, state, cap, left=True)
+    return state.get((), scalars.zero(model.kind))
 
 
 @pytest.fixture

@@ -7,6 +7,8 @@ import argparse
 import io
 import json
 import os
+import random
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -326,16 +328,19 @@ def test_zero_denominators_are_input_errors(tmp_path, capsys):
         assert "denominator" in capsys.readouterr().err, argv
 
 
-# Each subcommand's optional flags (per suite for verify); --kind, --seed and
-# --tolerance only where read.
+# Each subcommand's optional flags (per distribution for make, per suite for
+# verify); --kind, --seed and --tolerance only where read.
 FLAGS = {
     "partitions": ["--chi", "--n"],
     "cumulants": [],
     "moments": [],
     "convolve": [],
     "semigroup": ["--assume-divisible", "--t"],
-    "make": ["--alpha", "--beta", "--c", "--degree", "--kind", "--lambda", "--nu",
-             "--s1", "--s2"],
+    "make": {
+        "gaussian": ["--c", "--degree", "--kind", "--s1", "--s2"],
+        "poisson": ["--alpha", "--beta", "--degree", "--kind", "--lambda"],
+        "compound": ["--degree", "--kind", "--lambda", "--nu"],
+    },
     "lh-cumulants": ["--degree"],
     "lh-validate": ["--tolerance"],
     "check-id": ["--gram-degree"],
@@ -425,3 +430,82 @@ def test_flag_prefixes_are_not_abbreviations(capsys):
                  ["verify", "chi", "--measure", str(DATA / "measure.json"), "--t", "2"]):
         assert invoke(argv) == (2, ""), argv
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# One wrong input per line: a missing input file, both of voiculescu's
+# inputs, a flag another distribution reads, --degree in single-moment mode.
+INPUT_ERRORS = {
+    "chi-no-measure": ["verify", "chi", "--degree", "3"],
+    "roundtrip-no-measure": ["verify", "roundtrip"],
+    "voiculescu-no-input": ["verify", "voiculescu"],
+    "semigroup-no-table": ["verify", "semigroup"],
+    "compound-no-nu": ["make", "compound"],
+    "voiculescu-both-inputs": ["verify", "voiculescu", "--model",
+                               str(DATA / "model_gaussian.json"), "--measure",
+                               "/nonexistent.json"],
+    "gaussian-nu": ["make", "gaussian", "--nu", str(DATA / "jump.json")],
+    "poisson-s1-c": ["make", "poisson", "--s1", "5", "--c", "3"],
+    "fock-degree-with-m-n": ["fock-moments", str(DATA / "model_gaussian.json"),
+                             "--degree", "1", "--m", "4", "--n", "4"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_inputs_are_required_and_exclusive(capsys, case):
+    assert invoke(INPUT_ERRORS[case]) == (2, "")
+    assert capsys.readouterr().err
+
+
+def test_fock_word_bound_refuses_before_work(capsys):
+    start = time.perf_counter()
+    code, out = invoke(["fock-moments", str(DATA / "model_gaussian.json"), "--degree", "24"])
+    assert (code, out) == (2, "")
+    assert time.perf_counter() - start < 1.0
+    assert "words" in capsys.readouterr().err
+
+
+def _leaves(parser, path=()):
+    """The argv prefix of every sub-parser that takes no further sub-command."""
+    subparsers = _subparsers(parser)
+    if not subparsers:
+        return [list(path)]
+    return [leaf for name, sub in subparsers.items() for leaf in _leaves(sub, path + (name,))]
+
+
+POSITIONALS = {"cumulants": [DATA / "delta_moments.json"], "moments": [DATA / "poisson4.json"],
+               "convolve": [DATA / "poisson4.json"] * 2, "semigroup": [DATA / "poisson4.json"],
+               "lh-cumulants": [DATA / "lh_poisson.json"],
+               "lh-validate": [DATA / "lh_poisson.json"], "check-id": [DATA / "poisson8.json"],
+               "gns": [DATA / "poisson8.json"], "extract": [DATA / "model_poisson.json"],
+               "fock-moments": [DATA / "model_gaussian.json"]}
+LEAVES = _leaves(build_parser())
+
+
+@pytest.mark.parametrize("path", LEAVES, ids=[" ".join(p) for p in LEAVES])
+def test_no_input_flags_never_raise(capsys, path):
+    code, out = invoke(path + [str(p) for p in POSITIONALS.get(path[0], [])])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+    capsys.readouterr()
+
+
+def test_float_single_moment_is_the_table_entry(tmp_path):
+    rng = random.Random(11)
+    for trial in range(8):
+        dim = rng.randint(1, 3)
+        sym = [[0.0] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                sym[i][j] = sym[j][i] = rng.uniform(-1, 1)
+        model = FockModel.from_arrays([rng.uniform(-1, 1) for _ in range(dim)],
+                                      [rng.uniform(-1, 1) for _ in range(dim)], sym,
+                                      [[rng.uniform(-1, 1) if i == j else 0.0
+                                        for j in range(dim)] for i in range(dim)],
+                                      rng.uniform(-1, 1), rng.uniform(-1, 1), kind="float")
+        path = _write(tmp_path / f"model{trial}.json", model.to_jsonable())
+        for m, n in ((0, 3), (2, 2), (3, 1), (4, 2), (1, 5)):
+            single = json.loads(invoke(["fock-moments", path, "--m", str(m), "--n", str(n)])[1])
+            table = json.loads(invoke(["fock-moments", path, "--degree", str(m + n)])[1])
+            entry = next(v for a, b, v in table["entries"] if (a, b) == (m, n))
+            assert single["value"] == entry, (trial, m, n)

@@ -15,10 +15,10 @@ from bifree.cumulants import (CumulantTable, MomentTable, cumulant_seq_to_moment
                               moment_seq_to_cumulant_seq, moments_to_cumulants,
                               zero_cumulants)
 from bifree.errors import DegreeError
-from bifree.measures import moment_table, point_mass, product_measure
+from bifree.measures import SECOND, moment_table, point_mass, product_measure
 from bifree.partitions import LEFT, RIGHT, ChiMap, enumerate_bnc, enumerate_nc, mobius_top
 
-from conftest import (block_side_counts, random_cumulant_table, random_measure_1d,
+from conftest import (block_side_counts, random_cumulant_table, random_line_measure,
                       random_moment_table, random_planar_measure)
 
 
@@ -236,8 +236,8 @@ def test_chi_values_all_labellings_evaluated(rng):
 
 
 def test_product_measure_tables_pass_chi(rng):
-    table = moment_table(product_measure(random_measure_1d(rng, 2),
-                                         random_measure_1d(rng, 2)), 5)
+    table = moment_table(product_measure(random_line_measure(rng, 2),
+                                         random_line_measure(rng, 2, SECOND)), 5)
     assert_mobius_sums_match_transform(table)
 
 

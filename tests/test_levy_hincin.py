@@ -17,12 +17,12 @@ from bifree.levy_hincin import (LevyHincinData, check_cond_bounded, check_cpsd,
                                 r_transform_from_lh, validate_lh)
 from bifree.limits import (bifree_gaussian, bifree_poisson,
                            compound_bifree_poisson)
-from bifree.measures import (DiscretePlanarMeasure, moment_table, point_mass,
-                             product_measure)
+from bifree.measures import (SECOND, DiscretePlanarMeasure, moment_table,
+                             point_mass, product_measure)
 from bifree.series import r_transform_series
 
 from conftest import (gram_entry_by_entry, random_commuting_model,
-                      random_cumulant_table, random_measure_1d,
+                      random_cumulant_table, random_line_measure,
                       random_moment_table, random_validated_lh,
                       window_monomials)
 
@@ -427,9 +427,9 @@ def test_r_transform_from_lh_compound(rng):
     # compound data: rho = lam * s * t * nu and friends; coefficients are
     # lam times the jump moments
     lam = Fraction(3, 2)
-    nu = product_measure(random_measure_1d(rng, 2), random_measure_1d(rng, 2))
+    nu = product_measure(random_line_measure(rng, 2), random_line_measure(rng, 2, SECOND))
     while any(s == 0 or t == 0 for s, t, _ in nu.atoms):
-        nu = product_measure(random_measure_1d(rng, 2), random_measure_1d(rng, 2))
+        nu = product_measure(random_line_measure(rng, 2), random_line_measure(rng, 2, SECOND))
     rho1 = DiscretePlanarMeasure.from_atoms([(s, t, lam * s * s * w) for s, t, w in nu.atoms])
     rho2 = DiscretePlanarMeasure.from_atoms([(s, t, lam * t * t * w) for s, t, w in nu.atoms])
     rho = DiscretePlanarMeasure.from_atoms([(s, t, lam * s * t * w) for s, t, w in nu.atoms],

@@ -13,9 +13,8 @@ from bifree.limits import (bifree_gaussian, bifree_poisson,
                            compound_bifree_poisson, compound_family,
                            poisson_family, row_sum_moments,
                            triangular_limit_estimate)
-from bifree.measures import (FIRST, SECOND, DiscreteMeasure1D,
-                             DiscretePlanarMeasure, marginal, moment_table,
-                             product_measure)
+from bifree.measures import (FIRST, SECOND, DiscretePlanarMeasure, marginal,
+                             moment_table)
 
 
 def test_gaussian_constructor_entries():
@@ -71,8 +70,8 @@ def test_compound_marginals_are_free_compound_poisson(rng):
     left = marginal(jump, FIRST)
     right = marginal(jump, SECOND)
     for m in range(1, 7):
-        assert table.get(m, 0) == lam * left.moment(m)
-        assert table.get(0, m) == lam * right.moment(m)
+        assert table.get(m, 0) == lam * left.moment(m, 0)
+        assert table.get(0, m) == lam * right.moment(0, m)
 
 
 def test_poisson_family_estimates_are_exact():

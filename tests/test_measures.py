@@ -7,11 +7,10 @@ import pytest
 from bifree import scalars
 from bifree.cumulants import moments_to_cumulants
 from bifree.errors import UnsupportedMeasureError
-from bifree.measures import (FIRST, SECOND, DiscreteMeasure1D,
-                             DiscretePlanarMeasure, marginal, moment_table,
-                             point_mass, product_measure)
+from bifree.measures import (FIRST, SECOND, DiscretePlanarMeasure, marginal,
+                             moment_table, point_mass, product_measure)
 
-from conftest import random_measure_1d, random_planar_measure
+from conftest import random_line_measure, random_planar_measure
 
 
 def test_point_mass_moment():
@@ -36,14 +35,16 @@ def test_poisson_row_scaled_moment():
 
 
 def test_marginal_examples():
-    assert marginal(point_mass(2, 3), FIRST).atoms == ((2, 1),)
+    assert marginal(point_mass(2, 3), FIRST).atoms == ((2, 0, 1),)
+    assert marginal(point_mass(2, 3), SECOND).atoms == ((0, 3, 1),)
     merged = marginal(DiscretePlanarMeasure.from_atoms(
         [(1, 5, Fraction(1, 2)), (-1, 5, Fraction(1, 2))]), SECOND)
-    assert merged.atoms == ((5, 1),)
+    assert merged.atoms == ((0, 5, 1),)
     four = DiscretePlanarMeasure.from_atoms(
         [(s, t, Fraction(1, 4)) for s in (1, -1) for t in (1, -1)])
-    for axis in (FIRST, SECOND):
-        assert marginal(four, axis).atoms == ((-1, Fraction(1, 2)), (1, Fraction(1, 2)))
+    half = Fraction(1, 2)
+    assert marginal(four, FIRST).atoms == ((-1, 0, half), (1, 0, half))
+    assert marginal(four, SECOND).atoms == ((0, -1, half), (0, 1, half))
 
 
 def test_marginal_rejects_signed():
@@ -53,28 +54,27 @@ def test_marginal_rejects_signed():
 
 
 def test_product_measure_examples():
-    dx = DiscreteMeasure1D.from_atoms([(3, 1)])
-    dy = DiscreteMeasure1D.from_atoms([(-2, 1)])
-    assert product_measure(dx, dy).atoms == ((3, -2, 1),)
+    # nu1's first coordinate against nu2's second; the others are ignored
+    assert product_measure(point_mass(3, 7), point_mass(5, -2)).atoms == ((3, -2, 1),)
 
-    bern = DiscreteMeasure1D.from_atoms([(1, Fraction(1, 2)), (-1, Fraction(1, 2))])
-    zero = DiscreteMeasure1D.from_atoms([(0, 1)])
-    prod = product_measure(bern, zero)
+    bern = DiscretePlanarMeasure.from_atoms([(1, 4, Fraction(1, 2)), (-1, 4, Fraction(1, 2))])
+    prod = product_measure(bern, point_mass(1, 0))
     assert prod.atoms == ((-1, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2)))
 
 
 def test_product_moments_factorize(rng):
-    nu1 = random_measure_1d(rng, 3)
-    nu2 = random_measure_1d(rng, 2)
+    nu1 = random_planar_measure(rng, 3)
+    nu2 = random_planar_measure(rng, 2)
     prod = product_measure(nu1, nu2)
     for total in range(0, 9):
         for m in range(total + 1):
-            assert prod.moment(m, total - m) == nu1.moment(m) * nu2.moment(total - m)
+            assert prod.moment(m, total - m) == nu1.moment(m, 0) * nu2.moment(0, total - m)
+    assert prod == product_measure(marginal(nu1, FIRST), marginal(nu2, SECOND))
 
 
 def test_product_measure_has_no_mixed_cumulants(rng):
     for _ in range(3):
-        prod = product_measure(random_measure_1d(rng, 2), random_measure_1d(rng, 2))
+        prod = product_measure(random_line_measure(rng, 2), random_line_measure(rng, 2, SECOND))
         cum = moments_to_cumulants(moment_table(prod, 6))
         for (m, n), value in cum.entries.items():
             if m >= 1 and n >= 1:
@@ -84,8 +84,8 @@ def test_product_measure_has_no_mixed_cumulants(rng):
 def test_marginal_moments_match_joint(rng):
     mu = random_planar_measure(rng, 4)
     for k in range(6):
-        assert marginal(mu, FIRST).moment(k) == mu.moment(k, 0)
-        assert marginal(mu, SECOND).moment(k) == mu.moment(0, k)
+        assert marginal(mu, FIRST).moment(k, 0) == mu.moment(k, 0)
+        assert marginal(mu, SECOND).moment(0, k) == mu.moment(0, k)
 
 
 def test_atom_merge_and_zero_drop():
@@ -122,5 +122,3 @@ def test_json_round_trip(rng):
     mu = random_planar_measure(rng, 3)
     again = DiscretePlanarMeasure.from_jsonable(mu.to_jsonable(), mu.kind)
     assert again == mu
-    nu = random_measure_1d(rng, 2)
-    assert DiscreteMeasure1D.from_jsonable(nu.to_jsonable(), nu.kind) == nu

@@ -13,12 +13,12 @@ from bifree.errors import DegreeError, SingularSeriesError
 from bifree.fock import FockModel, moment_table_from_model
 from bifree.limits import bifree_gaussian, bifree_poisson
 from bifree.measures import moment_table, point_mass, product_measure
-from bifree.series import (BivariateSeries, UnivariateSeries, moment_series,
-                           r_transform_series, series_compose_bi,
-                           series_multiply, series_reciprocal,
-                           verify_voiculescu_identity)
+from bifree.measures import SECOND
+from bifree.series import (BivariateSeries, moment_series, r_transform_series,
+                           series_compose_bi, series_multiply,
+                           series_reciprocal, verify_voiculescu_identity)
 
-from conftest import (random_commuting_model, random_measure_1d,
+from conftest import (random_commuting_model, random_line_measure,
                       random_moment_table, random_planar_measure)
 
 R = scalars.RATIONAL
@@ -90,16 +90,15 @@ def test_reciprocal_is_inverse(seed):
 
 def test_compose_identity_substitution():
     m = bseries(3, {(0, 0): 1, (1, 1): 1})
-    z = UnivariateSeries(3, R, (0, 1, 0, 0))
-    w = UnivariateSeries(3, R, (0, 1, 0, 0))
+    z = w = (0, 1, 0, 0)
     assert series_compose_bi(m, z, w).coeffs == m.coeffs
 
 
 def test_compose_squares_the_variable():
     d = 6
     m = bseries(d, {(k, 0): 1 for k in range(d + 1)})
-    z2 = UnivariateSeries(d, R, (0, 0, 1, 0, 0, 0, 0))
-    zero = UnivariateSeries(d, R, (0,) * (d + 1))
+    z2 = (0, 0, 1, 0, 0, 0, 0)
+    zero = (0,) * (d + 1)
     out = series_compose_bi(m, z2, zero)
     for k in range(d + 1):
         assert out.get(k, 0) == (1 if k % 2 == 0 else 0)
@@ -107,16 +106,18 @@ def test_compose_squares_the_variable():
 
 def test_compose_constant_series_unchanged():
     m = bseries(3, {(0, 0): 7})
-    u = UnivariateSeries(3, R, (0, 2, 1, 0))
+    u = (0, 2, 1, 0)
     assert series_compose_bi(m, u, u).get(0, 0) == 7
 
 
 def test_compose_rejects_nonzero_constant():
     m = bseries(2, {(0, 0): 1})
-    bad = UnivariateSeries(2, R, (1, 0, 0))
-    good = UnivariateSeries(2, R, (0, 1, 0))
+    bad = (1, 0, 0)
+    good = (0, 1, 0)
     with pytest.raises(SingularSeriesError):
         series_compose_bi(m, bad, good)
+    with pytest.raises(DegreeError):
+        series_compose_bi(m, good, (0, 1))
 
 
 def test_r_transform_of_constructors():
@@ -161,7 +162,7 @@ def test_voiculescu_point_mass():
 
 
 def test_voiculescu_product_measure(rng):
-    prod = product_measure(random_measure_1d(rng, 2), random_measure_1d(rng, 3))
+    prod = product_measure(random_line_measure(rng, 2), random_line_measure(rng, 3, SECOND))
     assert verify_voiculescu_identity(moment_table(prod, 6)) == 0
 
 
