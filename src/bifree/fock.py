@@ -14,7 +14,14 @@ Moment tables read every entry as an inner product of vacuum powers,
     phi(a^m b^n) = <a^m b^n vac, vac> = <b^n vac, a^m vac>,
 
 so a^k vac and b^k vac are built once for k = 0..D and each entry costs
-one sparse dot product. Moving a^m across needs only that a is
+one sparse dot product.
+
+Rational data is cleared of denominators once per face before any power
+is built: with L_a the common denominator of (f, T1, lambda1) and L_b that
+of (g, T2, lambda2), the faces L_a a and L_b b have integer data, so their
+vacuum powers carry Python ints and no Fraction is made on the way. Entry
+(m, n) is divided back once, as <(L_b b)^n vac, (L_a a)^m vac> / (L_a^m L_b^n).
+Float data is not scaled (L = 1). Moving a^m across needs only that a is
 self-adjoint: l(f)* is the adjoint of l(f), and gauge_l(T1) and lambda1
 are self-adjoint because T1 is symmetric and lambda1 is real (likewise
 for b). The faces need not commute. No truncation enters, because a^k vac
@@ -144,19 +151,31 @@ def _inner(x: dict, y: dict, zero):
     return sum((a * y[w] for w, a in x.items() if w in y), zero)
 
 
-def _vacuum_powers(model: FockModel, degree: int, left: bool) -> list:
-    # a^k vac (or b^k vac) for k = 0..degree; the top power can hold
-    # dim^degree words, so the bound is checked before any work
+def _vacuum_powers(model: FockModel, degree: int, left: bool) -> tuple:
+    # (L, [(L a)^k vac for k = 0..degree]) with L the common denominator of
+    # the face's data, or the same for b; the top power can hold dim^degree
+    # words, so the bound is checked before any work
     words = max(model.dim, 2) ** degree
     if words > MAX_FOCK_WORDS:
         raise SizeLimitError(f"degree {degree} over dimension {model.dim} reaches {words} "
                              f"Fock words, above the cap {MAX_FOCK_WORDS}")
     vec, mat, lam = ((model.f, model.t1, model.lambda1) if left
                      else (model.g, model.t2, model.lambda2))
-    powers = [{(): scalars.one(model.kind)}]
+    dim = model.dim
+    scale, (lam, *data) = scalars.clear_denominators((lam, *vec, *(x for row in mat for x in row)))
+    vec, mat = data[:dim], [data[dim * (i + 1):dim * (i + 2)] for i in range(dim)]
+    powers = [{(): 1 if model.kind == scalars.RATIONAL else 1.0}]
     for _ in range(degree):
         powers.append(_face(powers[-1], vec, mat, lam, left))
-    return powers
+    return scale, powers
+
+
+def _moment(model: FockModel, left: tuple, right: tuple, m: int, n: int):
+    # <(L_b b)^n vac, (L_a a)^m vac>, divided back by L_a^m L_b^n
+    (scale_a, powers_a), (scale_b, powers_b) = left, right
+    zero = 0 if model.kind == scalars.RATIONAL else 0.0
+    return scalars.over(_inner(powers_a[m], powers_b[n], zero),
+                        scale_a**m * scale_b**n, model.kind)
 
 
 def vacuum_moment(model: FockModel, m: int, n: int):
@@ -165,16 +184,15 @@ def vacuum_moment(model: FockModel, m: int, n: int):
     The same inner product of the same vacuum powers as entry (m, n) of
     moment_table_from_model, so the two agree bit for bit in float mode.
     """
-    return _inner(_vacuum_powers(model, m, True)[m], _vacuum_powers(model, n, False)[n],
-                  scalars.zero(model.kind))
+    return _moment(model, _vacuum_powers(model, m, True), _vacuum_powers(model, n, False),
+                   m, n)
 
 
 def moment_table_from_model(model: FockModel, degree: int) -> MomentTable:
     """Vacuum moments up to total degree, each read as <b^n vac, a^m vac>."""
     left = _vacuum_powers(model, degree, True)
     right = _vacuum_powers(model, degree, False)
-    zero = scalars.zero(model.kind)
-    entries = {(m, n): _inner(left[m], right[n], zero) for m, n in table_keys(degree, 0)}
+    entries = {(m, n): _moment(model, left, right, m, n) for m, n in table_keys(degree, 0)}
     return MomentTable(degree, model.kind, entries)
 
 

@@ -148,6 +148,7 @@ def lh_to_cumulants(data: LevyHincinData, degree: int,
     index. Float mode allows `tol` times max(1, |entry|).
     """
     kind = data.kind
+    rho1, rho2, rho = (mu.moments(degree - 2) for mu in (data.rho1, data.rho2, data.rho))
     entries: dict = {}
     for m, n in table_keys(degree, 1):
         candidates = []
@@ -157,11 +158,11 @@ def lh_to_cumulants(data: LevyHincinData, degree: int,
             candidates.append(data.kappa01)
         else:
             if m >= 2:
-                candidates.append(data.rho1.moment(m - 2, n))
+                candidates.append(rho1[(m - 2, n)])
             if n >= 2:
-                candidates.append(data.rho2.moment(m, n - 2))
+                candidates.append(rho2[(m, n - 2)])
             if m >= 1 and n >= 1:
-                candidates.append(data.rho.moment(m - 1, n - 1))
+                candidates.append(rho[(m - 1, n - 1)])
         first = candidates[0]
         # float entries reach the hundreds, so the float bound scales with them
         bound = tol * max(1.0, abs(first)) if kind == scalars.FLOAT else tol

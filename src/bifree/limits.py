@@ -55,7 +55,8 @@ def compound_bifree_poisson(rate, jump: DiscretePlanarMeasure, degree: int) -> C
         raise ValueError("rate must be positive")
     if not jump.is_probability():
         raise ValueError("jump distribution must be a probability measure")
-    entries = {(m, n): rate * jump.moment(m, n) for m, n in table_keys(degree, 1)}
+    moments = jump.moments(degree)
+    entries = {(m, n): rate * moments[(m, n)] for m, n in table_keys(degree, 1)}
     return CumulantTable(degree, kind, entries)
 
 
@@ -97,8 +98,8 @@ def triangular_limit_estimate(family, m: int, n: int, n_list):
     Callers compare the sequence against the target cumulant; for the
     Poisson families the value is already exact at every N.
     """
-    return [scalars.coerce(n_rows, family(n_rows).kind)
-            * family(n_rows).moment(m, n) for n_rows in n_list]
+    rows = [family(n_rows) for n_rows in n_list]
+    return [scalars.coerce(n_rows, mu.kind) * mu.moment(m, n) for n_rows, mu in zip(n_list, rows)]
 
 
 def row_sum_moments(family, n_rows: int, degree: int):

@@ -5,11 +5,19 @@ desk-scale object here (Gaussian and Poisson Levy data, compound jumps
 with finitely many atoms). Atoms with equal coordinates are merged, within
 1e-12 in float mode, so canonical form is deterministic. A law on the
 line is a planar measure on one axis: marginals are returned that way.
+
+Moments are read off cleared data: in rational mode the s-coordinates, the
+t-coordinates and the weights are each put over their common denominator
+(L_s, L_t, L_w) once per measure, so the sum over atoms of W S^m T^n runs
+on Python ints and entry (m, n) is divided back once, by L_w L_s^m L_t^n.
+Float data is not scaled, and each float term is w * s**m * t**n summed in
+atom order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import scalars
 from .cumulants import MomentTable, table_keys
@@ -51,11 +59,36 @@ class DiscretePlanarMeasure:
             raise UnsupportedMeasureError("negative weight in an unsigned measure")
         return cls(merged, signed, kind)
 
+    @cached_property
+    def _cleared(self) -> tuple:
+        # (L_s, L_t, L_w, atoms (S, T, W)) with s = S / L_s, t = T / L_t, w = W / L_w
+        scale_s, s = scalars.clear_denominators(s for s, _, _ in self.atoms)
+        scale_t, t = scalars.clear_denominators(t for _, t, _ in self.atoms)
+        scale_w, w = scalars.clear_denominators(w for _, _, w in self.atoms)
+        return scale_s, scale_t, scale_w, tuple(zip(s, t, w))
+
+    def _integrate(self, keys, top: int) -> dict:
+        # the moments (m, n) in keys, no index above `top`: each atom's W S^m
+        # and T^n are built once, every key adds one product of them per atom
+        # (in float mode (w * s**m) * t**n, the per-atom formula's order), and
+        # each sum is divided back once by L_w L_s^m L_t^n
+        scale_s, scale_t, scale_w, atoms = self._cleared
+        sums = dict.fromkeys(keys, 0 if self.kind == scalars.RATIONAL else 0.0)
+        for s, t, w in atoms:
+            weighted = [w * s**m for m in range(top + 1)]
+            powers = [t**n for n in range(top + 1)]
+            for m, n in keys:
+                sums[(m, n)] = sums[(m, n)] + weighted[m] * powers[n]
+        return {(m, n): scalars.over(sums[(m, n)], scale_w * scale_s**m * scale_t**n, self.kind)
+                for m, n in keys}
+
     def moment(self, m: int, n: int):
-        acc = scalars.zero(self.kind)
-        for s, t, w in self.atoms:
-            acc = acc + w * s**m * t**n
-        return acc
+        """The integral of s^m t^n; the same kernel as `moments`."""
+        return self._integrate([(m, n)], max(m, n))[(m, n)]
+
+    def moments(self, degree: int) -> dict:
+        """Every moment of total degree <= degree, keyed (m, n) in table order."""
+        return self._integrate(table_keys(degree, 0), degree)
 
     def total_mass(self):
         return self.moment(0, 0)
@@ -115,5 +148,4 @@ def product_measure(nu1: DiscretePlanarMeasure,
 
 def moment_table(mu: DiscretePlanarMeasure, degree: int) -> MomentTable:
     """Moments of mu collected into a table of the given total degree."""
-    entries = {(m, n): mu.moment(m, n) for m, n in table_keys(degree, 0)}
-    return MomentTable(degree, mu.kind, entries)
+    return MomentTable(degree, mu.kind, mu.moments(degree))

@@ -62,6 +62,26 @@ def close(a, b, kind: str, tol: float = 1e-10) -> bool:
     return abs(a - b) <= tol
 
 
+def clear_denominators(values) -> tuple:
+    """The common denominator L of rational values and their numerators over it.
+
+    Returns (L, numerators), value_i = numerators[i] / L with integer
+    numerators, so exact kernels run on Python ints and divide by a power
+    of L once per result. Float data has nothing to clear: it comes back
+    unchanged with L = 1. An empty collection gives (1, ()).
+    """
+    values = tuple(values)
+    if any(isinstance(v, float) for v in values):
+        return 1, values
+    common = math.lcm(*(v.denominator for v in values))
+    return common, tuple(v.numerator * (common // v.denominator) for v in values)
+
+
+def over(numerator, scale: int, kind: str):
+    """numerator / scale as a Fraction in rational mode; a float's scale is 1."""
+    return Fraction(numerator, scale) if kind == RATIONAL else numerator
+
+
 def to_jsonable(x, kind: str):
     if kind == RATIONAL:
         return str(x)

@@ -4,6 +4,7 @@ Everything is seeded; rational generators keep all downstream arithmetic
 exact so equality assertions can be strict.
 """
 
+import contextlib
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 from bifree import scalars
+from bifree.cumulants import table_keys
 from bifree.errors import ShapeError
-from bifree.fock import FockModel
+from bifree.fock import FockModel, _face, _inner
 from bifree.levy_hincin import LevyHincinData
 from bifree.measures import FIRST, DiscretePlanarMeasure
 
@@ -161,6 +163,80 @@ def random_validated_lh(rng, natoms=3) -> LevyHincinData:
         DiscretePlanarMeasure.from_atoms(atoms1),
         DiscretePlanarMeasure.from_atoms(atoms2),
         DiscretePlanarMeasure.from_atoms(atoms, signed=True))
+
+
+# -- the per-atom and per-face loops, oracles for the integer kernels ---------
+
+def oracle_measure_moment(mu, m, n):
+    """The integral of s^m t^n as the per-atom sum of w * s**m * t**n, in mu's kind."""
+    acc = scalars.zero(mu.kind)
+    for s, t, w in mu.atoms:
+        acc = acc + w * s**m * t**n
+    return acc
+
+
+def oracle_lh_to_cumulants(data, degree):
+    """Every candidate formula per entry from the per-atom sums, compared exactly.
+
+    Rational mode only; returns the entries, or the message of the first
+    disagreement in table order.
+    """
+    entries = {}
+    for m, n in table_keys(degree, 1):
+        if (m, n) in ((1, 0), (0, 1)):
+            entries[(m, n)] = data.kappa10 if m else data.kappa01
+            continue
+        candidates = []
+        if m >= 2:
+            candidates.append(oracle_measure_moment(data.rho1, m - 2, n))
+        if n >= 2:
+            candidates.append(oracle_measure_moment(data.rho2, m, n - 2))
+        if m >= 1 and n >= 1:
+            candidates.append(oracle_measure_moment(data.rho, m - 1, n - 1))
+        for other in candidates[1:]:
+            if other != candidates[0]:
+                return (f"measure formulas disagree at index ({m}, {n}): "
+                        f"{candidates[0]} vs {other}")
+        entries[(m, n)] = candidates[0]
+    return entries
+
+
+def unscaled_moment_table(model, degree):
+    """Vacuum moments from powers of the faces on the model's own data.
+
+    The per-face loop before denominators were cleared: Fraction amplitudes
+    in rational mode, and in float mode the exact operations of the float
+    path, so a float table must equal it bit for bit.
+    """
+    one, zero = scalars.one(model.kind), scalars.zero(model.kind)
+    left, right = [{(): one}], [{(): one}]
+    for _ in range(degree):
+        left.append(_face(left[-1], model.f, model.t1, model.lambda1, True))
+        right.append(_face(right[-1], model.g, model.t2, model.lambda2, False))
+    return {(m, n): _inner(left[m], right[n], zero) for m, n in table_keys(degree, 0)}
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                       "__truediv__", "__rtruediv__", "__pow__", "__rpow__")
+
+
+@contextlib.contextmanager
+def no_fraction_arithmetic():
+    """Make every arithmetic operator of Fraction raise inside the block."""
+    saved = {name: getattr(Fraction, name) for name in FRACTION_ARITHMETIC}
+
+    def refuse(name):
+        def method(*args):
+            raise AssertionError(f"Fraction.{name} called inside an integer kernel")
+        return method
+
+    try:
+        for name in FRACTION_ARITHMETIC:
+            setattr(Fraction, name, refuse(name))
+        yield
+    finally:
+        for name, method in saved.items():
+            setattr(Fraction, name, method)
 
 
 # -- the operator-by-operator Fock engine, the oracle for bifree.fock ----------

@@ -17,8 +17,8 @@ from bifree.fock import (CommutationReport, FockModel, _face, amplify,
                          vacuum_moment)
 
 from conftest import (ANNIH_L, CREATE_L, CREATE_R, GAUGE_L, GAUGE_R,
-                      apply_operator, face_by_operators, oracle_vacuum_moment,
-                      random_commuting_model)
+                      apply_operator, face_by_operators, no_fraction_arithmetic,
+                      oracle_vacuum_moment, random_commuting_model, unscaled_moment_table)
 
 VAC = {(): Fraction(1)}
 
@@ -303,3 +303,63 @@ def test_one_pass_faces_equal_operator_sums(data):
         face_by_operators(model, state, 5, True)
     assert _face(state, model.g, model.t2, model.lambda2, False) == \
         face_by_operators(model, state, 5, False)
+
+
+# -- integer vacuum powers: each face over its own common denominator --------
+
+DENOMINATORS = (7, 11, 13, 10**30)
+
+
+@st.composite
+def two_denominator_models(draw):
+    """Models whose faces have different common denominators L_a != L_b.
+
+    Every entry of the left face's data is n / den_a and of the right face's
+    n / den_b, with lambda = +-1 / den so that each face's L is its den.
+    """
+    dim = draw(st.integers(1, 3))
+    den_a, den_b = draw(st.permutations(DENOMINATORS))[:2]
+
+    def face(den):
+        entry = st.builds(Fraction, st.integers(-3, 3), st.just(den))
+        mat = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                mat[i][j] = mat[j][i] = draw(entry)
+        return (draw(st.lists(entry, min_size=dim, max_size=dim)), mat,
+                Fraction(draw(st.sampled_from((-1, 1))), den))
+
+    (f, t1, lam1), (g, t2, lam2) = face(den_a), face(den_b)
+    return FockModel.from_arrays(f, g, t1, t2, lam1, lam2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_denominator_models(), st.integers(0, 5))
+def test_two_denominator_tables_match_per_entry_moments(model, degree):
+    table = moment_table_from_model(model, degree).entries
+    assert table == per_entry_table(model, degree)
+    assert table == unscaled_moment_table(model, degree)
+    m = degree // 2
+    assert vacuum_moment(model, m, degree - m) == table[(m, degree - m)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(fock_models(), two_denominator_models()), st.integers(0, 6))
+def test_float_tables_are_the_unscaled_tables_bit_for_bit(model, degree):
+    model = as_float_model(model)
+    fast = moment_table_from_model(model, degree).entries
+    want = unscaled_moment_table(model, degree)
+    assert {k: repr(v) for k, v in fast.items()} == {k: repr(v) for k, v in want.items()}
+
+
+def test_vacuum_powers_make_no_fraction_arithmetic():
+    model = FockModel.from_arrays([Fraction(1, 7), Fraction(2, 7)], [Fraction(3, 11), 0],
+                                  [[Fraction(1, 7), 0], [0, 1]], [[1, Fraction(1, 11)],
+                                                                  [Fraction(1, 11), 0]],
+                                  Fraction(1, 7), Fraction(-1, 11))
+    want = per_entry_table(model, 5)
+    with no_fraction_arithmetic():
+        table = moment_table_from_model(model, 5)
+        single = vacuum_moment(model, 2, 3)
+    assert table.entries == want
+    assert single == want[(2, 3)]

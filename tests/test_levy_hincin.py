@@ -1,10 +1,14 @@
 """Levy-Hincin correspondence: validation, gates, GNS round trips."""
 
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifree import levy_hincin, scalars
 from bifree.cumulants import CumulantTable, MomentTable
@@ -21,10 +25,10 @@ from bifree.measures import (SECOND, DiscretePlanarMeasure, moment_table,
                              point_mass, product_measure)
 from bifree.series import r_transform_series
 
-from conftest import (gram_entry_by_entry, random_commuting_model,
-                      random_cumulant_table, random_line_measure,
-                      random_moment_table, random_validated_lh,
-                      window_monomials)
+from conftest import (gram_entry_by_entry, oracle_lh_to_cumulants,
+                      random_commuting_model, random_cumulant_table,
+                      random_line_measure, random_moment_table,
+                      random_validated_lh, window_monomials)
 
 R = scalars.RATIONAL
 
@@ -104,6 +108,53 @@ def test_lh_to_cumulants_overlap_disagreement_names_index():
                          DiscretePlanarMeasure.from_atoms([(1, 1, 1)], signed=True))
     with pytest.raises(InconsistentDataError, match=r"\(1, 2\)"):
         lh_to_cumulants(bad, 4)
+
+
+def test_lh_to_cumulants_compares_every_formula():
+    # at (2, 2) the rho1 and rho2 formulas agree (both 1) and the rho formula
+    # gives 0; every entry of total degree 3 has agreeing formulas
+    bad = LevyHincinData(Fraction(0), Fraction(0),
+                         DiscretePlanarMeasure.from_atoms([(1, 1, 1)]),
+                         DiscretePlanarMeasure.from_atoms([(1, 1, 1)]),
+                         DiscretePlanarMeasure.from_atoms([(1, 0, 1), (0, 1, 1)], signed=True))
+    lh_to_cumulants(bad, 3)
+    with pytest.raises(InconsistentDataError,
+                       match=r"^measure formulas disagree at index \(2, 2\): 1 vs 0$"):
+        lh_to_cumulants(bad, 4)
+
+
+def perturbed_lh(seed):
+    """A consistent random triple, then with one atom added to one measure.
+
+    The atom has coordinates in {0, +-1/7, +-2/11}, so some perturbations
+    leave every formula agreeing and the rest break them at some index.
+    """
+    rng = random.Random(seed)
+    data = random_validated_lh(rng, rng.randint(1, 3))
+    name = rng.choice(("rho1", "rho2", "rho", None))
+    if name is None:
+        return data
+    mu = getattr(data, name)
+    coordinate = lambda: rng.choice((0, Fraction(1, 7), Fraction(-1, 7), Fraction(2, 11),
+                                     Fraction(-2, 11)))
+    atom = (coordinate(), coordinate(), Fraction(rng.randint(1, 3), rng.choice((1, 13))))
+    return replace(data, **{name: DiscretePlanarMeasure.from_atoms(mu.atoms + (atom,),
+                                                                   signed=mu.signed)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 8))
+def test_lh_to_cumulants_matches_per_atom_formulas(seed, degree):
+    # the same entries as every formula summed atom by atom, and the same
+    # message wherever those formulas disagree
+    data = perturbed_lh(seed)
+    want = oracle_lh_to_cumulants(data, degree)
+    if isinstance(want, str):
+        with pytest.raises(InconsistentDataError) as raised:
+            lh_to_cumulants(data, degree)
+        assert str(raised.value) == want
+    else:
+        assert lh_to_cumulants(data, degree).entries == want
 
 
 def float_lh(rho1_weight, rho2_weight, rho_weight):

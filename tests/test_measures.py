@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bifree import scalars
 from bifree.cumulants import moments_to_cumulants
@@ -10,7 +12,8 @@ from bifree.errors import UnsupportedMeasureError
 from bifree.measures import (FIRST, SECOND, DiscretePlanarMeasure, marginal,
                              moment_table, point_mass, product_measure)
 
-from conftest import random_line_measure, random_planar_measure
+from conftest import (no_fraction_arithmetic, oracle_measure_moment, random_line_measure,
+                      random_planar_measure)
 
 
 def test_point_mass_moment():
@@ -115,10 +118,84 @@ def test_moment_table_matches_pointwise(rng):
     table = moment_table(mu, 5)
     assert table.get(0, 0) == 1
     for (m, n), value in table.entries.items():
-        assert value == mu.moment(m, n)
+        assert value == oracle_measure_moment(mu, m, n)
 
 
 def test_json_round_trip(rng):
     mu = random_planar_measure(rng, 3)
     again = DiscretePlanarMeasure.from_jsonable(mu.to_jsonable(), mu.kind)
     assert again == mu
+
+
+# -- the integer moment kernel against the per-atom sums ---------------------
+
+# coprime denominators, one far beyond a machine word, and zero coordinates
+DENOMINATORS = (1, 7, 11, 13, 10**30)
+coordinates = st.one_of(st.just(Fraction(0)),
+                        st.builds(Fraction, st.integers(-5, 5), st.sampled_from(DENOMINATORS)))
+
+
+@st.composite
+def measures(draw, signed=False):
+    numerators = st.integers(-5, 5).filter(bool) if signed else st.integers(1, 5)
+    weights = st.builds(Fraction, numerators, st.sampled_from(DENOMINATORS))
+    atoms = draw(st.lists(st.tuples(coordinates, coordinates, weights), max_size=4))
+    return DiscretePlanarMeasure.from_atoms(atoms, signed=signed)
+
+
+def as_float_measure(mu):
+    return DiscretePlanarMeasure.from_atoms(
+        [(float(s), float(t), float(w)) for s, t, w in mu.atoms], signed=mu.signed,
+        kind=scalars.FLOAT)
+
+
+EMPTY = DiscretePlanarMeasure.from_atoms([])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(measures(), measures(signed=True)), st.integers(0, 7))
+@example(EMPTY, 4)
+@example(DiscretePlanarMeasure.from_atoms([(Fraction(1, 7), Fraction(-2, 11), Fraction(1, 13)),
+                                           (0, Fraction(3, 10**30), Fraction(-5, 7))],
+                                          signed=True), 7)
+def test_moments_equal_per_atom_sums(mu, degree):
+    want = {(m, total - m): oracle_measure_moment(mu, m, total - m)
+            for total in range(degree + 1) for m in range(total + 1)}
+    got = mu.moments(degree)
+    assert list(got) == list(want)
+    assert got == want
+    assert all(mu.moment(m, n) == value for (m, n), value in want.items())
+    if want[(0, 0)] == 1:  # a moment table needs total mass 1
+        assert moment_table(mu, degree).entries == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(measures(), measures(signed=True)), st.integers(0, 7))
+@example(EMPTY, 4)
+def test_float_moments_are_the_per_atom_sums_bit_for_bit(mu, degree):
+    mu = as_float_measure(mu)
+    want = {(m, total - m): oracle_measure_moment(mu, m, total - m)
+            for total in range(degree + 1) for m in range(total + 1)}
+    assert {k: repr(v) for k, v in mu.moments(degree).items()} == \
+        {k: repr(v) for k, v in want.items()}
+    assert all(repr(mu.moment(m, n)) == repr(value) for (m, n), value in want.items())
+
+
+def test_empty_measure_moments_are_zero_of_its_kind():
+    assert EMPTY.moments(2) == dict.fromkeys([(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)], 0)
+    assert all(isinstance(v, Fraction) for v in EMPTY.moments(2).values())
+    empty_float = DiscretePlanarMeasure.from_atoms([], kind=scalars.FLOAT)
+    assert all(repr(v) == "0.0" for v in empty_float.moments(3).values())
+
+
+def test_moment_kernel_makes_no_fraction_arithmetic():
+    # every s, t and w has its own denominator; each entry is one Fraction
+    mu = DiscretePlanarMeasure.from_atoms([(Fraction(1, 7), Fraction(2, 11), Fraction(1, 13)),
+                                           (Fraction(-3, 5), Fraction(1, 3), Fraction(12, 13))])
+    want = {k: oracle_measure_moment(mu, *k) for k in mu.moments(6)}
+    fresh = DiscretePlanarMeasure.from_atoms(mu.atoms)  # clears its data inside the block
+    with no_fraction_arithmetic():
+        got = fresh.moments(6)
+        single = fresh.moment(4, 2)
+    assert got == want
+    assert single == want[(4, 2)]
