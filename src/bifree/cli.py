@@ -28,11 +28,16 @@ from .partitions import ChiMap, enumerate_bnc, enumerate_nc
 from .series import r_transform_series, verify_voiculescu_identity
 
 
-def _load(path: str):
+def _load(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as handle:
-        return json.load(handle)
+        data = json.load(sys.stdin)
+    else:
+        with open(path) as handle:
+            data = json.load(handle)
+    if not isinstance(data, dict):
+        name = "stdin" if path == "-" else path
+        raise ValueError(f"{name}: the top-level JSON value must be an object")
+    return data
 
 
 def _emit(payload) -> None:
@@ -66,9 +71,7 @@ def _gram_window(args, table) -> int:
 
 
 def cmd_partitions(args) -> int:
-    if not args.chi and args.n is None:
-        raise ValueError("provide --n or --chi")
-    if args.chi:
+    if args.chi is not None:
         chi = ChiMap.from_string(args.chi)
         pairs = enumerate_bnc(chi)
         _emit({
@@ -281,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("partitions", help="enumerate non-crossing or bi-non-crossing partitions")
-    p.add_argument("--n", type=int)
-    p.add_argument("--chi", help="left/right word such as LRRL; overrides --n")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--n", type=int)
+    group.add_argument("--chi", help="left/right word such as LRRL")
     p.set_defaults(func=cmd_partitions)
 
     p = sub.add_parser("cumulants", help="moment table -> cumulant table")

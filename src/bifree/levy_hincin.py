@@ -8,7 +8,10 @@ and the transform series are all evaluated atom by atom.
 
 Inverse direction: a GNS quotient built from the cumulant Gram form gives
 a finite-dimensional operator model, and simultaneous diagonalization of
-its two gauge matrices recovers the measures.
+its two gauge matrices recovers the measures. Only this float inverse
+(the Gram gates, gns_reconstruct, extract_levy_measures) uses numpy, and
+it imports numpy on first use, so the forward direction and the rest of
+the package run without loading it.
 
 Certification is windowed: positivity and boundedness are checked on the
 monomials of total degree <= d, which needs table entries up to degree
@@ -31,8 +34,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import scalars
 from .cumulants import CumulantTable, MomentTable, table_keys
@@ -189,6 +190,7 @@ def _gram_source(table, d: int, top: int, include_constant: bool = False):
     pairs s^m1 t^n1 with s^m2 t^n2 through values[m1 + m2 + a, n1 + n2 + b],
     one fancy-index; a Gram of this Hankel type is symmetric as built.
     """
+    import numpy as np
     mono = _monomials(d, include_constant)
     values = np.zeros((top + 1, top + 1))
     for m, n in table_keys(top, 0 if include_constant else 2):
@@ -218,6 +220,7 @@ def _check_window(table, d: int, need: int, smallest: int = 1) -> None:
 
 
 def _cpsd(table, d: int, gram: np.ndarray) -> CpsdReport:
+    import numpy as np
     min_eig = float(np.linalg.eigvalsh(gram)[0])
     ok = min_eig >= PSD_TOL
     kind = table.kind
@@ -263,6 +266,7 @@ class BoundednessReport:
 
 def _largest(values: np.ndarray) -> float:
     # the largest |entry|; 0.0 when there is none (no null or no quotient direction)
+    import numpy as np
     return float(np.max(np.abs(values), initial=0.0))
 
 
@@ -277,6 +281,7 @@ def _quotient(gram_of, gram: np.ndarray, d: int, min_eig: float | None = None):
     compressed shift (the difference is the squared norm of what escapes
     the span). With `min_eig`, positivity of the form is required too.
     """
+    import numpy as np
     eigvals, eigvecs = np.linalg.eigh(gram)
     keep = eigvals > NULL_SPACE_TOL
     basis = eigvecs[:, keep] / np.sqrt(eigvals[keep])
@@ -300,6 +305,7 @@ def _quotient(gram_of, gram: np.ndarray, d: int, min_eig: float | None = None):
 
 def _bounded(table, d: int, include_constant: bool) -> BoundednessReport:
     # the body of check_cond_bounded and, with the constant, check_moment_2sequence
+    import numpy as np
     _check_window(table, d, 2 * d + 2, smallest=0 if include_constant else 1)
     if include_constant and float(table.get(0, 0)) <= 0:
         raise ValueError("the (0, 0) entry must be positive")
@@ -374,6 +380,7 @@ def extract_levy_measures(model: FockModel, seed: int = 0) -> LevyHincinData:
     measures put mass <f, u_k>^2, <g, u_k>^2, and <f, u_k><g, u_k> at the
     joint eigenvalue pair of each basis vector u_k.
     """
+    import numpy as np
     report = check_commutation(model)
     if not report.ok:
         raise CommutationError(f"faces do not commute: {report}")

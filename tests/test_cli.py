@@ -8,6 +8,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -447,6 +449,8 @@ INPUT_ERRORS = {
     "poisson-s1-c": ["make", "poisson", "--s1", "5", "--c", "3"],
     "fock-degree-with-m-n": ["fock-moments", str(DATA / "model_gaussian.json"),
                              "--degree", "1", "--m", "4", "--n", "4"],
+    "partitions-n-and-chi": ["partitions", "--n", "3", "--chi", "LRL"],
+    "partitions-no-input": ["partitions"],
 }
 
 
@@ -509,3 +513,62 @@ def test_float_single_moment_is_the_table_entry(tmp_path):
             table = json.loads(invoke(["fock-moments", path, "--degree", str(m + n)])[1])
             entry = next(v for a, b, v in table["entries"] if (a, b) == (m, n))
             assert single["value"] == entry, (trial, m, n)
+
+
+# Every subcommand that reads a file, with BAD in each file slot.
+BAD = "BAD"
+FILE_READERS = [
+    ["cumulants", BAD], ["moments", BAD], ["convolve", BAD, BAD],
+    ["semigroup", BAD, "--t", "2"], ["make", "compound", "--nu", BAD],
+    ["lh-cumulants", BAD], ["lh-validate", BAD], ["check-id", BAD], ["gns", BAD],
+    ["extract", BAD], ["fock-moments", BAD], ["verify", "voiculescu", "--model", BAD],
+    ["verify", "voiculescu", "--measure", BAD], ["verify", "chi", "--measure", BAD],
+    ["verify", "roundtrip", "--measure", BAD], ["verify", "semigroup", "--table", BAD],
+]
+
+
+@pytest.mark.parametrize("value", ["[1, 2]", "null", "3"])
+@pytest.mark.parametrize("argv", FILE_READERS,
+                         ids=[" ".join(arg for arg in a if arg != BAD) for a in FILE_READERS])
+def test_non_object_json_is_an_input_error(tmp_path, capsys, argv, value):
+    path = tmp_path / "value.json"
+    path.write_text(value)
+    code, out = invoke([str(path) if arg == BAD else arg for arg in argv])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
+
+NUMPY_COMMANDS = ("check_id", "gns", "extract")
+LAZY_NUMPY = """
+import contextlib, io, json, sys
+import bifree, bifree.cli
+cases, check_id = json.loads(sys.argv[1])
+seen = [("import", "numpy" in sys.modules, 0)]
+for name, argv in cases:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = bifree.cli.run(argv)
+    seen.append((name, "numpy" in sys.modules, code))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = bifree.cli.run(check_id)
+print(json.dumps({"seen": seen, "check_id": [code, out.getvalue(), "numpy" in sys.modules]}))
+"""
+
+
+def test_numpy_is_imported_only_by_the_float_inverse():
+    # a subprocess: this test process has numpy loaded already (conftest)
+    cases = [(name, argv) for name, argv in CASES if name not in NUMPY_COMMANDS]
+    check_id = dict(CASES)["check_id"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parent.parent / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", LAZY_NUMPY, json.dumps([cases, check_id])],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert [(name, loaded, code) for name, loaded, code in report["seen"]
+            if loaded or code] == []
+    code, out, loaded = report["check_id"]
+    assert (code, loaded) == (0, True)
+    assert out.encode() == (GOLDEN / "check_id.json").read_bytes()
