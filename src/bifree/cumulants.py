@@ -21,6 +21,16 @@ table degree by degree. Walking V left to right with the state (last
 position, a-count, b-count) costs O((m+n)^4) multiply-adds per entry and
 O(D^5) for a table of degree D, against Catalan(m+n) products per entry
 for the literal sum. The one-variable transforms are the n = 0 column.
+
+Both directions are graded: entry (m, n) is an integer combination of
+products whose degrees add up to m + n. So with L the common denominator
+of the given table, the scaled table L^(m+n) v_{m,n} is an integer table
+whose transform is the scaled result, and the recursion runs on Python
+ints with one Fraction(x, L^(m+n)) per result (scalars.clear_graded).
+Clearing is declined, and the same recursion runs on the values as they
+are with L = 1, for float data and when L^D would exceed
+scalars.GRADED_MAX_BITS bits, where ints that large cost more than the
+Fraction arithmetic they replace.
 """
 
 from __future__ import annotations
@@ -105,15 +115,15 @@ def zero_cumulants(degree: int, kind: str = scalars.RATIONAL) -> CumulantTable:
     return CumulantTable(degree, kind, dict.fromkeys(table_keys(degree, 1), z))
 
 
-def _non_top_sum(m, n, moment, kappa, kind):
+def _non_top_sum(m, n, moment, kappa):
     # Sum over pi in NC(m+n), pi != 1, of the block products of kappa on the
     # word a^m b^n, walking the block V of position 1 left to right. A state
     # is V's last position p with V's letter counts (a, b); its weight is the
     # product of the moments of the gaps before p. Positions 1..m are a's.
     total = m + n
     frontier = [{} for _ in range(total + 1)]
-    frontier[1][(1, 0) if m else (0, 1)] = scalars.one(kind)
-    acc = scalars.zero(kind)
+    frontier[1][(1, 0) if m else (0, 1)] = 1
+    acc = 0
     for p in range(1, total + 1):
         for (a, b), weight in frontier[p].items():
             if a + b < total:  # V closes at p; the word after p is one gap
@@ -128,17 +138,36 @@ def _non_top_sum(m, n, moment, kappa, kind):
     return acc
 
 
-def _solve(given, kind, to_cumulants):
+def _solve(given, to_cumulants):
     # The other table (cumulants of moments, or back) at every key of
     # `given`, lowest degree first: a moment is its cumulant plus the
-    # non-top sum, whose terms all have lower degree.
-    out = {} if to_cumulants else {(0, 0): scalars.one(kind)}
+    # non-top sum, whose terms all have lower degree. The integers 0 and 1
+    # are the zero and unit of every kind, so ints, Fractions and floats
+    # run the same code, and floats give the same bits as with 0.0 and 1.0.
+    out = {} if to_cumulants else {(0, 0): 1}
     moment, kappa = (given, out) if to_cumulants else (out, given)
     for m, n in sorted(given, key=lambda key: (sum(key), key)):
         if m + n:
-            rest = _non_top_sum(m, n, moment, kappa, kind)
+            rest = _non_top_sum(m, n, moment, kappa)
             out[(m, n)] = given[(m, n)] - rest if to_cumulants else given[(m, n)] + rest
     return out
+
+
+def graded_solve(entries: dict, degree: int, to_cumulants: bool) -> tuple:
+    """The transform of a table's entries on the graded-cleared scale.
+
+    Returns (L, given, out): L from :func:`scalars.clear_graded`, the given
+    entries times L^(m+n), and the other table's entries times L^(m+n).
+    """
+    _check_degree(degree)
+    scale, given = scalars.clear_graded(entries)
+    return scale, given, _solve(given, to_cumulants)
+
+
+def _transform(entries, degree, kind, to_cumulants):
+    scale, _, out = graded_solve(entries, degree, to_cumulants)
+    powers = [scale ** k for k in range(degree + 1)]
+    return {(m, n): scalars.over(v, powers[m + n], kind) for (m, n), v in out.items()}
 
 
 def _check_degree(degree):
@@ -148,15 +177,13 @@ def _check_degree(degree):
 
 def moments_to_cumulants(table: MomentTable) -> CumulantTable:
     """Invert the non-crossing moment-cumulant system on the word a^m b^n."""
-    _check_degree(table.degree)
-    out = _solve(table.entries, table.kind, to_cumulants=True)
+    out = _transform(table.entries, table.degree, table.kind, to_cumulants=True)
     return CumulantTable(table.degree, table.kind, out)
 
 
 def cumulants_to_moments(table: CumulantTable) -> MomentTable:
     """Moments as sums of cumulant products over non-crossing partitions."""
-    _check_degree(table.degree)
-    out = _solve(table.entries, table.kind, to_cumulants=False)
+    out = _transform(table.entries, table.degree, table.kind, to_cumulants=False)
     return MomentTable(table.degree, table.kind, out)
 
 
@@ -167,19 +194,17 @@ def moment_seq_to_cumulant_seq(seq, kind: str):
     column of :func:`moments_to_cumulants`.
     """
     degree = len(seq) - 1
-    _check_degree(degree)
     given = {(j, 0): scalars.coerce(v, kind) for j, v in enumerate(seq)}
     given[(0, 0)] = scalars.one(kind)
-    out = _solve(given, kind, to_cumulants=True)
+    out = _transform(given, degree, kind, to_cumulants=True)
     return [out[(j, 0)] for j in range(1, degree + 1)]
 
 
 def cumulant_seq_to_moment_seq(kappa, kind: str):
     """Inverse of :func:`moment_seq_to_cumulant_seq`; returns [1, m_1, ...]."""
     degree = len(kappa)
-    _check_degree(degree)
     given = {(j, 0): scalars.coerce(v, kind) for j, v in enumerate(kappa, 1)}
-    out = _solve(given, kind, to_cumulants=False)
+    out = _transform(given, degree, kind, to_cumulants=False)
     return [out[(j, 0)] for j in range(degree + 1)]
 
 

@@ -126,22 +126,24 @@ def _face(amplitudes: dict, vec, mat, lam, left: bool) -> dict:
     creators = [(i, c) for i, c in enumerate(vec) if c]
     columns = [[(i, row[col]) for i, row in enumerate(mat) if row[col]]
                for col in range(len(mat))]
+    # a new word starts from the integer 0, the zero of every kind; only the
+    # sign of a float zero can differ from starting at the first term, and
+    # zeros are dropped
     out: dict = {}
-
-    def put(key, value):
-        out[key] = out[key] + value if key in out else value
-
+    get = out.get
     for word, amp in amplitudes.items():
         if lam:
-            put(word, amp * lam)
+            out[word] = get(word, 0) + amp * lam
         if word:
             letter, rest = (word[0], word[1:]) if left else (word[-1], word[:-1])
             if vec[letter]:
-                put(rest, amp * vec[letter])
+                out[rest] = get(rest, 0) + amp * vec[letter]
             for i, t in columns[letter]:
-                put((i,) + rest if left else rest + (i,), amp * t)
+                key = (i,) + rest if left else rest + (i,)
+                out[key] = get(key, 0) + amp * t
         for i, c in creators:
-            put((i,) + word if left else word + (i,), amp * c)
+            key = (i,) + word if left else word + (i,)
+            out[key] = get(key, 0) + amp * c
     return {w: a for w, a in out.items() if a}
 
 

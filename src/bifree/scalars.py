@@ -13,6 +13,9 @@ from fractions import Fraction
 RATIONAL = "rational"
 FLOAT = "float"
 KINDS = (RATIONAL, FLOAT)
+# clear_graded's bound on the bit length of L^D: past it, ints that large
+# cost more than the Fraction arithmetic they replace
+GRADED_MAX_BITS = 4096
 
 
 def check_kind(kind: str) -> str:
@@ -77,9 +80,39 @@ def clear_denominators(values) -> tuple:
     return common, tuple(v.numerator * (common // v.denominator) for v in values)
 
 
+def clear_graded(entries: dict) -> tuple:
+    """The common denominator L of a table on keys (m, n) and the table L^(m+n) v_{m,n}.
+
+    Returns (L, scaled). A map between tables whose entry (m, n) is an
+    integer combination of products of entries with degrees adding up to
+    m + n sends the scaled table to the scaled result, so it runs on Python
+    ints and divides by L^(m+n) once per result. Entries of degree 0 must
+    be integers. Clearing pays only while the scaled entries stay small:
+    when L^D, D the table's degree, would exceed GRADED_MAX_BITS bits (many
+    unrelated or very large denominators), and for float data, the entries
+    come back unchanged with L = 1.
+    """
+    values = entries.values()
+    if any(isinstance(v, float) for v in values):
+        return 1, entries
+    top = max((m + n for m, n in entries), default=0)
+    denominators = [v.denominator for v in values]
+    # L is at least the largest denominator, so that test spares the lcm
+    if top * max(denominators, default=1).bit_length() > GRADED_MAX_BITS:
+        return 1, entries
+    common = math.lcm(*denominators)
+    if top * common.bit_length() > GRADED_MAX_BITS:
+        return 1, entries
+    return common, {(m, n): v.numerator * common ** (m + n) // v.denominator
+                    for (m, n), v in entries.items()}
+
+
 def over(numerator, scale: int, kind: str):
     """numerator / scale as a Fraction in rational mode; a float's scale is 1."""
-    return Fraction(numerator, scale) if kind == RATIONAL else numerator
+    if kind != RATIONAL:
+        return float(numerator)
+    # a Fraction over 1 is already in lowest terms: no gcd of its parts
+    return Fraction(numerator, scale) if scale != 1 else Fraction(numerator)
 
 
 def to_jsonable(x, kind: str):

@@ -1,5 +1,6 @@
 """Moment/cumulant transforms and the literal Mobius sum."""
 
+import hashlib
 import math
 import random
 import re
@@ -11,15 +12,18 @@ from hypothesis import strategies as st
 
 from bifree import scalars
 from bifree.cumulants import (CumulantTable, MomentTable, cumulant_seq_to_moment_seq,
-                              cumulants_to_moments, mobius_cumulant,
+                              cumulants_to_moments, graded_solve, mobius_cumulant,
                               moment_seq_to_cumulant_seq, moments_to_cumulants,
-                              zero_cumulants)
+                              table_keys, zero_cumulants)
 from bifree.errors import DegreeError
-from bifree.measures import SECOND, moment_table, point_mass, product_measure
+from bifree.limits import bifree_gaussian, compound_bifree_poisson
+from bifree.measures import (SECOND, DiscretePlanarMeasure, moment_table, point_mass,
+                             product_measure)
 from bifree.partitions import LEFT, RIGHT, ChiMap, enumerate_bnc, enumerate_nc, mobius_top
+from bifree.series import verify_voiculescu_identity
 
-from conftest import (block_side_counts, random_cumulant_table, random_line_measure,
-                      random_moment_table, random_planar_measure)
+from conftest import (block_side_counts, no_fraction_arithmetic, random_cumulant_table,
+                      random_line_measure, random_moment_table, random_planar_measure)
 
 
 def mobius_sum_cumulant(table, m, n):
@@ -56,6 +60,115 @@ def test_transforms_match_partition_sum_oracles(degree, seed):
     cumulants = random_cumulant_table(rng, degree)
     for (m, n), value in cumulants_to_moments(cumulants).entries.items():
         assert value == (nc_sum_moment(cumulants, m, n) if m + n else 1)
+
+
+# primes between 1000 and 3000 (none has a factor below 55 > sqrt(3000))
+PRIMES = tuple(p for p in range(1009, 3000) if all(p % q for q in range(2, 55)))[:60]
+DENOMINATOR_MIXES = {
+    "small": (7, 11, 13),
+    "huge": (1, 7, 11, 13, 10**30),
+    "primes": PRIMES,
+    "spread": None,  # 10^30 + i at the i-th entry: from degree 4 on, clearing declines
+}
+
+
+def mixed_table(cls, degree, seed, mix):
+    """A table whose entries draw their denominators from one mix; a quarter are 0."""
+    rng = random.Random(seed)
+    entries = {(0, 0): Fraction(1)} if cls is MomentTable else {}
+    for i, key in enumerate(table_keys(degree, 1)):
+        den = 10**30 + i if mix == "spread" else rng.choice(DENOMINATOR_MIXES[mix])
+        entries[key] = Fraction(0 if rng.random() < 0.25 else rng.randint(-9, 9), den)
+    return cls(degree, scalars.RATIONAL, entries)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10_000),
+       st.sampled_from(sorted(DENOMINATOR_MIXES)))
+@example(8, 0, "primes")
+def test_mixed_denominators_match_partition_sum_oracles(degree, seed, mix):
+    moments = mixed_table(MomentTable, degree, seed, mix)
+    for (m, n), value in moments_to_cumulants(moments).entries.items():
+        assert value == mobius_sum_cumulant(moments, m, n)
+    cumulants = mixed_table(CumulantTable, degree, seed + 1, mix)
+    for (m, n), value in cumulants_to_moments(cumulants).entries.items():
+        assert value == (nc_sum_moment(cumulants, m, n) if m + n else 1)
+
+
+def float_outputs():
+    """float.hex of the transforms and identity residuals of seeded float tables."""
+    lines = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        degree = 2 + seed % 7
+        moments = moment_table(random_planar_measure(rng, 3), degree)
+        floats = MomentTable(degree, scalars.FLOAT,
+                             {k: float(v) for k, v in moments.entries.items()})
+        kappa = random_cumulant_table(rng, degree)
+        kappa = CumulantTable(degree, scalars.FLOAT,
+                              {k: float(v) / 3 for k, v in kappa.entries.items()})
+        seq = [floats.get(j, 0) for j in range(degree + 1)]
+        column = [kappa.get(j, 0) for j in range(1, degree + 1)]
+        for values in (moments_to_cumulants(floats).entries.values(),
+                       cumulants_to_moments(kappa).entries.values(),
+                       moment_seq_to_cumulant_seq(seq, scalars.FLOAT),
+                       cumulant_seq_to_moment_seq(column, scalars.FLOAT),
+                       [verify_voiculescu_identity(floats)]):
+            lines.append(" ".join(float.hex(v) for v in values))
+    return lines
+
+
+# SHA-256 of float_outputs() on the transforms before their denominators were
+# cleared; float data takes no part in the clearing, so not one bit may change
+FLOAT_OUTPUTS_SHA256 = "b43b4d57f40e1215fc1123f6dc9f0ec35f9106e04e7157fd5d9237b17fccd8da"
+
+
+def test_float_outputs_are_unchanged_bit_for_bit():
+    # float.hex also refuses an int where a float belongs
+    digest = hashlib.sha256("\n".join(float_outputs()).encode()).hexdigest()
+    assert digest == FLOAT_OUTPUTS_SHA256
+
+
+def benchmark_like_tables(degree=7):
+    """A compound Poisson whose jump has three atoms at thirds, and a Gaussian."""
+    jump = DiscretePlanarMeasure.from_atoms([(Fraction(1, 3), Fraction(-2, 3), Fraction(1, 6)),
+                                             (Fraction(-4, 3), Fraction(5, 3), Fraction(1, 3)),
+                                             (Fraction(2, 3), Fraction(1, 3), Fraction(1, 2))])
+    return (compound_bifree_poisson(Fraction(3, 2), jump, degree),
+            bifree_gaussian(Fraction(5, 2), Fraction(7, 2), Fraction(-3, 4), degree))
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["poisson", "gaussian"])
+def test_transforms_and_identity_make_no_fraction_arithmetic(index):
+    kappa = benchmark_like_tables()[index]
+    moments = cumulants_to_moments(kappa)
+    with no_fraction_arithmetic():
+        assert cumulants_to_moments(kappa).entries == moments.entries
+        assert moments_to_cumulants(moments).entries == kappa.entries
+        assert verify_voiculescu_identity(moments) == 0
+
+
+def test_graded_clearing_declines_unrelated_denominators():
+    # 90 denominators 10^30 + i: L^12 would hold about 12 * 8600 bits
+    spread = mixed_table(CumulantTable, 12, 7919, "spread")
+    assert scalars.clear_graded(spread.entries) == (1, spread.entries)
+    back = moments_to_cumulants(cumulants_to_moments(spread))
+    assert back.entries == spread.entries
+    for table in benchmark_like_tables(12):
+        scale, scaled = scalars.clear_graded(table.entries)
+        assert scale > 1 and all(type(v) is int for v in scaled.values())
+    floats = {(1, 0): 0.5, (0, 1): 0.25}
+    assert scalars.clear_graded(floats) == (1, floats)
+
+
+def test_graded_solve_scales_both_tables_by_degree(rng):
+    table = random_moment_table(rng, 5)
+    scale, given, out = graded_solve(table.entries, 5, to_cumulants=True)
+    kappa = moments_to_cumulants(table)
+    assert scale == 12  # the denominators 1..4
+    for (m, n), value in out.items():
+        assert given[(m, n)] == table.get(m, n) * scale ** (m + n)
+        assert value == kappa.get(m, n) * scale ** (m + n)
 
 
 @settings(max_examples=25, deadline=None)

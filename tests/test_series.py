@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifree import scalars
-from bifree.cumulants import MomentTable, moments_to_cumulants
+from bifree.cumulants import (CumulantTable, MomentTable, graded_solve, moments_to_cumulants,
+                              table_keys)
 from bifree.errors import DegreeError, SingularSeriesError
 from bifree.fock import FockModel, moment_table_from_model
 from bifree.limits import bifree_gaussian, bifree_poisson
 from bifree.measures import moment_table, point_mass, product_measure
 from bifree.measures import SECOND
-from bifree.series import (BivariateSeries, moment_series, r_transform_series,
+from bifree.series import (BivariateSeries, _residual, moment_series, r_transform_series,
                            series_compose_bi, series_multiply,
                            series_reciprocal, verify_voiculescu_identity)
 
@@ -213,3 +214,45 @@ def test_series_json_round_trip(rng):
 def test_moment_series_includes_constant(rng):
     table = random_moment_table(rng, 3)
     assert moment_series(table).get(0, 0) == 1
+
+
+def slow_residual(moments, kappa):
+    """The identity's residual from the public series calls on the unscaled tables."""
+    degree = moments.degree
+    one_plus_zra = BivariateSeries(degree, R, {(0, 0): 1, **{
+        (m, 0): kappa.get(m, 0) for m in range(1, degree + 1)}})
+    one_plus_wrb = BivariateSeries(degree, R, {(0, 0): 1, **{
+        (0, n): kappa.get(0, n) for n in range(1, degree + 1)}})
+    inverse_a, inverse_b = series_reciprocal(one_plus_zra), series_reciprocal(one_plus_wrb)
+    u = (0,) + tuple(inverse_a.get(m, 0) for m in range(degree))
+    v = (0,) + tuple(inverse_b.get(0, n) for n in range(degree))
+    composed = series_compose_bi(moment_series(moments), u, v)
+    green = series_multiply(series_multiply(one_plus_zra, one_plus_wrb),
+                            series_reciprocal(composed))
+    left = r_transform_series(kappa)
+    worst = Fraction(0)
+    for m, n in table_keys(degree - 1, 0):
+        base = 1 if m == n == 0 else left.get(m, n) if m * n == 0 else 0
+        worst = max(worst, abs(left.get(m, n) - (base - green.get(m, n))))
+    return worst
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=10_000),
+       st.booleans())
+def test_inconsistent_pair_residual_is_the_slow_residual(degree, seed, spread):
+    # moments with the cumulants of another table: one cumulant of degree
+    # < D moved by d / L^(m+n); spread denominators make the clearing decline
+    rng = random.Random(seed)
+    table = random_moment_table(rng, degree)
+    if spread:
+        table = MomentTable(degree, R, {(m, n): v + Fraction(1, 10**30 + 16 * m + n)
+                                        if m + n else v for (m, n), v in table.entries.items()})
+    scale, moments, kappa = graded_solve(table.entries, degree, to_cumulants=True)
+    declined = any(isinstance(v, Fraction) for v in moments.values())
+    assert declined == (spread and degree >= 4)
+    key = rng.choice(table_keys(degree - 1, 1))
+    kappa[key] += rng.choice((-3, -1, 1, 2))
+    wrong = CumulantTable(degree, R, {k: Fraction(v) / scale ** sum(k) for k, v in kappa.items()})
+    residual = _residual(moments, kappa, scale, degree, R)
+    assert residual == slow_residual(table, wrong) != 0
