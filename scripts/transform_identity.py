@@ -21,7 +21,7 @@ from conftest import random_commuting_model, random_planar_measure  # noqa: E402
 
 from bifree.fock import moment_table_from_model  # noqa: E402
 from bifree.measures import moment_table  # noqa: E402
-from bifree.series import verify_voiculescu_identity  # noqa: E402
+from bifree.cumulants import verify_voiculescu_identity  # noqa: E402
 
 
 def main():

@@ -12,7 +12,7 @@ from .convolution import (UncertifiedScaleWarning, bifree_convolve,
 from .cumulants import (CumulantTable, MomentTable, cumulant_seq_to_moment_seq,
                         cumulants_to_moments, mobius_cumulant,
                         moment_seq_to_cumulant_seq, moments_to_cumulants,
-                        zero_cumulants)
+                        verify_voiculescu_identity, zero_cumulants)
 from .errors import (BifreeError, CommutationError, DegreeError,
                      InconsistentDataError, OrderError, RealizabilityError,
                      ShapeError, SingularSeriesError, SizeLimitError,
@@ -32,8 +32,6 @@ from .measures import (DiscretePlanarMeasure, marginal, moment_table,
 from .partitions import (ChiMap, Partition, catalan, enumerate_bnc,
                          enumerate_nc, is_noncrossing, mobius_nc, mobius_top,
                          sigma_chi)
-from .series import (BivariateSeries, moment_series, r_transform_series,
-                     series_compose_bi, series_multiply, series_reciprocal,
-                     verify_voiculescu_identity)
+from .series import BivariateSeries, r_transform_series
 
 __version__ = "0.1.0"

@@ -15,7 +15,8 @@ import sys
 from . import scalars
 from .convolution import bifree_convolve, free_convolve_marginal, semigroup_scale
 from .cumulants import (CumulantTable, MomentTable, cumulants_to_moments,
-                        mobius_cumulant, moments_to_cumulants, table_keys)
+                        mobius_cumulant, moments_to_cumulants, table_keys,
+                        verify_voiculescu_identity)
 from .errors import BifreeError
 from .fock import FockModel, moment_table_from_model, vacuum_moment
 from .levy_hincin import (LevyHincinData, check_cond_bounded, check_cpsd,
@@ -25,7 +26,6 @@ from .limits import (bifree_gaussian, bifree_poisson, compound_bifree_poisson,
                      poisson_family, row_sum_moments, triangular_limit_estimate)
 from .measures import DiscretePlanarMeasure, moment_table
 from .partitions import ChiMap, enumerate_bnc, enumerate_nc
-from .series import r_transform_series, verify_voiculescu_identity
 
 
 def _load(path: str) -> dict:
@@ -191,7 +191,8 @@ def _verify_payload(args):
     if args.suite == "voiculescu":
         return {"suite": "voiculescu", "max_residual": float(verify_voiculescu_identity(table))}
     if args.suite == "chi":
-        # the literal Mobius sum against the first-block transform
+        # the literal Mobius sum against the closed-form transform (for float
+        # data, the first-block recursion)
         kappa = moments_to_cumulants(table)
         worst = max(float(abs(mobius_cumulant(table, m, n) - kappa.get(m, n)))
                     for m, n in table_keys(args.degree, 1))

@@ -6,29 +6,38 @@ cumulant attached to a left/right word depends only on how many left and
 right letters it contains, so one (m, n)-indexed table covers every
 labelling.
 
-The transforms read the moment-cumulant formula
-phi(a^m b^n) = sum over pi in NC(m+n) of the block products of kappa on
-the word a^m b^n through the block V that holds position 1 (first-block
-decomposition; Nica-Speicher, Lectures 10-11). Between consecutive
-elements of V, and after its last one, only whole blocks occur, so each
-gap is partitioned on its own; a gap is a contiguous word a^i b^j, and
-its partitions sum to its moment phi(a^i b^j):
+Two algorithms connect the tables, each with its own job.
 
-    phi(a^m b^n) = sum over V of kappa(V's letter counts) * prod of gap moments.
+- Rational data takes the closed form of the two-variable partial
+  R-transform (:func:`bifree.series.transform`): O(D^4) multiply-adds for
+  a table of degree D, about D^4 / 24 in each of its two-variable steps.
+- The first-block recursion below is the combinatorial side of
+  :func:`verify_voiculescu_identity`, which would read 0 by construction
+  if it checked the closed form against itself, and the path for float
+  data, whose bits it fixes. It reads the moment-cumulant formula
+  phi(a^m b^n) = sum over pi in NC(m+n) of the block products of kappa on
+  the word a^m b^n through the block V that holds position 1 (first-block
+  decomposition; Nica-Speicher, Lectures 10-11). Between consecutive
+  elements of V, and after its last one, only whole blocks occur, so each
+  gap is partitioned on its own; a gap is a contiguous word a^i b^j, and
+  its partitions sum to its moment phi(a^i b^j):
 
-Every term but V = [m+n] has lower degree, so both directions fill the
-table degree by degree. Walking V left to right with the state (last
-position, a-count, b-count) costs O((m+n)^4) multiply-adds per entry and
-O(D^5) for a table of degree D, against Catalan(m+n) products per entry
-for the literal sum. The one-variable transforms are the n = 0 column.
+      phi(a^m b^n) = sum over V of kappa(V's letter counts) * prod of gap moments.
 
-Both directions are graded: entry (m, n) is an integer combination of
+  Every term but V = [m+n] has lower degree, so both directions fill the
+  table degree by degree. Walking V left to right with the state (last
+  position, a-count, b-count) costs O((m+n)^4) multiply-adds per entry and
+  O(D^5) per table, against Catalan(m+n) products per entry for the
+  literal sum.
+
+The one-variable transforms are the n = 0 column of either. Both
+directions are graded: entry (m, n) is an integer combination of
 products whose degrees add up to m + n. So with L the common denominator
 of the given table, the scaled table L^(m+n) v_{m,n} is an integer table
-whose transform is the scaled result, and the recursion runs on Python
+whose transform is the scaled result, and both algorithms run on Python
 ints with one Fraction(x, L^(m+n)) per result (scalars.clear_graded).
-Clearing is declined, and the same recursion runs on the values as they
-are with L = 1, for float data and when L^D would exceed
+Clearing is declined, and the same code runs on the values as they are
+with L = 1, for float data and when L^D would exceed
 scalars.GRADED_MAX_BITS bits, where ints that large cost more than the
 Fraction arithmetic they replace.
 """
@@ -37,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import scalars
+from . import scalars, series
 from .errors import DegreeError
 from .partitions import enumerate_nc, mobius_top
 
@@ -125,15 +134,20 @@ def _non_top_sum(m, n, moment, kappa):
     frontier[1][(1, 0) if m else (0, 1)] = 1
     acc = 0
     for p in range(1, total + 1):
+        # the gap p+1..q-1 before V's next element q: whether q is an a, and
+        # the gap's moment; the gap after p when V closes there
+        gaps = []
+        for q in range(p + 1, total + 1):
+            i = min(q - 1, m) - p if p < m else 0
+            gaps.append((q <= m, frontier[q], moment[(i, q - 1 - p - i)]))
+        i = m - p if p < m else 0
+        tail = moment[(i, total - p - i)]
         for (a, b), weight in frontier[p].items():
             if a + b < total:  # V closes at p; the word after p is one gap
-                i = max(m - p, 0)
-                acc += weight * kappa[(a, b)] * moment[(i, total - p - i)]
-            for q in range(p + 1, total + 1):  # V's next element is q
-                i = max(min(q - 1, m) - p, 0)
-                key = (a + 1, b) if q <= m else (a, b + 1)
-                step = weight * moment[(i, q - 1 - p - i)]
-                after = frontier[q]
+                acc += weight * kappa[(a, b)] * tail
+            for is_a, after, gap in gaps:  # V's next element is q
+                key = (a + 1, b) if is_a else (a, b + 1)
+                step = weight * gap
                 after[key] = after[key] + step if key in after else step
     return acc
 
@@ -154,7 +168,7 @@ def _solve(given, to_cumulants):
 
 
 def graded_solve(entries: dict, degree: int, to_cumulants: bool) -> tuple:
-    """The transform of a table's entries on the graded-cleared scale.
+    """The first-block recursion on a table's entries, on the graded-cleared scale.
 
     Returns (L, given, out): L from :func:`scalars.clear_graded`, the given
     entries times L^(m+n), and the other table's entries times L^(m+n).
@@ -165,7 +179,12 @@ def graded_solve(entries: dict, degree: int, to_cumulants: bool) -> tuple:
 
 
 def _transform(entries, degree, kind, to_cumulants):
-    scale, _, out = graded_solve(entries, degree, to_cumulants)
+    _check_degree(degree)
+    scale, given = scalars.clear_graded(entries)
+    if kind == scalars.FLOAT:  # float data keeps the first-block recursion and its bits
+        out = _solve(given, to_cumulants)
+    else:
+        out = series.transform(given, degree, to_cumulants)
     powers = [scale ** k for k in range(degree + 1)]
     return {(m, n): scalars.over(v, powers[m + n], kind) for (m, n), v in out.items()}
 
@@ -218,7 +237,7 @@ def mobius_cumulant(table: MomentTable, m: int, n: int):
     labelling with m left letters: the bi-non-crossing partitions of a
     labelling chi are the images sigma_chi(pi), and sigma_chi sends the
     positions 1..m to the left positions. ``verify chi`` compares it with
-    the first-block recursion of :func:`moments_to_cumulants`.
+    :func:`moments_to_cumulants`, the closed form for rational data.
     """
     total = m + n
     if not 1 <= total <= MOBIUS_MAX_DEGREE:
@@ -233,3 +252,20 @@ def mobius_cumulant(table: MomentTable, m: int, n: int):
             term = term * table.get(a, len(block) - a)
         acc = acc + term * mobius_top(pi)
     return acc
+
+
+def verify_voiculescu_identity(table: MomentTable):
+    """Coefficient-level residual of the two-variable transform identity.
+
+    Checks R(z, w) = 1 + z R_a(z) + w R_b(w) - zw / G(K_a(z), K_b(w)) on
+    truncations, with the cumulants of the first-block recursion, which
+    shares no code with the closed form the transforms take, and the last
+    term evaluated in pole-free form (:func:`bifree.series.residual`).
+    Returns the maximum absolute coefficient discrepancy over total degree
+    <= D - 1; the final degree is not certified because the reciprocal
+    loses one degree of trustworthy information.
+    """
+    if table.degree < 2:
+        raise DegreeError("need degree >= 2")
+    scale, moments, kappa = graded_solve(table.entries, table.degree, to_cumulants=True)
+    return series.residual(moments, kappa, scale, table.degree, table.kind)

@@ -1,45 +1,68 @@
-"""Truncated formal power series and the two-variable transform identity.
+"""Truncated power series on row lists: the closed-form transforms and the identity.
 
-Everything here is coefficient-level: series are truncated by total degree
-and no analytic questions are asked. The reciprocal-of-the-Green-function
-identity is rearranged into pole-free form before evaluation, so Laurent
-terms never need to be represented: with u(z) = z / (1 + z R_a(z)) the
-term zw / G(K_a(z), K_b(w)) equals
-(1 + z R_a(z)) (1 + w R_b(w)) / M(u(z), v(w)), and every factor is an
-honest truncated power series.
+A two-variable series truncated at total degree D is a row list r with
+r[m][n] the coefficient of z^m w^n, m + n <= D, so row m holds D - m + 1
+entries; a one-variable series is a coefficient sequence c_0..c_D. Every
+step is coefficient-level: no analytic questions are asked.
 
-The identity runs on the graded tables of the transform it checks
-(cumulants.graded_solve): moments and cumulants times L^(m+n), which is
-the substitution z -> Lz, w -> Lw. Every series operation commutes with
-it, and with constant terms 1 all of 1 + z R_a, the shifted reciprocals
-u and v, M(u, v), its reciprocal and the outer product have integer
-coefficients, so residual entry (m, n) is one integer over L^(m+n). When
-the transform declines to clear (float data, or L^D beyond
-scalars.GRADED_MAX_BITS bits), the same code runs on the values with
-L = 1. The public series functions run the same coefficient cores.
+The moment-cumulant transforms of a commuting pair (rational data) run
+through the two-variable partial R-transform (Voiculescu, Free probability
+for pairs of faces I, CMP 2014; analytic form in Huang-Wang, JFA 2016).
+With M(z, w) the moment series, M_a, M_b its marginals, C_a(z) = 1 plus
+the sum of kappa_{k,0} z^k, and R_mixed the series of the kappa_{m,n} with
+m, n >= 1:
+
+- each face is a one-variable free transform, C_a(z M_a(z)) = M_a(z);
+- 1 - R_mixed(z, w) = C_a(z) C_b(w) / M(z / C_a(z), w / C_b(w)).
+
+z = s M_a(s) inverts z / C_a(z), so substituting it, and w = t M_b(t),
+turns the second relation into S M = M - M_a M_b with S(s, t) =
+R_mixed(s M_a(s), t M_b(t)). A transform takes three steps: the marginal
+solve (:func:`_marginal`, O(D^3)), which also tabulates the powers M_a^k
+and M_b^k; the division-free recursion for S from M or M from S
+(:func:`_mixed`, about D^4 / 24 multiply-adds); and the substitution
+(:func:`_compose`, about as many) or its inverse (:func:`_uncompose`, two
+unit-triangular solves, O(D^3)). The first-block recursion in
+:mod:`bifree.cumulants` costs O(D^5). Constant terms are 1, so nothing
+divides: graded integer tables stay integers and Fractions stay exact.
+
+The identity's residual (:func:`residual`) reads the second relation the
+other way: from the moments and the cumulants of the first-block
+recursion it forms C_a(z) C_b(w) / M(u(z), v(w)), u = z / C_a(z), with the
+composition, the reciprocal and the separable product, and compares it
+with 1 - R_mixed. On graded tables (entries times L^(m+n), the
+substitution z -> Lz, w -> Lw) every step keeps integer coefficients, so
+residual entry (m, n) is one integer over L^(m+n); float data runs the same
+steps on floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from . import scalars
-from .cumulants import CumulantTable, MomentTable, graded_solve, table_keys
 from .errors import DegreeError, SingularSeriesError
 
 
-# The cores below run on coefficient dicts and tuples of any one number type.
-# The integers 0 and 1 serve as the zero and unit of every kind, so the
-# identity runs them on ints, and floats give the same bits as with 0.0 and
-# 1.0. A constant term equal to 1 is its own inverse, so ints never divide.
+# The cores below run on any one number type. The integers 0 and 1 serve as
+# the zero and unit of every kind, so graded tables stay ints, and floats give
+# the same bits as with 0.0 and 1.0. A constant term equal to 1 is its own
+# inverse, so ints never divide.
 
-def _uni_multiply(f: tuple, g: tuple) -> tuple:
-    # one-variable series are coefficient tuples c_0..c_D of equal length
+def _rows(entries: dict, degree: int) -> list:
+    # a table on keys (m, n), m + n <= degree, as rows; absent keys are 0
+    return [[entries.get((m, n), 0) for n in range(degree - m + 1)]
+            for m in range(degree + 1)]
+
+
+def _uni_multiply(f, g) -> list:
+    # the product truncated at the length of f
     out = [0] * len(f)
     for i, a in enumerate(f):
         for j in range(len(f) - i):
             out[i + j] = out[i + j] + a * g[j]
-    return tuple(out)
+    return out
 
 
 def _inverse(c0):
@@ -48,7 +71,7 @@ def _inverse(c0):
     return c0 if c0 == 1 else 1 / c0
 
 
-def _uni_reciprocal(f: tuple) -> tuple:
+def _uni_reciprocal(f) -> list:
     inv0 = _inverse(f[0])
     out = [inv0] + [0] * (len(f) - 1)
     for k in range(1, len(f)):
@@ -56,77 +79,202 @@ def _uni_reciprocal(f: tuple) -> tuple:
         for i in range(1, k + 1):
             acc = acc + f[i] * out[k - i]
         out[k] = -inv0 * acc
-    return tuple(out)
+    return out
 
 
-def _multiply(f: dict, g: dict, degree: int) -> dict:
-    out: dict = {}
-    for (m1, n1), a in f.items():
-        if a == 0:
-            continue
-        for (m2, n2), b in g.items():
-            if m1 + m2 + n1 + n2 > degree:
+def _powers(f, degree: int) -> list:
+    # powers[k][j] = [z^j] f^k for j <= degree - k: the coefficients of
+    # (z f)^k from z^k up, all that a composition of degree <= degree reads
+    powers = [[1] + [0] * degree]
+    for k in range(1, degree + 1):
+        powers.append(_uni_multiply(powers[-1][:degree - k + 1], f))
+    return powers
+
+
+def _reciprocal(rows: list) -> list:
+    degree = len(rows) - 1
+    inv0 = _inverse(rows[0][0])
+    out = [[0] * (degree - m + 1) for m in range(degree + 1)]
+    out[0][0] = inv0
+    for m in range(degree + 1):
+        for n in range(degree - m + 1):
+            if m + n == 0:
                 continue
-            key = (m1 + m2, n1 + n2)
-            out[key] = out.get(key, 0) + a * b
+            acc = 0
+            for i in range(m + 1):
+                row, back = rows[i], out[m - i]
+                for j in range(n + 1):
+                    c = row[j]
+                    if c != 0 and i + j:
+                        acc = acc + c * back[n - j]
+            out[m][n] = -inv0 * acc
     return out
 
 
-def _reciprocal(f: dict, degree: int) -> dict:
-    inv0 = _inverse(f.get((0, 0), 0))
-    out = {(0, 0): inv0}
-    for m, n in table_keys(degree, 1):
-        acc = 0
-        for i in range(m + 1):
-            for j in range(n + 1):
-                if (i, j) == (0, 0):
-                    continue
-                c = f.get((i, j), 0)
-                if c != 0:
-                    acc = acc + c * out[(m - i, n - j)]
-        out[(m, n)] = -inv0 * acc
-    return out
-
-
-def _compose(M: dict, u: tuple, v: tuple, degree: int) -> dict:
-    if u[0] != 0 or v[0] != 0:
-        raise SingularSeriesError("substituted series must have zero constant term")
-    # powers of u contribute only from z-degree >= power, so degree many suffice
-    u_pows = [(1,) + (0,) * degree]
-    v_pows = [u_pows[0]]
-    for _ in range(degree):
-        u_pows.append(_uni_multiply(u_pows[-1], u))
-        v_pows.append(_uni_multiply(v_pows[-1], v))
-    out: dict = {}
-    for (m, n), c in M.items():
-        if c == 0 or m + n > degree:
-            continue
-        up, vp = u_pows[m], v_pows[n]
-        for i in range(m, degree + 1):
-            a = up[i]
-            if a == 0:
-                continue
-            for j in range(n, degree + 1 - i):
-                b = vp[j]
-                if b == 0:
-                    continue
-                key = (i, j)
-                out[key] = out.get(key, 0) + c * a * b
-    return out
-
-
-def _outer_product(f: tuple, g: tuple) -> dict:
-    out = {}
-    degree = len(f) - 1
+def _separable_product(f, g, rows: list) -> list:
+    # f(z) g(w) r(z, w), term by term: coefficient (m, n) sums the products
+    # (f_i g_j) r[m - i][n - j] over i, then j, ascending
+    degree = len(rows) - 1
+    out = [[0] * (degree - m + 1) for m in range(degree + 1)]
     for i, a in enumerate(f):
         if a == 0:
             continue
-        for j, b in enumerate(g):
-            if i + j > degree:
-                break
-            if b != 0:
-                out[(i, j)] = a * b
+        for j in range(degree - i + 1):
+            ab = a * g[j]
+            if ab == 0:
+                continue
+            for m in range(i, degree + 1 - j):
+                row, src = out[m], rows[m - i]
+                for n in range(j, degree - m + 1):
+                    row[n] = row[n] + ab * src[n - j]
     return out
+
+
+def _compose(rows: list, upowers: list, vpowers: list) -> list:
+    # M(z u(z), w v(w)) from the power tables of u and v (see _powers): term
+    # (m, n) of M adds (M[m][n] [z^(i-m)] u^m) [w^(j-n)] v^n at (i, j), term
+    # by term in table-key order: float residuals round by this order, and
+    # tests/test_cumulants.py pins their bits.
+    degree = len(rows) - 1
+    out = [[0] * (degree - i + 1) for i in range(degree + 1)]
+    for total in range(degree + 1):
+        for m in range(total + 1):
+            n = total - m
+            c = rows[m][n]
+            if c == 0:
+                continue
+            up, vp = upowers[m], vpowers[n]
+            for i in range(m, degree - n + 1):
+                a = up[i - m]
+                if a == 0:
+                    continue
+                ca, row = c * a, out[i]
+                for j in range(n, degree - i + 1):
+                    b = vp[j - n]
+                    if b != 0:
+                        row[j] = row[j] + ca * b
+    return out
+
+
+def _marginal(column: list, to_cumulants: bool) -> tuple:
+    # One face, C(z M(z)) = M(z), coefficient by coefficient: m_n is kappa_n
+    # plus the sum over 1 <= k < n of kappa_k [z^(n-k)] M^k, and M^k up to
+    # z^(n-k) needs only moments below n. column holds m_0..m_D (m_0 = 1) or
+    # kappa_1..kappa_D behind a placeholder at 0. Returns the moments, the
+    # cumulants and powers[k][j] = [z^j] M^k for j <= D - k (as _powers).
+    degree = len(column) - 1
+    moments = column if to_cumulants else [1] + [0] * degree
+    kappa = [0] * (degree + 1) if to_cumulants else column
+    powers = [[1] + [0] * degree, moments]
+    powers += [[1] + [0] * (degree - k) for k in range(2, degree + 1)]
+    for n in range(1, degree + 1):
+        for k in range(2, n):
+            j = n - k
+            powers[k][j] = sum(map(mul, moments[:j + 1], powers[k - 1][j::-1]))
+        rest = sum(kappa[k] * powers[k][n - k] for k in range(1, n))
+        if to_cumulants:
+            kappa[n] = moments[n] - rest
+        else:
+            moments[n] = kappa[n] + rest
+    return moments, kappa, powers
+
+
+def _mixed(moments: list, mixed: list, to_mixed: bool) -> None:
+    # S M = M - M_a M_b on the entries m, n >= 1, in place: M[m][n] is a_m b_n
+    # plus the sum over i, j >= 1 of S[i][j] M[m-i][n-j], whose term (i, j) =
+    # (m, n) is S[m][n] itself. Solving for S, that term is 0 while it sums.
+    degree = len(moments) - 1
+    a, b = [row[0] for row in moments], moments[0]
+    for m in range(1, degree):
+        for n in range(1, degree - m + 1):
+            acc = 0
+            for i in range(1, m + 1):
+                acc += sum(map(mul, mixed[i][1:n + 1], moments[m - i][n - 1::-1]))
+            if to_mixed:
+                mixed[m][n] = moments[m][n] - a[m] * b[n] - acc
+            else:
+                moments[m][n] = a[m] * b[n] + acc
+
+
+def _uncompose(rows: list, upowers: list, vpowers: list) -> list:
+    # R from S(z, w) = R(z u(z), w v(w)) on the entries m, n >= 1, in place.
+    # S = U^T R V with U[i][m] = [z^m] (z u)^i unit upper triangular, and V
+    # alike, so two triangular solves, lowest index first, give it: W = R V
+    # from S = U^T W row by row, then R from W within each row.
+    degree = len(rows) - 1
+    for m in range(2, degree):
+        row = rows[m]
+        for i in range(1, m):
+            c = upowers[i][m - i]
+            if c != 0:
+                lower = rows[i]
+                for n in range(1, degree - m + 1):
+                    row[n] = row[n] - c * lower[n]
+    for row in rows[1:]:
+        for n in range(2, len(row)):
+            row[n] = row[n] - sum(row[j] * vpowers[j][n - j] for j in range(1, n))
+    return rows
+
+
+def transform(given: dict, degree: int, to_cumulants: bool) -> dict:
+    """The other table of a commuting pair by the closed form, on keys (m, n).
+
+    given holds moments on m + n <= degree with (0, 0) = 1, or cumulants on
+    1 <= m + n <= degree, as ints or Fractions; one that holds only the
+    n = 0 column is a one-variable sequence, and only that column returns.
+    """
+    rows = _rows(given, degree)
+    a_moments, a_kappa, a_powers = _marginal([row[0] for row in rows], to_cumulants)
+    if (0, 1) not in given:
+        column = a_kappa if to_cumulants else a_moments
+        return {(m, 0): column[m] for m in range(int(to_cumulants), degree + 1)}
+    b_moments, b_kappa, b_powers = _marginal(rows[0], to_cumulants)
+    if to_cumulants:
+        mixed = [[0] * (degree - m + 1) for m in range(degree + 1)]
+        _mixed(rows, mixed, to_mixed=True)
+        out = _uncompose(mixed, a_powers, b_powers)
+        out[0] = b_kappa
+        for m in range(1, degree + 1):
+            out[m][0] = a_kappa[m]
+    else:
+        # R_mixed alone: the faces' cumulants are in the marginals already
+        rows[0] = [0] * (degree + 1)
+        for row in rows[1:]:
+            row[0] = 0
+        mixed = _compose(rows, a_powers, b_powers)
+        out = [b_moments] + [[a_moments[m]] + [0] * (degree - m) for m in range(1, degree + 1)]
+        _mixed(out, mixed, to_mixed=False)
+    return {(m, total - m): out[m][total - m]
+            for total in range(int(to_cumulants), degree + 1) for m in range(total + 1)}
+
+
+def residual(moments: dict, kappa: dict, scale: int, degree: int, kind: str):
+    """The identity's largest coefficient discrepancy below total degree D.
+
+    moments and kappa are the tables times L^(m+n), L = scale: the
+    substitution z -> Lz, w -> Lw commutes with every step, and degree D,
+    which the reciprocal leaves uncertified, is never formed. Entry (m, n)
+    compares kappa_{m,n} with the right side 1 + z R_a(z) + w R_b(w) minus
+    C_a(z) C_b(w) / M(u(z), v(w)): one at the origin, kappa on the two axes
+    and zero inside before the subtraction.
+    """
+    top = degree - 1
+    one_plus_zra = [1] + [kappa[(m, 0)] for m in range(1, top + 1)]
+    one_plus_wrb = [1] + [kappa[(0, n)] for n in range(1, top + 1)]
+    # u(z) = z / (1 + z R_a(z)): the powers of the reciprocal, shifted by _compose
+    composed = _compose(_rows(moments, top), _powers(_uni_reciprocal(one_plus_zra), top),
+                        _powers(_uni_reciprocal(one_plus_wrb), top))
+    green = _separable_product(one_plus_zra, one_plus_wrb, _reciprocal(composed))
+    worst = scalars.zero(kind)
+    for total in range(top + 1):
+        for m in range(total + 1):
+            n = total - m
+            left = kappa.get((m, n), 0)
+            base = 1 if total == 0 else left if m * n == 0 else 0
+            diff = scalars.over(abs(left - (base - green[m][n])), scale ** total, kind)
+            if diff > worst:
+                worst = diff
+    return worst
 
 
 @dataclass
@@ -164,84 +312,10 @@ class BivariateSeries:
         return cls(int(data["degree"]), kind, coeffs)
 
 
-def series_multiply(f: BivariateSeries, g: BivariateSeries) -> BivariateSeries:
-    """Cauchy product truncated to the common total degree."""
-    if f.degree != g.degree or f.kind != g.kind:
-        raise DegreeError("series degree or kind mismatch")
-    return BivariateSeries(f.degree, f.kind, _multiply(f.coeffs, g.coeffs, f.degree))
-
-
-def series_reciprocal(f: BivariateSeries) -> BivariateSeries:
-    """Multiplicative inverse up to the truncation degree; needs f(0,0) != 0."""
-    return BivariateSeries(f.degree, f.kind, _reciprocal(f.coeffs, f.degree))
-
-
-def series_compose_bi(M: BivariateSeries, u: tuple, v: tuple) -> BivariateSeries:
-    """Substitute u(z) for the first variable and v(w) for the second.
-
-    u and v are coefficient tuples c_0..c_D of one-variable series, D the
-    degree of M. Both must vanish at 0 so the composition is well-defined
-    on truncations.
-    """
-    if len(u) != M.degree + 1 or len(v) != M.degree + 1:
-        raise DegreeError(f"substituted series need {M.degree + 1} coefficients")
-    return BivariateSeries(M.degree, M.kind, _compose(M.coeffs, u, v, M.degree))
-
-
-def r_transform_series(table: CumulantTable, degree: int | None = None) -> BivariateSeries:
-    """The two-variable cumulant generating series, zero constant term."""
+def r_transform_series(table, degree: int | None = None) -> BivariateSeries:
+    """The two-variable cumulant generating series of a CumulantTable, zero constant term."""
     degree = table.degree if degree is None else degree
     if degree > table.degree:
         raise DegreeError("requested degree exceeds table degree")
     coeffs = {(m, n): v for (m, n), v in table.entries.items() if m + n <= degree}
     return BivariateSeries(degree, table.kind, coeffs)
-
-
-def moment_series(table: MomentTable) -> BivariateSeries:
-    """Moment generating series including the constant 1."""
-    return BivariateSeries(table.degree, table.kind, dict(table.entries))
-
-
-def verify_voiculescu_identity(table: MomentTable):
-    """Coefficient-level residual of the two-variable transform identity.
-
-    Checks R(z, w) = 1 + z R_a(z) + w R_b(w) - zw / G(K_a(z), K_b(w)) on
-    truncations, with the last term evaluated in pole-free form. Returns the
-    maximum absolute coefficient discrepancy over total degree <= D - 1; the
-    final degree is not certified because the reciprocal loses one degree of
-    trustworthy information.
-    """
-    if table.degree < 2:
-        raise DegreeError("need degree >= 2")
-    scale, moments, kappa = graded_solve(table.entries, table.degree, to_cumulants=True)
-    return _residual(moments, kappa, scale, table.degree, table.kind)
-
-
-def _residual(moments: dict, kappa: dict, scale: int, degree: int, kind: str):
-    # The identity on tables scaled by L^(m+n) (L = scale): the substitution
-    # z -> Lz, w -> Lw commutes with every series operation below, and the
-    # uncertified degree D is never formed.
-    top = degree - 1
-    # 1 + z R_a(z) and 1 + w R_b(w): coefficient m holds kappa_{m,0}
-    one_plus_zra = (1,) + tuple(kappa[(m, 0)] for m in range(1, top + 1))
-    one_plus_wrb = (1,) + tuple(kappa[(0, n)] for n in range(1, top + 1))
-
-    # 1 / K_a(z) = z / (1 + z R_a(z)): the reciprocal shifted up by one, vanishing at 0
-    u = (0,) + _uni_reciprocal(one_plus_zra)[:-1]
-    v = (0,) + _uni_reciprocal(one_plus_wrb)[:-1]
-
-    composed = _compose(moments, u, v, top)
-    green_term = _multiply(_outer_product(one_plus_zra, one_plus_wrb),
-                           _reciprocal(composed, top), top)
-
-    # The right side, 1 + z R_a(z) + w R_b(w) minus the Green term, is one at
-    # the origin, kappa on the two axes and zero inside before the subtraction.
-    worst = scalars.zero(kind)
-    for m, n in table_keys(top, 0):
-        left = kappa.get((m, n), 0)
-        base = 1 if m == n == 0 else left if m * n == 0 else 0
-        diff = scalars.over(abs(left - (base - green_term.get((m, n), 0))),
-                            scale ** (m + n), kind)
-        if diff > worst:
-            worst = diff
-    return worst

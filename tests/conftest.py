@@ -14,7 +14,7 @@ import pytest
 
 from bifree import scalars
 from bifree.cumulants import table_keys
-from bifree.errors import ShapeError
+from bifree.errors import ShapeError, SingularSeriesError
 from bifree.fock import FockModel, _face, _inner
 from bifree.levy_hincin import LevyHincinData
 from bifree.measures import FIRST, DiscretePlanarMeasure
@@ -307,6 +307,55 @@ def oracle_vacuum_moment(model, m, n, cap=None):
     for _ in range(m):
         state = face_by_operators(model, state, cap, left=True)
     return state.get((), scalars.zero(model.kind))
+
+
+# -- series algebra on coefficient dicts, the oracle for bifree.series ----------
+# Two-variable series are dicts {(m, n): c} truncated at a total degree, one-
+# variable series coefficient tuples c_0..c_D; every loop runs over the terms.
+
+def oracle_multiply(f, g, degree):
+    """Cauchy product truncated at total degree `degree`."""
+    out = {}
+    for (m1, n1), a in f.items():
+        for (m2, n2), b in g.items():
+            if m1 + m2 + n1 + n2 <= degree:
+                key = (m1 + m2, n1 + n2)
+                out[key] = out.get(key, 0) + a * b
+    return out
+
+
+def oracle_reciprocal(f, degree):
+    """The inverse up to total degree `degree`; f(0, 0) must be nonzero."""
+    c0 = f.get((0, 0), 0)
+    if c0 == 0:
+        raise SingularSeriesError("reciprocal of a series with zero constant term")
+    out = {(0, 0): 1 / Fraction(c0)}
+    for m, n in table_keys(degree, 1):
+        acc = sum(f.get((i, j), 0) * out[(m - i, n - j)]
+                  for i in range(m + 1) for j in range(n + 1) if i + j)
+        out[(m, n)] = -out[(0, 0)] * acc
+    return out
+
+
+def oracle_compose(series, u, v, degree):
+    """series(u(z), v(w)) for tuples u, v of degree + 1 coefficients, both 0 at 0."""
+    if u[0] != 0 or v[0] != 0:
+        raise SingularSeriesError("substituted series must have zero constant term")
+    one = (1,) + (0,) * degree
+
+    def power(f, k):
+        out = one
+        for _ in range(k):
+            out = tuple(sum(out[i] * f[t - i] for i in range(t + 1)) for t in range(degree + 1))
+        return out
+
+    result = {}
+    for (m, n), c in series.items():
+        up, vp = power(u, m), power(v, n)
+        for i in range(degree + 1):
+            for j in range(degree + 1 - i):
+                result[(i, j)] = result.get((i, j), 0) + c * up[i] * vp[j]
+    return result
 
 
 @pytest.fixture

@@ -18,8 +18,8 @@ import pytest
 from bifree import scalars
 from bifree.cli import run as cli_run
 from bifree.convolution import bifree_convolve, free_convolve_marginal, semigroup_scale
-from bifree.cumulants import (CumulantTable, cumulants_to_moments,
-                              mobius_cumulant, moments_to_cumulants)
+from bifree.cumulants import (CumulantTable, cumulants_to_moments, mobius_cumulant,
+                              moments_to_cumulants, verify_voiculescu_identity)
 from bifree.fock import (levy_marginal_model, model_cumulants,
                          moment_table_from_model)
 from bifree.levy_hincin import (check_cond_bounded, check_cpsd,
@@ -31,7 +31,6 @@ from bifree.limits import (bifree_gaussian, bifree_poisson,
 from bifree.measures import DiscretePlanarMeasure, moment_table
 from bifree.partitions import (catalan, enumerate_nc, mobius_nc, mobius_top,
                                one_partition, zero_partition)
-from bifree.series import verify_voiculescu_identity
 
 from conftest import (random_commuting_model, random_moment_table,
                       random_planar_measure, random_validated_lh)

@@ -10,17 +10,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bifree import scalars
-from bifree.cumulants import (CumulantTable, MomentTable, cumulant_seq_to_moment_seq,
-                              cumulants_to_moments, graded_solve, mobius_cumulant,
+from bifree import cumulants, scalars, series
+from bifree.cumulants import (TRANSFORM_MAX_DEGREE, CumulantTable, MomentTable, _solve,
+                              cumulant_seq_to_moment_seq, cumulants_to_moments,
+                              graded_solve, mobius_cumulant,
                               moment_seq_to_cumulant_seq, moments_to_cumulants,
-                              table_keys, zero_cumulants)
+                              table_keys, verify_voiculescu_identity, zero_cumulants)
 from bifree.errors import DegreeError
 from bifree.limits import bifree_gaussian, compound_bifree_poisson
 from bifree.measures import (SECOND, DiscretePlanarMeasure, moment_table, point_mass,
                              product_measure)
 from bifree.partitions import LEFT, RIGHT, ChiMap, enumerate_bnc, enumerate_nc, mobius_top
-from bifree.series import verify_voiculescu_identity
 
 from conftest import (block_side_counts, no_fraction_arithmetic, random_cumulant_table,
                       random_line_measure, random_moment_table, random_planar_measure)
@@ -138,14 +138,58 @@ def benchmark_like_tables(degree=7):
             bifree_gaussian(Fraction(5, 2), Fraction(7, 2), Fraction(-3, 4), degree))
 
 
-@pytest.mark.parametrize("index", [0, 1], ids=["poisson", "gaussian"])
-def test_transforms_and_identity_make_no_fraction_arithmetic(index):
-    kappa = benchmark_like_tables()[index]
+@pytest.mark.parametrize("index,degree", [(0, 7), (1, 7), (0, 12), (1, 12)],
+                         ids=["poisson", "gaussian", "poisson-12", "gaussian-12"])
+def test_transforms_and_identity_make_no_fraction_arithmetic(index, degree):
+    kappa = benchmark_like_tables(degree)[index]
     moments = cumulants_to_moments(kappa)
     with no_fraction_arithmetic():
         assert cumulants_to_moments(kappa).entries == moments.entries
         assert moments_to_cumulants(moments).entries == kappa.entries
         assert verify_voiculescu_identity(moments) == 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=1, max_value=TRANSFORM_MAX_DEGREE),
+       st.integers(min_value=0, max_value=10_000), st.sampled_from(("small", "spread")))
+@example(TRANSFORM_MAX_DEGREE, 0, "small")
+@example(TRANSFORM_MAX_DEGREE, 0, "spread")
+def test_closed_form_equals_the_first_block_recursion(degree, seed, mix):
+    # graded ints, or Fractions where the spread mix declines the clearing
+    for cls, to_cumulants in ((MomentTable, True), (CumulantTable, False)):
+        table = mixed_table(cls, degree, seed, mix)
+        scale, given = scalars.clear_graded(table.entries)
+        declined = any(isinstance(v, Fraction) for v in given.values())
+        if mix == "small" or degree == TRANSFORM_MAX_DEGREE:
+            assert declined == (mix == "spread")
+        assert series.transform(given, degree, to_cumulants) == _solve(given, to_cumulants)
+        column = {(m, n): v for (m, n), v in given.items() if n == 0}
+        want = _solve(column, to_cumulants)
+        assert series.transform(column, degree, to_cumulants) == want
+        sequence = [scalars.over(want[(m, 0)], scale ** m, scalars.RATIONAL)
+                    for m in range(int(to_cumulants), degree + 1)]
+        if to_cumulants:
+            values = [table.get(m, 0) for m in range(degree + 1)]
+            assert moment_seq_to_cumulant_seq(values, scalars.RATIONAL) == sequence
+        else:
+            values = [table.get(m, 0) for m in range(1, degree + 1)]
+            assert cumulant_seq_to_moment_seq(values, scalars.RATIONAL) == sequence
+
+
+def test_identity_checks_the_first_block_recursion(monkeypatch):
+    # the transforms take the closed form and the identity the recursion: a
+    # recursion off at one entry moves the residual and leaves the transform
+    table = moment_table(random_planar_measure(random.Random(3), 3), 6)
+    kappa = moments_to_cumulants(table)
+    assert verify_voiculescu_identity(table) == 0
+    exact = cumulants._non_top_sum
+
+    def shifted(m, n, moment, kappa):
+        return exact(m, n, moment, kappa) + ((m, n) == (2, 1))
+
+    monkeypatch.setattr(cumulants, "_non_top_sum", shifted)
+    assert moments_to_cumulants(table).entries == kappa.entries
+    assert verify_voiculescu_identity(table) != 0
 
 
 def test_graded_clearing_declines_unrelated_denominators():

@@ -1,4 +1,4 @@
-"""Truncated series engine and the coefficient-level transform identity."""
+"""Series cores on row lists, their dict oracle, and the transform identity."""
 
 import random
 from fractions import Fraction
@@ -9,116 +9,133 @@ from hypothesis import strategies as st
 
 from bifree import scalars
 from bifree.cumulants import (CumulantTable, MomentTable, graded_solve, moments_to_cumulants,
-                              table_keys)
+                              table_keys, verify_voiculescu_identity)
 from bifree.errors import DegreeError, SingularSeriesError
 from bifree.fock import FockModel, moment_table_from_model
 from bifree.limits import bifree_gaussian, bifree_poisson
 from bifree.measures import moment_table, point_mass, product_measure
 from bifree.measures import SECOND
-from bifree.series import (BivariateSeries, _residual, moment_series, r_transform_series,
-                           series_compose_bi, series_multiply,
-                           series_reciprocal, verify_voiculescu_identity)
+from bifree.series import (BivariateSeries, _compose, _powers, _reciprocal, _rows,
+                           _separable_product, r_transform_series, residual)
 
-from conftest import (random_commuting_model, random_line_measure,
-                      random_moment_table, random_planar_measure)
+from conftest import (oracle_compose, oracle_multiply, oracle_reciprocal,
+                      random_commuting_model, random_line_measure, random_moment_table,
+                      random_planar_measure)
 
 R = scalars.RATIONAL
 
 
-def bseries(degree, coeffs):
-    return BivariateSeries(degree, R, {k: Fraction(v) for k, v in coeffs.items()})
+def coeffs(pairs):
+    return {k: Fraction(v) for k, v in pairs.items()}
+
+
+def as_dict(rows):
+    """Row list -> {(m, n): c} without the zeros."""
+    return {(m, n): c for m, row in enumerate(rows) for n, c in enumerate(row) if c}
+
+
+def nonzero(series):
+    return {k: v for k, v in series.items() if v}
 
 
 def test_multiply_difference_of_squares():
-    one_plus = bseries(4, {(0, 0): 1, (1, 0): 1})
-    one_minus = bseries(4, {(0, 0): 1, (1, 0): -1})
-    prod = series_multiply(one_plus, one_minus)
-    assert prod.get(0, 0) == 1 and prod.get(2, 0) == -1
-    assert prod.get(1, 0) == 0
+    one_plus, one_minus = coeffs({(0, 0): 1, (1, 0): 1}), coeffs({(0, 0): 1, (1, 0): -1})
+    expected = {(0, 0): 1, (2, 0): -1}
+    assert nonzero(oracle_multiply(one_plus, one_minus, 4)) == expected
+    rows = _separable_product((1, 1, 0, 0, 0), (1, 0, 0, 0, 0), _rows(one_minus, 4))
+    assert as_dict(rows) == expected
 
 
-def test_multiply_identity_element(rng):
-    f = bseries(3, {(0, 0): 2, (1, 1): 3, (2, 0): -1})
-    one = bseries(3, {(0, 0): 1})
-    assert series_multiply(f, one).coeffs == f.coeffs
+def test_multiply_identity_element():
+    f = coeffs({(0, 0): 2, (1, 1): 3, (2, 0): -1})
+    assert nonzero(oracle_multiply(f, {(0, 0): 1}, 3)) == f
+    assert as_dict(_separable_product((1, 0, 0, 0), (1, 0, 0, 0), _rows(f, 3))) == f
 
 
 def test_multiply_geometric_grid():
     d = 4
-    zgeo = bseries(d, {(m, 0): 1 for m in range(d + 1)})
-    wgeo = bseries(d, {(0, n): 1 for n in range(d + 1)})
-    grid = series_multiply(zgeo, wgeo)
-    for total in range(d + 1):
-        for m in range(total + 1):
-            assert grid.get(m, total - m) == 1
+    zgeo = {(m, 0): 1 for m in range(d + 1)}
+    wgeo = {(0, n): 1 for n in range(d + 1)}
+    grid = dict.fromkeys(table_keys(d, 0), 1)
+    assert oracle_multiply(zgeo, wgeo, d) == grid
+    assert as_dict(_separable_product((1,) * (d + 1), (1,) * (d + 1), _rows({(0, 0): 1}, d))) \
+        == grid
 
 
 def test_reciprocal_geometric():
-    f = bseries(5, {(0, 0): 1, (1, 0): -1})  # 1 - z
-    g = series_reciprocal(f)
-    for k in range(6):
-        assert g.get(k, 0) == 1
-    assert series_reciprocal(bseries(3, {(0, 0): 1})).coeffs[(0, 0)] == 1
+    f = coeffs({(0, 0): 1, (1, 0): -1})  # 1 - z
+    geometric = {(k, 0): 1 for k in range(6)}
+    assert nonzero(oracle_reciprocal(f, 5)) == geometric
+    assert as_dict(_reciprocal(_rows(f, 5))) == geometric
+    assert as_dict(_reciprocal(_rows({(0, 0): 1}, 3))) == {(0, 0): 1}
 
 
 def test_reciprocal_product_of_geometrics():
-    f = series_multiply(bseries(4, {(0, 0): 1, (1, 0): -1}),
-                        bseries(4, {(0, 0): 1, (0, 1): -1}))
-    g = series_reciprocal(f)
-    for total in range(5):
-        for m in range(total + 1):
-            assert g.get(m, total - m) == 1
+    f = oracle_multiply(coeffs({(0, 0): 1, (1, 0): -1}), coeffs({(0, 0): 1, (0, 1): -1}), 4)
+    grid = dict.fromkeys(table_keys(4, 0), 1)
+    assert nonzero(oracle_reciprocal(f, 4)) == grid
+    assert as_dict(_reciprocal(_rows(f, 4))) == grid
 
 
 def test_reciprocal_requires_unit():
     with pytest.raises(SingularSeriesError):
-        series_reciprocal(bseries(3, {(1, 0): 1}))
+        oracle_reciprocal(coeffs({(1, 0): 1}), 3)
+    with pytest.raises(SingularSeriesError):
+        _reciprocal(_rows(coeffs({(1, 0): 1}), 3))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_reciprocal_is_inverse(seed):
     rng = random.Random(seed)
-    coeffs = {(0, 0): Fraction(1)}
+    f = {(0, 0): Fraction(1)}
     for total in range(1, 4):
         for m in range(total + 1):
-            coeffs[(m, total - m)] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    f = BivariateSeries(3, R, coeffs)
-    prod = series_multiply(f, series_reciprocal(f))
-    assert prod.get(0, 0) == 1
-    assert all(v == 0 for k, v in prod.coeffs.items() if k != (0, 0))
+            f[(m, total - m)] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    inverse = as_dict(_reciprocal(_rows(f, 3)))
+    assert inverse == nonzero(oracle_reciprocal(f, 3))
+    assert nonzero(oracle_multiply(f, inverse, 3)) == {(0, 0): 1}
+
+
+def compose_rows(series, u, v, degree):
+    """_compose with u(z) and v(w) given as tuples that vanish at 0."""
+    return as_dict(_compose(_rows(series, degree), _powers(u[1:], degree),
+                            _powers(v[1:], degree)))
 
 
 def test_compose_identity_substitution():
-    m = bseries(3, {(0, 0): 1, (1, 1): 1})
+    m = coeffs({(0, 0): 1, (1, 1): 1})
     z = w = (0, 1, 0, 0)
-    assert series_compose_bi(m, z, w).coeffs == m.coeffs
+    assert nonzero(oracle_compose(m, z, w, 3)) == m
+    assert compose_rows(m, z, w, 3) == m
 
 
 def test_compose_squares_the_variable():
     d = 6
-    m = bseries(d, {(k, 0): 1 for k in range(d + 1)})
+    m = {(k, 0): 1 for k in range(d + 1)}
     z2 = (0, 0, 1, 0, 0, 0, 0)
     zero = (0,) * (d + 1)
-    out = series_compose_bi(m, z2, zero)
-    for k in range(d + 1):
-        assert out.get(k, 0) == (1 if k % 2 == 0 else 0)
+    even = {(k, 0): 1 for k in range(0, d + 1, 2)}
+    assert nonzero(oracle_compose(m, z2, zero, d)) == even
+    assert compose_rows(m, z2, zero, d) == even
 
 
 def test_compose_constant_series_unchanged():
-    m = bseries(3, {(0, 0): 7})
+    m = coeffs({(0, 0): 7})
     u = (0, 2, 1, 0)
-    assert series_compose_bi(m, u, u).get(0, 0) == 7
+    assert nonzero(oracle_compose(m, u, u, 3)) == m
+    assert compose_rows(m, u, u, 3) == m
 
 
-def test_compose_rejects_nonzero_constant():
-    m = bseries(2, {(0, 0): 1})
-    bad = (1, 0, 0)
-    good = (0, 1, 0)
-    with pytest.raises(SingularSeriesError):
-        series_compose_bi(m, bad, good)
-    with pytest.raises(DegreeError):
-        series_compose_bi(m, good, (0, 1))
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10_000))
+def test_compose_matches_the_oracle(degree, seed):
+    rng = random.Random(seed)
+    series = {key: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+              for key in table_keys(degree, 0)}
+    u, v = ((0,) + tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                         for _ in range(degree)) for _ in range(2))
+    assert compose_rows(series, u, v, degree) == nonzero(oracle_compose(series, u, v, degree))
 
 
 def test_r_transform_of_constructors():
@@ -211,29 +228,23 @@ def test_series_json_round_trip(rng):
             assert again.get(m, total - m) == series.get(m, total - m)
 
 
-def test_moment_series_includes_constant(rng):
-    table = random_moment_table(rng, 3)
-    assert moment_series(table).get(0, 0) == 1
-
-
 def slow_residual(moments, kappa):
-    """The identity's residual from the public series calls on the unscaled tables."""
+    """The identity's residual from the dict oracle on the unscaled tables."""
     degree = moments.degree
-    one_plus_zra = BivariateSeries(degree, R, {(0, 0): 1, **{
-        (m, 0): kappa.get(m, 0) for m in range(1, degree + 1)}})
-    one_plus_wrb = BivariateSeries(degree, R, {(0, 0): 1, **{
-        (0, n): kappa.get(0, n) for n in range(1, degree + 1)}})
-    inverse_a, inverse_b = series_reciprocal(one_plus_zra), series_reciprocal(one_plus_wrb)
-    u = (0,) + tuple(inverse_a.get(m, 0) for m in range(degree))
-    v = (0,) + tuple(inverse_b.get(0, n) for n in range(degree))
-    composed = series_compose_bi(moment_series(moments), u, v)
-    green = series_multiply(series_multiply(one_plus_zra, one_plus_wrb),
-                            series_reciprocal(composed))
-    left = r_transform_series(kappa)
+    one_plus_zra = {(0, 0): 1, **{(m, 0): kappa.get(m, 0) for m in range(1, degree + 1)}}
+    one_plus_wrb = {(0, 0): 1, **{(0, n): kappa.get(0, n) for n in range(1, degree + 1)}}
+    inverse_a = oracle_reciprocal(one_plus_zra, degree)
+    inverse_b = oracle_reciprocal(one_plus_wrb, degree)
+    u = (0,) + tuple(inverse_a[(m, 0)] for m in range(degree))
+    v = (0,) + tuple(inverse_b[(0, n)] for n in range(degree))
+    composed = oracle_compose(moments.entries, u, v, degree)
+    green = oracle_multiply(oracle_multiply(one_plus_zra, one_plus_wrb, degree),
+                            oracle_reciprocal(composed, degree), degree)
     worst = Fraction(0)
     for m, n in table_keys(degree - 1, 0):
-        base = 1 if m == n == 0 else left.get(m, n) if m * n == 0 else 0
-        worst = max(worst, abs(left.get(m, n) - (base - green.get(m, n))))
+        left = kappa.get(m, n) if m + n else 0
+        base = 1 if m == n == 0 else left if m * n == 0 else 0
+        worst = max(worst, abs(left - (base - green.get((m, n), 0))))
     return worst
 
 
@@ -254,5 +265,4 @@ def test_inconsistent_pair_residual_is_the_slow_residual(degree, seed, spread):
     key = rng.choice(table_keys(degree - 1, 1))
     kappa[key] += rng.choice((-3, -1, 1, 2))
     wrong = CumulantTable(degree, R, {k: Fraction(v) / scale ** sum(k) for k, v in kappa.items()})
-    residual = _residual(moments, kappa, scale, degree, R)
-    assert residual == slow_residual(table, wrong) != 0
+    assert residual(moments, kappa, scale, degree, R) == slow_residual(table, wrong) != 0
