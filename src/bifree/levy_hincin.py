@@ -3,15 +3,20 @@
 Forward direction: a triple (rho1, rho2, rho) of atomic planar measures
 with t d(rho1) = s d(rho) and s d(rho2) = t d(rho) determines every
 cumulant of order >= 2 by integration; first-order cumulants ride along
-separately. Validation, the conditional positivity and boundedness gates,
-and the transform series are all evaluated atom by atom.
+separately. Validation and the transform series are evaluated atom by
+atom. lh_to_cumulants reads the three measures' unreduced moment rows
+(`DiscretePlanarMeasure.moment_rows`) and compares the formulas for each
+entry on them: exactly, num1 * den2 == num2 * den1, in rational mode, so
+only the entry it keeps becomes a Fraction.
 
 Inverse direction: a GNS quotient built from the cumulant Gram form gives
 a finite-dimensional operator model, and simultaneous diagonalization of
 its two gauge matrices recovers the measures. Only this float inverse
 (the Gram gates, gns_reconstruct, extract_levy_measures) uses numpy, and
 it imports numpy on first use, so the forward direction and the rest of
-the package run without loading it.
+the package run without loading it. Each table entry the Grams read is
+converted to float once per call; the window's monomials and Gram index
+arrays are integer data, made once per window and shared read-only.
 
 Certification is windowed: positivity and boundedness are checked on the
 monomials of total degree <= d, which needs table entries up to degree
@@ -32,6 +37,7 @@ in float mode and exact in rational mode.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -149,55 +155,76 @@ def lh_to_cumulants(data: LevyHincinData, degree: int,
     index. Float mode allows `tol` times max(1, |entry|).
     """
     kind = data.kind
-    rho1, rho2, rho = (mu.moments(degree - 2) for mu in (data.rho1, data.rho2, data.rho))
-    entries: dict = {}
-    for m, n in table_keys(degree, 1):
-        candidates = []
-        if (m, n) == (1, 0):
-            candidates.append(data.kappa10)
-        elif (m, n) == (0, 1):
-            candidates.append(data.kappa01)
-        else:
+    exact = kind == scalars.RATIONAL
+    # per measure: its unreduced rows, and L_w L_s^i and L_t^j, whose product
+    # is the denominator of row entry (i, j) (1 in float mode)
+    rows = []
+    for mu in (data.rho1, data.rho2, data.rho):
+        scale_s, scale_t, scale_w, sums = mu.moment_rows(degree - 2)
+        rows.append((sums, [scale_w * scale_s**i for i in range(degree - 1)],
+                     [scale_t**j for j in range(degree - 1)]))
+    (sums1, left1, right1), (sums2, left2, right2), (sums, left, right) = rows
+    entries: dict = {(0, 1): data.kappa01, (1, 0): data.kappa10} if degree >= 1 else {}
+    for total in range(2, degree + 1):
+        for m in range(total + 1):
+            n = total - m
+            candidates = []  # (numerator, denominator) of each formula's value
             if m >= 2:
-                candidates.append(rho1[(m - 2, n)])
+                candidates.append((sums1[m - 2][n], left1[m - 2] * right1[n]))
             if n >= 2:
-                candidates.append(rho2[(m, n - 2)])
-            if m >= 1 and n >= 1:
-                candidates.append(rho[(m - 1, n - 1)])
-        first = candidates[0]
-        # float entries reach the hundreds, so the float bound scales with them
-        bound = tol * max(1.0, abs(first)) if kind == scalars.FLOAT else tol
-        for other in candidates[1:]:
-            if not scalars.close(other, first, kind, bound):
-                raise InconsistentDataError(
-                    f"measure formulas disagree at index ({m}, {n}): "
-                    f"{first} vs {other}")
-        entries[(m, n)] = first
+                candidates.append((sums2[m][n - 2], left2[m] * right2[n - 2]))
+            if m and n:
+                candidates.append((sums[m - 1][n - 1], left[m - 1] * right[n - 1]))
+            num, den = candidates[0]
+            # rationals compare exactly, num / den = other / other_den across
+            # positive denominators; float entries reach the hundreds, so the
+            # float bound scales with them
+            bound = None if exact else tol * max(1.0, abs(num))
+            for other, other_den in candidates[1:]:
+                if not (other * den == num * other_den if exact else abs(other - num) <= bound):
+                    raise InconsistentDataError(
+                        f"measure formulas disagree at index ({m}, {n}): "
+                        f"{scalars.over(num, den, kind)} vs "
+                        f"{scalars.over(other, other_den, kind)}")
+            entries[(m, n)] = scalars.over(num, den, kind)
     return CumulantTable(degree, kind, entries)
 
 
-def _monomials(d: int, include_constant: bool) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=16)
+def _window(d: int, include_constant: bool) -> tuple:
+    """The window's monomials, s-heavy first, and its Gram's index arrays.
+
+    These are integer data alone, so one read-only copy per window serves
+    every table and every call.
+    """
+    import numpy as np
     start = 0 if include_constant else 1
-    return [(m, total - m) for total in range(start, d + 1)
-            for m in range(total, -1, -1)]
+    mono = tuple((m, total - m) for total in range(start, d + 1)
+                 for m in range(total, -1, -1))
+    ms, ns = np.array(mono, dtype=int).reshape(-1, 2).T
+    rows, cols = np.add.outer(ms, ms), np.add.outer(ns, ns)
+    rows.flags.writeable = cols.flags.writeable = False
+    return mono, rows, cols
 
 
 def _gram_source(table, d: int, top: int, include_constant: bool = False):
     """The window's monomials and every Gram of it, read from one float array.
 
     Each entry of total degree 2..top (0..top with the constant monomial)
-    is converted to float once, into values[m, n]. The Gram of shift (a, b)
-    pairs s^m1 t^n1 with s^m2 t^n2 through values[m1 + m2 + a, n1 + n2 + b],
-    one fancy-index; a Gram of this Hankel type is symmetric as built.
+    is converted to float once, into values[m, n]; a rational entry as
+    numerator / denominator, the correctly rounded division float() makes.
+    The Gram of shift (a, b) pairs s^m1 t^n1 with s^m2 t^n2 through
+    values[m1 + m2 + a, n1 + n2 + b], one fancy-index; a Gram of this Hankel
+    type is symmetric as built.
     """
     import numpy as np
-    mono = _monomials(d, include_constant)
+    mono, rows, cols = _window(d, include_constant)
+    exact = table.kind == scalars.RATIONAL
     values = np.zeros((top + 1, top + 1))
     for m, n in table_keys(top, 0 if include_constant else 2):
-        values[m, n] = float(table.get(m, n))
-    ms, ns = np.array(mono, dtype=int).reshape(-1, 2).T
-    rows, cols = np.add.outer(ms, ms), np.add.outer(ns, ns)
-    return mono, lambda a=0, b=0: values[rows + a, cols + b]
+        value = table.entries[(m, n)]
+        values[m, n] = value.numerator / value.denominator if exact else value
+    return mono, lambda a=0, b=0: values[a:, b:][rows, cols]
 
 
 @dataclass(frozen=True)
@@ -266,8 +293,7 @@ class BoundednessReport:
 
 def _largest(values: np.ndarray) -> float:
     # the largest |entry|; 0.0 when there is none (no null or no quotient direction)
-    import numpy as np
-    return float(np.max(np.abs(values), initial=0.0))
+    return float(abs(values).max(initial=0.0))
 
 
 def _quotient(gram_of, gram: np.ndarray, d: int, min_eig: float | None = None):
@@ -292,7 +318,7 @@ def _quotient(gram_of, gram: np.ndarray, d: int, min_eig: float | None = None):
     s2 = basis.T @ gram_of(0, 1) @ basis
     s1 = (s1 + s1.T) / 2.0
     s2 = (s2 + s2.T) / 2.0
-    scale = max(1.0, float(np.max(np.abs(g20))), float(np.max(np.abs(g02))))
+    scale = max(1.0, _largest(g20), _largest(g02))
     leak = max(_largest(basis.T @ g20 @ basis - s1 @ s1),
                _largest(basis.T @ g02 @ basis - s2 @ s2),
                _largest(basis.T @ gram_of(1, 1) @ basis - (s1 @ s2 + s2 @ s1) / 2.0))
@@ -393,7 +419,7 @@ def extract_levy_measures(model: FockModel, seed: int = 0) -> LevyHincinData:
         return LevyHincinData(lam1, lam2, empty, empty, empty_signed, scalars.FLOAT)
     t1, t2, fvec, gvec = (np.array(x, dtype=float)
                           for x in (model.t1, model.t2, model.f, model.g))
-    scale = max(1.0, float(np.max(np.abs(t1))), float(np.max(np.abs(t2))))
+    scale = max(1.0, _largest(t1), _largest(t2))
     rng = random.Random(seed)
     basis = None
     for _ in range(5):
@@ -401,8 +427,7 @@ def extract_levy_measures(model: FockModel, seed: int = 0) -> LevyHincinData:
         _, vecs = np.linalg.eigh(t1 + gamma * t2)
         d1 = vecs.T @ t1 @ vecs
         d2 = vecs.T @ t2 @ vecs
-        off = max(float(np.max(np.abs(d1 - np.diag(np.diag(d1))))),
-                  float(np.max(np.abs(d2 - np.diag(np.diag(d2))))))
+        off = max(_largest(d1 - np.diag(np.diag(d1))), _largest(d2 - np.diag(np.diag(d2))))
         if off <= DIAG_RESIDUAL_TOL * scale:
             basis = vecs
             svals, tvals = np.diag(d1), np.diag(d2)

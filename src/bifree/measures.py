@@ -9,9 +9,12 @@ line is a planar measure on one axis: marginals are returned that way.
 Moments are read off cleared data: in rational mode the s-coordinates, the
 t-coordinates and the weights are each put over their common denominator
 (L_s, L_t, L_w) once per measure, so the sum over atoms of W S^m T^n runs
-on Python ints and entry (m, n) is divided back once, by L_w L_s^m L_t^n.
-Float data is not scaled, and each float term is w * s**m * t**n summed in
-atom order.
+on Python ints. One kernel, `moment_rows`, returns these sums unreduced,
+as rows sums[m][n], with the three scales. `moments` and `moment` divide
+each entry back once, by L_w L_s^m L_t^n; `levy_hincin.lh_to_cumulants`
+compares its formulas on the rows themselves, by cross-multiplying. Float
+data is not scaled, and each float term is w * s**m * t**n summed in atom
+order.
 """
 
 from __future__ import annotations
@@ -67,28 +70,36 @@ class DiscretePlanarMeasure:
         scale_w, w = scalars.clear_denominators(w for _, _, w in self.atoms)
         return scale_s, scale_t, scale_w, tuple(zip(s, t, w))
 
-    def _integrate(self, keys, top: int) -> dict:
-        # the moments (m, n) in keys, no index above `top`: each atom's W S^m
-        # and T^n are built once, every key adds one product of them per atom
-        # (in float mode (w * s**m) * t**n, the per-atom formula's order), and
-        # each sum is divided back once by L_w L_s^m L_t^n
+    def moment_rows(self, degree: int, corner: tuple = (0, 0)) -> tuple:
+        """Unreduced moment rows: (L_s, L_t, L_w, sums), the one moment kernel.
+
+        sums[i][j], i + j <= degree, is the sum over atoms of W S^m T^n at
+        (m, n) = corner + (i, j), on Python ints in rational mode; the moment
+        there is sums[i][j] / (L_w L_s^m L_t^n). Rows are plain lists filled
+        atom by atom, so in float mode (scales 1) each sum adds the terms
+        (w * s**m) * t**n in atom order, starting from 0.0.
+        """
         scale_s, scale_t, scale_w, atoms = self._cleared
-        sums = dict.fromkeys(keys, 0 if self.kind == scalars.RATIONAL else 0.0)
+        m0, n0 = corner
+        start = 0 if self.kind == scalars.RATIONAL else 0.0
+        sums = [[start] * (degree - i + 1) for i in range(degree + 1)]
         for s, t, w in atoms:
-            weighted = [w * s**m for m in range(top + 1)]
-            powers = [t**n for n in range(top + 1)]
-            for m, n in keys:
-                sums[(m, n)] = sums[(m, n)] + weighted[m] * powers[n]
-        return {(m, n): scalars.over(sums[(m, n)], scale_w * scale_s**m * scale_t**n, self.kind)
-                for m, n in keys}
+            powers = [t**(n0 + j) for j in range(degree + 1)]
+            for i, row in enumerate(sums):
+                weighted = w * s**(m0 + i)
+                sums[i] = [acc + weighted * power for acc, power in zip(row, powers)]
+        return scale_s, scale_t, scale_w, sums
 
     def moment(self, m: int, n: int):
-        """The integral of s^m t^n; the same kernel as `moments`."""
-        return self._integrate([(m, n)], max(m, n))[(m, n)]
+        """The integral of s^m t^n: the kernel evaluated at that entry alone."""
+        scale_s, scale_t, scale_w, sums = self.moment_rows(0, (m, n))
+        return scalars.over(sums[0][0], scale_w * scale_s**m * scale_t**n, self.kind)
 
     def moments(self, degree: int) -> dict:
         """Every moment of total degree <= degree, keyed (m, n) in table order."""
-        return self._integrate(table_keys(degree, 0), degree)
+        scale_s, scale_t, scale_w, sums = self.moment_rows(degree)
+        return {(m, n): scalars.over(sums[m][n], scale_w * scale_s**m * scale_t**n, self.kind)
+                for m, n in table_keys(degree, 0)}
 
     def total_mass(self):
         return self.moment(0, 0)

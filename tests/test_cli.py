@@ -572,3 +572,25 @@ def test_numpy_is_imported_only_by_the_float_inverse():
     code, out, loaded = report["check_id"]
     assert (code, loaded) == (0, True)
     assert out.encode() == (GOLDEN / "check_id.json").read_bytes()
+
+
+def test_rational_verify_verdicts_are_exact(monkeypatch):
+    # a rational residual of 1e-30 lies far inside --tolerance and prints as
+    # 1e-30, yet fails; float data keeps the tolerance for its 1e-12
+    from bifree import cli
+
+    def shift(table):
+        out = transform(table)
+        entries = dict(out.entries)
+        entries[(1, 1)] += Fraction(1, 10**30) if out.kind == "rational" else 1e-12
+        return type(out)(out.degree, out.kind, entries)
+
+    transform = cli.moments_to_cumulants
+    monkeypatch.setattr(cli, "moments_to_cumulants", shift)
+    for suite in ("chi", "roundtrip"):
+        argv = ["verify", suite, "--measure", str(DATA / "measure.json"), "--degree", "4"]
+        code, out = invoke(argv)
+        assert code == 1 and json.loads(out)["max_residual"] == pytest.approx(1e-30), suite
+        code, out = invoke(argv + ["--kind", "float"])
+        assert code == 0 and 0 < json.loads(out)["max_residual"] < 1e-9, suite
+        assert invoke(argv + ["--kind", "float", "--tolerance", "1e-14"])[0] == 1, suite

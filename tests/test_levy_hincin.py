@@ -1,5 +1,6 @@
 """Levy-Hincin correspondence: validation, gates, GNS round trips."""
 
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -25,9 +26,9 @@ from bifree.measures import (SECOND, DiscretePlanarMeasure, moment_table,
                              point_mass, product_measure)
 from bifree.series import r_transform_series
 
-from conftest import (gram_entry_by_entry, oracle_lh_to_cumulants,
+from conftest import (gram_entry_by_entry, no_fraction_arithmetic, oracle_lh_to_cumulants,
                       random_commuting_model, random_cumulant_table,
-                      random_line_measure, random_moment_table,
+                      random_line_measure, random_moment_table, random_planar_measure,
                       random_validated_lh, window_monomials)
 
 R = scalars.RATIONAL
@@ -157,6 +158,75 @@ def test_lh_to_cumulants_matches_per_atom_formulas(seed, degree):
         assert lh_to_cumulants(data, degree).entries == want
 
 
+UNRELATED = (7, 11, 13, 10**30)
+
+
+def unrelated_scales_lh(seed, denominators):
+    """A consistent triple whose measures clear to unrelated scales.
+
+    The shared atoms sit off the axes, coordinates and rho1 weights over
+    denominators drawn from UNRELATED, rho = t rho1 / s and rho2 = t rho / s.
+    Each measure also holds atoms that only its own formulas read, over its
+    own denominator: rho1 at (u, 0) and the origin, rho2 at (0, u) and the
+    origin, rho at the origin. Returns the triple and its shared atom count.
+    """
+    rng = random.Random(seed)
+    pick = lambda den: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), den)
+    shared = {(pick(rng.choice(UNRELATED)), pick(rng.choice(UNRELATED)))
+              for _ in range(rng.randint(1, 3))}
+    atoms1, atoms2, atoms = [], [], []
+    for s, t in sorted(shared):
+        a = abs(pick(rng.choice(UNRELATED)))
+        c = t * a / s
+        atoms1.append((s, t, a))
+        atoms.append((s, t, c))
+        atoms2.append((s, t, t * c / s))
+    own1, own2, own = denominators
+    extra1 = [(pick(own1), 0, abs(pick(own1))), (0, 0, abs(pick(own1)))]
+    extra2 = [(0, pick(own2), abs(pick(own2))), (0, 0, abs(pick(own2)))]
+    data = LevyHincinData(pick(own1), pick(own2),
+                          DiscretePlanarMeasure.from_atoms(atoms1 + extra1),
+                          DiscretePlanarMeasure.from_atoms(atoms2 + extra2),
+                          DiscretePlanarMeasure.from_atoms(atoms + [(0, 0, pick(own))],
+                                                           signed=True))
+    return data, len(shared)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.permutations(UNRELATED), st.integers(3, 8),
+       st.sampled_from(("rho1", "rho2", "rho")), st.integers(0, 2))
+def test_unreduced_comparison_across_unrelated_scales(seed, dens, degree, name, index):
+    # the rows of each measure sit over their own L_w L_s^m L_t^n; consistent
+    # triples give the per-atom entries, and 1/10^30 on one shared weight
+    # breaks a mixed entry with the per-atom formulas' exact message
+    data, count = unrelated_scales_lh(seed, dens[:3])
+    assert lh_to_cumulants(data, degree).entries == oracle_lh_to_cumulants(data, degree)
+    mu = getattr(data, name)
+    s, t, _ = [a for a in mu.atoms if a[0] and a[1]][index % count]
+    moved = [(a, b, v + Fraction(1, 10**30)) if (a, b) == (s, t) else (a, b, v)
+             for a, b, v in mu.atoms]
+    broken = replace(data, **{name: DiscretePlanarMeasure.from_atoms(moved, mu.signed)})
+    want = oracle_lh_to_cumulants(broken, degree)
+    assert isinstance(want, str)
+    with pytest.raises(InconsistentDataError) as raised:
+        lh_to_cumulants(broken, degree)
+    assert str(raised.value) == want
+
+
+def test_rational_lh_to_cumulants_makes_no_fraction_arithmetic():
+    # fresh measures clear their data inside the block; each entry is one
+    # Fraction made from its numerator and denominator
+    data, _ = unrelated_scales_lh(5, (13, 10**30, 7))
+    scales = {mu._cleared[:3] for mu in (data.rho1, data.rho2, data.rho)}
+    assert len(scales) == 3
+    want = oracle_lh_to_cumulants(data, 8)
+    renew = lambda mu: DiscretePlanarMeasure(mu.atoms, mu.signed, mu.kind)
+    fresh = replace(data, rho1=renew(data.rho1), rho2=renew(data.rho2), rho=renew(data.rho))
+    with no_fraction_arithmetic():
+        got = lh_to_cumulants(fresh, 8)
+    assert got.entries == want
+
+
 def float_lh(rho1_weight, rho2_weight, rho_weight):
     atom = lambda w, signed=False: DiscretePlanarMeasure.from_atoms(
         [(1.0, 1.0, w)], signed=signed, kind=scalars.FLOAT)
@@ -201,10 +271,27 @@ def test_gram_source_equals_entry_by_entry_grams(rng, include_constant):
         table = make(rng, 8)
         for d in range(4):
             mono, gram_of = levy_hincin._gram_source(table, d, 2 * d + 2, include_constant)
-            assert mono == window_monomials(d, include_constant)
+            assert mono == tuple(window_monomials(d, include_constant))
             for shift in SHIFTS:
                 want = gram_entry_by_entry(table.get, mono, shift)
                 assert np.array_equal(gram_of(*shift), want), (d, shift)
+
+
+def test_gram_window_is_shared_read_only_and_converts_like_float():
+    # the monomials and index arrays are made once per (d, constant) and
+    # cannot be written; entries far past the float grid convert as float()
+    first, second = levy_hincin._window(3, False), levy_hincin._window(3, False)
+    assert first is second and isinstance(first[0], tuple)
+    for array in first[1:]:
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+    rng = random.Random(11)
+    entries = {(m, t - m): Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**35))
+               for t in range(1, 9) for m in range(t + 1)}
+    table = CumulantTable(8, R, entries)
+    mono, gram_of = levy_hincin._gram_source(table, 3, 8)
+    for shift in SHIFTS:
+        assert np.array_equal(gram_of(*shift), gram_entry_by_entry(table.get, mono, shift))
 
 
 def test_gns_builds_one_gram_source_and_one_quotient(rng, monkeypatch):
@@ -535,3 +622,44 @@ def test_gates_report_window():
     cum = bifree_poisson(1, 1, 1, 8)
     assert check_cpsd(cum, 2).degree_window == 2
     assert check_cond_bounded(cum, 3).degree_window == 3
+
+
+def float_inverse_outputs():
+    """float.hex of every float the inverse direction gives on 12 seeded triples.
+
+    Per triple: the check_cpsd and check_cond_bounded reports, the
+    gns_reconstruct model, the extracted triple and its float
+    lh_to_cumulants table; and check_moment_2sequence on a random measure.
+    """
+    lines = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        data = random_validated_lh(rng, 1 + seed % 4)
+        table = lh_to_cumulants(data, 8)
+        cpsd, bounded = check_cpsd(table, 3), check_cond_bounded(table, 3)
+        moments = check_moment_2sequence(moment_table(random_planar_measure(rng, 3), 8), 3)
+        model = gns_reconstruct(table, 3)
+        recovered = extract_levy_measures(model, seed)
+        rebuilt = lh_to_cumulants(recovered, 8)
+        lines.append(f"{cpsd.ok} {bounded.ok} {moments.ok} {model.dim}")
+        for values in ([cpsd.min_eigenvalue],
+                       [bounded.witness, bounded.null_shift_residual, bounded.invariance_residual],
+                       [moments.witness, moments.null_shift_residual, moments.invariance_residual],
+                       model.f, model.g, [x for row in model.t1 for x in row],
+                       [x for row in model.t2 for x in row], [model.lambda1, model.lambda2],
+                       [recovered.kappa10, recovered.kappa01],
+                       [x for mu in (recovered.rho1, recovered.rho2, recovered.rho)
+                        for atom in mu.atoms for x in atom],
+                       rebuilt.entries.values()):
+            lines.append(" ".join(float.hex(v) for v in values))
+    return lines
+
+
+# SHA-256 of float_inverse_outputs() before the float Gram pipeline was
+# trimmed; every change there keeps each operation, so not one bit may move
+FLOAT_INVERSE_SHA256 = "ee35da7e56f23a7062b3bad0161a91aaa7f27747c5e0014c9eaffb4593b48d38"
+
+
+def test_float_inverse_outputs_are_unchanged_bit_for_bit():
+    digest = hashlib.sha256("\n".join(float_inverse_outputs()).encode()).hexdigest()
+    assert digest == FLOAT_INVERSE_SHA256
