@@ -32,6 +32,5 @@ from .measures import (DiscretePlanarMeasure, marginal, moment_table,
 from .partitions import (ChiMap, Partition, catalan, enumerate_bnc,
                          enumerate_nc, is_noncrossing, mobius_nc, mobius_top,
                          sigma_chi)
-from .series import BivariateSeries, r_transform_series
 
 __version__ = "0.1.0"

@@ -184,8 +184,8 @@ def _verify_payload(args):
     # (payload, kind): max_residual is exact, a Fraction for rational data
     if args.suite in ("voiculescu", "chi", "roundtrip"):
         if getattr(args, "model", None):  # only voiculescu takes --model
-            table = moment_table_from_model(FockModel.from_jsonable(_load(args.model)),
-                                            args.degree)
+            model = FockModel.from_jsonable(_load(args.model), args.kind)
+            table = moment_table_from_model(model, args.degree)
         else:
             mu = DiscretePlanarMeasure.from_jsonable(_load(args.measure), args.kind)
             table = moment_table(mu, args.degree)

@@ -88,10 +88,9 @@ class FockModel:
         for name, t in (("T1", t1), ("T2", t2)):
             if len(t) != dim or any(len(row) != dim for row in t):
                 raise ShapeError(f"{name} must be {dim}x{dim}")
-            tol = 0.0 if kind == scalars.RATIONAL else 1e-12
             for i in range(dim):
                 for j in range(i + 1, dim):
-                    if not scalars.close(t[i][j], t[j][i], kind, tol):
+                    if not scalars.close(t[i][j], t[j][i], kind, 1e-12):
                         raise ShapeError(f"{name} is not symmetric")
         return cls(dim, f, g, t1, t2, scalars.coerce(lambda1, kind),
                    scalars.coerce(lambda2, kind), kind)

@@ -3,11 +3,13 @@
 Forward direction: a triple (rho1, rho2, rho) of atomic planar measures
 with t d(rho1) = s d(rho) and s d(rho2) = t d(rho) determines every
 cumulant of order >= 2 by integration; first-order cumulants ride along
-separately. Validation and the transform series are evaluated atom by
-atom. lh_to_cumulants reads the three measures' unreduced moment rows
+separately. Validation is evaluated atom by atom. lh_to_cumulants reads
+the three measures' unreduced moment rows
 (`DiscretePlanarMeasure.moment_rows`) and compares the formulas for each
 entry on them: exactly, num1 * den2 == num2 * den1, in rational mode, so
-only the entry it keeps becomes a Fraction.
+only the entry it keeps becomes a Fraction. The coefficients of the
+two-variable R-transform are the cumulants, so r_transform_from_lh returns
+that CumulantTable.
 
 Inverse direction: a GNS quotient built from the cumulant Gram form gives
 a finite-dimensional operator model, and simultaneous diagonalization of
@@ -30,30 +32,30 @@ check_moment_2sequence; Gram eigenvalues <= NULL_SPACE_TOL (absolute) are
 null directions; NULL_SHIFT_TOL bounds the shifted Grams on the null
 directions and LEAK_TOL what escapes the quotient, both times scale;
 DIAG_RESIDUAL_TOL bounds the off-diagonal residual of the joint
-diagonalization times max(1, |T1|, |T2|); the `tol` of lh_to_cumulants
-bounds how far its formulas for one entry disagree, times max(1, |entry|)
-in float mode and exact in rational mode.
+diagonalization times max(1, |T1|, |T2|); FORMULA_TOL bounds how far
+lh_to_cumulants' formulas for one entry disagree, times max(1, |entry|)
+in float mode (rational mode compares exactly).
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import scalars
 from .cumulants import CumulantTable, MomentTable, table_keys
 from .errors import (CommutationError, DegreeError, InconsistentDataError,
                      RealizabilityError)
-from .fock import FockModel, check_commutation, model_cumulants
+from .fock import FockModel, check_commutation
 from .measures import DiscretePlanarMeasure
-from .series import BivariateSeries, r_transform_series
 
 PSD_TOL = -1e-9
 NULL_SPACE_TOL = 1e-10
 NULL_SHIFT_TOL = 1e-8
 LEAK_TOL = 1e-8
 DIAG_RESIDUAL_TOL = 1e-8
+FORMULA_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -103,14 +105,7 @@ class LhValidation:
                 and self.atom_inequality_ok and self.positivity_ok)
 
     def to_jsonable(self) -> dict:
-        return {
-            "relation_rho1_ok": self.relation_rho1_ok,
-            "relation_rho2_ok": self.relation_rho2_ok,
-            "atom_inequality_ok": self.atom_inequality_ok,
-            "positivity_ok": self.positivity_ok,
-            "max_relation_residual": self.max_relation_residual,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def validate_lh(data: LevyHincinData, tol: float = 1e-10) -> LhValidation:
@@ -144,15 +139,14 @@ def validate_lh(data: LevyHincinData, tol: float = 1e-10) -> LhValidation:
     return LhValidation(rel1_ok, rel2_ok, atom_ok, positive, worst)
 
 
-def lh_to_cumulants(data: LevyHincinData, degree: int,
-                    tol: float = 1e-10) -> CumulantTable:
+def lh_to_cumulants(data: LevyHincinData, degree: int) -> CumulantTable:
     """Cumulants from the Levy-Hincin triple.
 
     kappa_{m,n} integrates s^(m-2) t^n against rho1 when m >= 2,
     s^m t^(n-2) against rho2 when n >= 2, and s^(m-1) t^(n-1) against rho
     when m, n >= 1. Where several formulas apply they must agree; the
     measure relations guarantee it, and a disagreement raises naming the
-    index. Float mode allows `tol` times max(1, |entry|).
+    index. Float mode allows FORMULA_TOL times max(1, |entry|).
     """
     kind = data.kind
     exact = kind == scalars.RATIONAL
@@ -179,7 +173,7 @@ def lh_to_cumulants(data: LevyHincinData, degree: int,
             # rationals compare exactly, num / den = other / other_den across
             # positive denominators; float entries reach the hundreds, so the
             # float bound scales with them
-            bound = None if exact else tol * max(1.0, abs(num))
+            bound = None if exact else FORMULA_TOL * max(1.0, abs(num))
             for other, other_den in candidates[1:]:
                 if not (other * den == num * other_den if exact else abs(other - num) <= bound):
                     raise InconsistentDataError(
@@ -234,8 +228,7 @@ class CpsdReport:
     degree_window: int
 
     def to_jsonable(self):
-        return {"ok": self.ok, "min_eigenvalue": self.min_eigenvalue,
-                "degree_window": self.degree_window}
+        return asdict(self)
 
 
 def _check_window(table, d: int, need: int, smallest: int = 1) -> None:
@@ -285,10 +278,7 @@ class BoundednessReport:
     degree_window: int
 
     def to_jsonable(self):
-        return {"ok": self.ok, "witness": self.witness,
-                "null_shift_residual": self.null_shift_residual,
-                "invariance_residual": self.invariance_residual,
-                "degree_window": self.degree_window}
+        return asdict(self)
 
 
 def _largest(values: np.ndarray) -> float:
@@ -454,16 +444,16 @@ def extract_levy_measures(model: FockModel, seed: int = 0) -> LevyHincinData:
         scalars.FLOAT)
 
 
-def r_transform_from_lh(data: LevyHincinData, degree: int) -> BivariateSeries:
-    """Transform series of the triple, expanded to total degree `degree`.
+def r_transform_from_lh(data: LevyHincinData, degree: int) -> CumulantTable:
+    """The R-transform of the triple to total degree `degree`, as its cumulants.
 
-    The coefficients are the cumulants: z R_1(z) is the pure-z row (rho1
-    moments), w R_2(w) the pure-w column (rho2), and the mixed kernel
-    zw/((1-zs)(1-wt)) integrated against rho fills the interior. So the
-    series is r_transform_series(lh_to_cumulants(data, degree)), after the
-    triple passes validate_lh.
+    The coefficients of R(z, w) are the cumulants: z R_1(z) is the pure-z
+    row (rho1 moments), w R_2(w) the pure-w column (rho2), and the mixed
+    kernel zw/((1-zs)(1-wt)) integrated against rho fills the interior. So
+    it is lh_to_cumulants(data, degree), after the triple passes
+    validate_lh; coefficient (m, n) is the table's entry (m, n).
     """
     check = validate_lh(data)
     if not check.ok:
         raise RealizabilityError(f"triple fails validation: {check}")
-    return r_transform_series(lh_to_cumulants(data, degree))
+    return lh_to_cumulants(data, degree)

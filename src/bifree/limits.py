@@ -13,7 +13,7 @@ from .convolution import semigroup_scale
 from .cumulants import (CumulantTable, cumulants_to_moments, moments_to_cumulants,
                         table_keys)
 from .errors import RealizabilityError
-from .measures import DiscretePlanarMeasure, moment_table
+from .measures import DiscretePlanarMeasure, moment_table, point_mass
 
 
 def bifree_gaussian(s1, s2, c, degree: int, kind: str = scalars.RATIONAL) -> CumulantTable:
@@ -62,18 +62,7 @@ def compound_bifree_poisson(rate, jump: DiscretePlanarMeasure, degree: int) -> C
 
 def poisson_family(rate, alpha, beta, kind: str = scalars.RATIONAL):
     """The triangular family (1 - rate/N) delta_(0,0) + (rate/N) delta_(alpha,beta)."""
-    rate = scalars.coerce(rate, kind)
-    alpha = scalars.coerce(alpha, kind)
-    beta = scalars.coerce(beta, kind)
-    one = scalars.one(kind)
-
-    def family(n_rows: int) -> DiscretePlanarMeasure:
-        p = rate / scalars.coerce(n_rows, kind)
-        return DiscretePlanarMeasure.from_atoms(
-            [(scalars.zero(kind), scalars.zero(kind), one - p), (alpha, beta, p)],
-            kind=kind)
-
-    return family
+    return compound_family(rate, point_mass(alpha, beta, kind))
 
 
 def compound_family(rate, jump: DiscretePlanarMeasure):

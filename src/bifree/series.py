@@ -3,7 +3,9 @@
 A two-variable series truncated at total degree D is a row list r with
 r[m][n] the coefficient of z^m w^n, m + n <= D, so row m holds D - m + 1
 entries; a one-variable series is a coefficient sequence c_0..c_D. Every
-step is coefficient-level: no analytic questions are asked.
+step is coefficient-level: no analytic questions are asked. Row lists are
+internal: the coefficients of the R-transform are the cumulants, so the
+public form of that series is the CumulantTable itself.
 
 The moment-cumulant transforms of a commuting pair (rational data) run
 through the two-variable partial R-transform (Voiculescu, Free probability
@@ -38,11 +40,10 @@ steps on floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 
 from . import scalars
-from .errors import DegreeError, SingularSeriesError
+from .errors import SingularSeriesError
 
 
 # The cores below run on any one number type. The integers 0 and 1 serve as
@@ -276,46 +277,3 @@ def residual(moments: dict, kappa: dict, scale: int, degree: int, kind: str):
                 worst = diff
     return worst
 
-
-@dataclass
-class BivariateSeries:
-    """Coefficients on (m, n) with m + n <= degree."""
-
-    degree: int
-    kind: str
-    coeffs: dict = field(repr=False)
-
-    def __post_init__(self):
-        scalars.check_kind(self.kind)
-        self.coeffs = {k: scalars.coerce(v, self.kind) for k, v in self.coeffs.items()}
-        for (m, n) in self.coeffs:
-            if m < 0 or n < 0 or m + n > self.degree:
-                raise ValueError(f"index ({m}, {n}) outside degree bound {self.degree}")
-
-    def get(self, m: int, n: int):
-        return self.coeffs.get((m, n), scalars.zero(self.kind))
-
-    def to_jsonable(self) -> dict:
-        items = sorted((k, v) for k, v in self.coeffs.items() if k != (0, 0))
-        return {
-            "degree": self.degree,
-            "kind": self.kind,
-            "constant": scalars.to_jsonable(self.get(0, 0), self.kind),
-            "entries": [[m, n, scalars.to_jsonable(v, self.kind)] for (m, n), v in items],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data) -> "BivariateSeries":
-        kind = scalars.check_kind(data["kind"])
-        coeffs = {(m, n): scalars.from_jsonable(v, kind) for m, n, v in data["entries"]}
-        coeffs[(0, 0)] = scalars.from_jsonable(data.get("constant", 0), kind)
-        return cls(int(data["degree"]), kind, coeffs)
-
-
-def r_transform_series(table, degree: int | None = None) -> BivariateSeries:
-    """The two-variable cumulant generating series of a CumulantTable, zero constant term."""
-    degree = table.degree if degree is None else degree
-    if degree > table.degree:
-        raise DegreeError("requested degree exceeds table degree")
-    coeffs = {(m, n): v for (m, n), v in table.entries.items() if m + n <= degree}
-    return BivariateSeries(degree, table.kind, coeffs)

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from bifree.cli import build_parser, run
+import bifree
+from bifree.cli import _verify_payload, build_parser, run
 from bifree.cumulants import CumulantTable, MomentTable
 from bifree.fock import FockModel
 from bifree.levy_hincin import LevyHincinData
@@ -594,3 +595,40 @@ def test_rational_verify_verdicts_are_exact(monkeypatch):
         code, out = invoke(argv + ["--kind", "float"])
         assert code == 0 and 0 < json.loads(out)["max_residual"] < 1e-9, suite
         assert invoke(argv + ["--kind", "float", "--tolerance", "1e-14"])[0] == 1, suite
+
+
+def test_verify_model_is_read_in_the_kind_flag():
+    # --kind reads a model file as it reads a measure file: the strings of
+    # model_gaussian.json give floats, and the float identity leaves a residual
+    argv = ["verify", "voiculescu", "--model", str(DATA / "model_gaussian.json"), "--degree", "6"]
+    for kind in ("rational", "float"):
+        payload, found = _verify_payload(build_parser().parse_args(argv + ["--kind", kind]))
+        assert found == kind
+        assert (payload["max_residual"] == 0) == (kind == "rational")
+        assert 0 <= payload["max_residual"] < 1e-12
+
+
+# What the package exports; perfbench reaches the program through these names
+PUBLIC_NAMES = {
+    "BifreeError", "BoundednessReport", "ChiMap", "CommutationError", "CpsdReport",
+    "CumulantTable", "DegreeError", "DiscretePlanarMeasure", "FockModel",
+    "InconsistentDataError", "LevyHincinData", "LhValidation", "MomentTable", "OrderError",
+    "Partition", "RealizabilityError", "ShapeError", "SingularSeriesError", "SizeLimitError",
+    "UncertifiedScaleWarning", "UnsupportedMeasureError", "amplify", "bifree_convolve",
+    "bifree_gaussian", "bifree_poisson", "catalan", "check_commutation", "check_cond_bounded",
+    "check_cpsd", "check_moment_2sequence", "compound_bifree_poisson", "compound_family",
+    "cumulant_seq_to_moment_seq", "cumulants_to_moments", "enumerate_bnc", "enumerate_nc",
+    "extract_levy_measures", "free_convolve_marginal", "gns_reconstruct", "is_noncrossing",
+    "levy_marginal_model", "lh_to_cumulants", "marginal", "mobius_cumulant", "mobius_nc",
+    "mobius_top", "model_cumulants", "moment_seq_to_cumulant_seq", "moment_table",
+    "moment_table_from_model", "moments_to_cumulants", "point_mass", "poisson_family",
+    "product_measure", "r_transform_from_lh", "row_sum_moments", "semigroup_scale", "sigma_chi",
+    "triangular_limit_estimate", "vacuum_moment", "validate_lh", "verify_voiculescu_identity",
+    "zero_cumulants",
+}
+
+
+def test_public_names_are_pinned():
+    exported = {name for name, value in vars(bifree).items()
+                if not name.startswith("_") and not isinstance(value, type(bifree))}
+    assert exported == PUBLIC_NAMES

@@ -225,6 +225,9 @@ def test_one_variable_transforms_are_the_first_column(degree, seed):
     cumulants = moments_to_cumulants(moments)
     assert moment_seq_to_cumulant_seq(seq, scalars.RATIONAL) \
         == [cumulants.get(j, 0) for j in range(1, degree + 1)]
+    seq = [moments.get(0, j) for j in range(degree + 1)]
+    assert moment_seq_to_cumulant_seq(seq, scalars.RATIONAL) \
+        == [cumulants.get(0, j) for j in range(1, degree + 1)]
     kappa = random_cumulant_table(rng, degree)
     back = cumulants_to_moments(kappa)
     assert cumulant_seq_to_moment_seq([kappa.get(j, 0) for j in range(1, degree + 1)],

@@ -1,5 +1,7 @@
 """Example distributions and the triangular limit theorem at desk scale."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,9 @@ def test_gaussian_constructor_entries():
     uncorrelated = bifree_gaussian(1, 1, 0, 4)
     assert uncorrelated.get(1, 1) == 0
 
+    distinct = bifree_gaussian(2, 3, 1, 4)
+    assert distinct.get(2, 0) == 2 and distinct.get(0, 2) == 3 and distinct.get(1, 1) == 1
+
     boundary = bifree_gaussian(1, 4, 2, 4)  # |c| = sqrt(s1 s2)
     assert boundary.get(1, 1) == 2
     with pytest.raises(RealizabilityError):
@@ -36,6 +41,10 @@ def test_gaussian_constructor_entries():
 def test_poisson_constructor_entries():
     table = bifree_poisson(1, 1, 1, 4)
     assert all(v == 1 for v in table.entries.values())
+
+    lam, a, b = Fraction(2), Fraction(1, 2), Fraction(3)
+    for (m, n), value in bifree_poisson(lam, a, b, 4).entries.items():
+        assert value == lam * a**m * b**n
 
     marginal_only = bifree_poisson(Fraction(3), Fraction(1, 2), 0, 4)
     for (m, n), value in marginal_only.entries.items():
@@ -147,3 +156,41 @@ def test_family_single_row_cumulants_approach_limit():
         errors.append(max(abs(float(n_rows * cum.get(m, n) - value))
                           for (m, n), value in target.entries.items()))
     assert 8 <= errors[0] / errors[1] <= 12
+
+
+def family_outputs():
+    """Row sums and limit estimates of seeded Poisson and compound families.
+
+    Float values print as float.hex and rational ones as p/q strings. The
+    parameters have denominators 3, 5 and 7, so the float runs round.
+    """
+    lines = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        rate, alpha, beta, s, t = (Fraction(rng.randint(-9, 9) or 1, rng.choice((3, 5, 7)))
+                                   for _ in range(5))
+        rate, weight = abs(rate), Fraction(rng.randint(1, 6), 7)
+        for kind, cast in ((scalars.FLOAT, float), (scalars.RATIONAL, Fraction)):
+            jump = DiscretePlanarMeasure.from_atoms(
+                [(cast(alpha), cast(beta), cast(weight)), (cast(s), cast(t), cast(1 - weight))],
+                kind=kind)
+            text = float.hex if kind == scalars.FLOAT else str
+            for family in (poisson_family(cast(rate), cast(alpha), cast(beta), kind),
+                           compound_family(cast(rate), jump)):
+                for n_rows in (10, 100, 1000):
+                    values = row_sum_moments(family, n_rows, 4).entries.values()
+                    lines.append(" ".join(map(text, values)))
+                for m, n in ((1, 0), (1, 1), (2, 3)):
+                    values = triangular_limit_estimate(family, m, n, [10, 100, 1000])
+                    lines.append(" ".join(map(text, values)))
+    return lines
+
+
+# SHA-256 of family_outputs() with poisson_family building its own two atoms;
+# as a compound family over a point mass it must give the same bits
+FAMILY_OUTPUTS_SHA256 = "2db1f120ee1ecbf75d1602889afaad129de84523be5c7e24dd312d17c71b56a9"
+
+
+def test_family_outputs_are_unchanged_bit_for_bit():
+    digest = hashlib.sha256("\n".join(family_outputs()).encode()).hexdigest()
+    assert digest == FAMILY_OUTPUTS_SHA256

@@ -8,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifree import scalars
-from bifree.cumulants import (CumulantTable, MomentTable, graded_solve, moments_to_cumulants,
-                              table_keys, verify_voiculescu_identity)
+from bifree.cumulants import (CumulantTable, MomentTable, graded_solve, table_keys,
+                              verify_voiculescu_identity)
 from bifree.errors import DegreeError, SingularSeriesError
 from bifree.fock import FockModel, moment_table_from_model
-from bifree.limits import bifree_gaussian, bifree_poisson
 from bifree.measures import moment_table, point_mass, product_measure
 from bifree.measures import SECOND
-from bifree.series import (BivariateSeries, _compose, _powers, _reciprocal, _rows,
-                           _separable_product, r_transform_series, residual)
+from bifree.series import _compose, _powers, _reciprocal, _rows, _separable_product, residual
 
 from conftest import (oracle_compose, oracle_multiply, oracle_reciprocal,
                       random_commuting_model, random_line_measure, random_moment_table,
@@ -138,43 +136,6 @@ def test_compose_matches_the_oracle(degree, seed):
     assert compose_rows(series, u, v, degree) == nonzero(oracle_compose(series, u, v, degree))
 
 
-def test_r_transform_of_constructors():
-    gauss = r_transform_series(bifree_gaussian(2, 3, 1, 4))
-    assert gauss.get(2, 0) == 2 and gauss.get(0, 2) == 3 and gauss.get(1, 1) == 1
-    assert gauss.get(0, 0) == 0 and gauss.get(3, 0) == 0
-
-    lam, a, b = Fraction(2), Fraction(1, 2), Fraction(3)
-    pois = r_transform_series(bifree_poisson(lam, a, b, 4))
-    for total in range(1, 5):
-        for m in range(total + 1):
-            assert pois.get(m, total - m) == lam * a**m * b**(total - m)
-
-
-def test_r_transform_is_linear(rng):
-    from conftest import random_cumulant_table
-    k1 = random_cumulant_table(rng, 4)
-    k2 = random_cumulant_table(rng, 4)
-    from bifree.convolution import bifree_convolve
-    summed = r_transform_series(bifree_convolve(k1, k2))
-    for key in summed.coeffs:
-        assert summed.coeffs[key] == r_transform_series(k1).get(*key) \
-            + r_transform_series(k2).get(*key)
-
-
-def test_r_transform_marginal_rows(rng):
-    table = random_moment_table(rng, 5)
-    cum = moments_to_cumulants(table)
-    series = r_transform_series(cum)
-    # row (m, 0) carries the one-variable cumulants of the first face
-    from bifree.cumulants import moment_seq_to_cumulant_seq
-    seq = [table.get(m, 0) for m in range(6)]
-    uni = moment_seq_to_cumulant_seq(seq, R)
-    for m in range(1, 6):
-        assert series.get(m, 0) == uni[m - 1]
-        assert series.get(0, m) == moment_seq_to_cumulant_seq(
-            [table.get(0, n) for n in range(6)], R)[m - 1]
-
-
 def test_voiculescu_point_mass():
     assert verify_voiculescu_identity(moment_table(point_mass(Fraction(2), Fraction(-3)), 6)) == 0
 
@@ -217,16 +178,6 @@ def test_voiculescu_requires_unit_constant():
         verify_voiculescu_identity(MomentTable(2, R, entries))
     with pytest.raises(DegreeError):
         verify_voiculescu_identity(moment_table(point_mass(1, 1), 1))
-
-
-def test_series_json_round_trip(rng):
-    series = r_transform_series(bifree_poisson(1, 2, 3, 4))
-    again = BivariateSeries.from_jsonable(series.to_jsonable())
-    assert again.degree == series.degree
-    for total in range(5):
-        for m in range(total + 1):
-            assert again.get(m, total - m) == series.get(m, total - m)
-
 
 def slow_residual(moments, kappa):
     """The identity's residual from the dict oracle on the unscaled tables."""
