@@ -4,6 +4,10 @@ Every subcommand reads JSON from file arguments (or "-" for stdin) and
 writes a single JSON document to stdout. Output is byte-deterministic for
 fixed inputs and flags; randomized steps take --seed. Exit codes: 0 for
 success or a true verdict, 1 for a false verdict, 2 for input errors.
+
+Each handler imports the modules it calls, so a call loads only what its
+command reads: `moments` never loads the Fock or Levy-Hincin layers, and
+only `check-id`, `gns` and `extract` load numpy.
 """
 
 from __future__ import annotations
@@ -13,19 +17,7 @@ import json
 import sys
 
 from . import scalars
-from .convolution import bifree_convolve, free_convolve_marginal, semigroup_scale
-from .cumulants import (CumulantTable, MomentTable, cumulants_to_moments,
-                        mobius_cumulant, moments_to_cumulants, table_keys,
-                        verify_voiculescu_identity)
 from .errors import BifreeError
-from .fock import FockModel, moment_table_from_model, vacuum_moment
-from .levy_hincin import (LevyHincinData, check_cond_bounded, check_cpsd,
-                          extract_levy_measures, gns_reconstruct,
-                          lh_to_cumulants, validate_lh)
-from .limits import (bifree_gaussian, bifree_poisson, compound_bifree_poisson,
-                     poisson_family, row_sum_moments, triangular_limit_estimate)
-from .measures import DiscretePlanarMeasure, moment_table
-from .partitions import ChiMap, enumerate_bnc, enumerate_nc
 
 
 def _load(path: str) -> dict:
@@ -71,6 +63,7 @@ def _gram_window(args, table) -> int:
 
 
 def cmd_partitions(args) -> int:
+    from .partitions import ChiMap, enumerate_bnc, enumerate_nc
     if args.chi is not None:
         chi = ChiMap.from_string(args.chi)
         pairs = enumerate_bnc(chi)
@@ -88,18 +81,22 @@ def cmd_partitions(args) -> int:
 
 
 def cmd_cumulants(args) -> int:
+    from .cumulants import MomentTable, moments_to_cumulants
     table = MomentTable.from_jsonable(_load(args.table))
     _emit(moments_to_cumulants(table).to_jsonable())
     return 0
 
 
 def cmd_moments(args) -> int:
+    from .cumulants import CumulantTable, cumulants_to_moments
     table = CumulantTable.from_jsonable(_load(args.table))
     _emit(cumulants_to_moments(table).to_jsonable())
     return 0
 
 
 def cmd_convolve(args) -> int:
+    from .convolution import bifree_convolve
+    from .cumulants import CumulantTable
     k1 = CumulantTable.from_jsonable(_load(args.left))
     k2 = CumulantTable.from_jsonable(_load(args.right))
     _emit(bifree_convolve(k1, k2).to_jsonable())
@@ -107,6 +104,8 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_semigroup(args) -> int:
+    from .convolution import semigroup_scale
+    from .cumulants import CumulantTable
     table = CumulantTable.from_jsonable(_load(args.table))
     t = scalars.coerce(args.t, table.kind)
     _emit(semigroup_scale(table, t, assume_divisible=args.assume_divisible).to_jsonable())
@@ -114,6 +113,8 @@ def cmd_semigroup(args) -> int:
 
 
 def cmd_make(args) -> int:
+    from .limits import bifree_gaussian, bifree_poisson, compound_bifree_poisson
+    from .measures import DiscretePlanarMeasure
     kind = args.kind
     conv = lambda text: scalars.coerce(text, kind)
     if args.distribution == "gaussian":
@@ -130,12 +131,14 @@ def cmd_make(args) -> int:
 
 
 def cmd_lh_cumulants(args) -> int:
+    from .levy_hincin import LevyHincinData, lh_to_cumulants
     data = LevyHincinData.from_jsonable(_load(args.data))
     _emit(lh_to_cumulants(data, args.degree).to_jsonable())
     return 0
 
 
 def cmd_lh_validate(args) -> int:
+    from .levy_hincin import LevyHincinData, validate_lh
     data = LevyHincinData.from_jsonable(_load(args.data))
     report = validate_lh(data, args.tolerance)
     _emit(report.to_jsonable())
@@ -143,6 +146,8 @@ def cmd_lh_validate(args) -> int:
 
 
 def cmd_check_id(args) -> int:
+    from .cumulants import CumulantTable
+    from .levy_hincin import check_cond_bounded, check_cpsd
     table = CumulantTable.from_jsonable(_load(args.table))
     d = _gram_window(args, table)
     cpsd = check_cpsd(table, d)
@@ -153,18 +158,23 @@ def cmd_check_id(args) -> int:
 
 
 def cmd_gns(args) -> int:
+    from .cumulants import CumulantTable
+    from .levy_hincin import gns_reconstruct
     table = CumulantTable.from_jsonable(_load(args.table))
     _emit(gns_reconstruct(table, _gram_window(args, table)).to_jsonable())
     return 0
 
 
 def cmd_extract(args) -> int:
+    from .fock import FockModel
+    from .levy_hincin import extract_levy_measures
     model = FockModel.from_jsonable(_load(args.model))
     _emit(extract_levy_measures(model, seed=args.seed).to_jsonable())
     return 0
 
 
 def cmd_fock_moments(args) -> int:
+    from .fock import FockModel, moment_table_from_model, vacuum_moment
     if (args.m is None) != (args.n is None):
         raise ValueError("--m and --n go together: both for one moment, neither for the table")
     if args.m is not None and args.degree is not None:
@@ -184,15 +194,19 @@ def _verify_payload(args):
     # (payload, kind): max_residual is exact, a Fraction for rational data
     if args.suite in ("voiculescu", "chi", "roundtrip"):
         if getattr(args, "model", None):  # only voiculescu takes --model
+            from .fock import FockModel, moment_table_from_model
             model = FockModel.from_jsonable(_load(args.model), args.kind)
             table = moment_table_from_model(model, args.degree)
         else:
+            from .measures import DiscretePlanarMeasure, moment_table
             mu = DiscretePlanarMeasure.from_jsonable(_load(args.measure), args.kind)
             table = moment_table(mu, args.degree)
     if args.suite == "voiculescu":
+        from .cumulants import verify_voiculescu_identity
         return {"suite": "voiculescu", "max_residual": verify_voiculescu_identity(table)}, \
             table.kind
     if args.suite == "chi":
+        from .cumulants import mobius_cumulant, moments_to_cumulants, table_keys
         # the literal Mobius sum against the closed-form transform (for float
         # data, the first-block recursion)
         kappa = moments_to_cumulants(table)
@@ -200,10 +214,14 @@ def _verify_payload(args):
                     for m, n in table_keys(args.degree, 1))
         return {"suite": "chi", "max_residual": worst}, table.kind
     if args.suite == "roundtrip":
+        from .cumulants import cumulants_to_moments, moments_to_cumulants
         back = cumulants_to_moments(moments_to_cumulants(table))
         worst = max(abs(back.get(m, n) - table.get(m, n)) for (m, n) in table.entries)
         return {"suite": "roundtrip", "max_residual": worst}, table.kind
     if args.suite == "limits":
+        from .cumulants import cumulants_to_moments, table_keys
+        from .limits import (bifree_poisson, poisson_family, row_sum_moments,
+                             triangular_limit_estimate)
         kind = args.kind
         rate, alpha, beta = (scalars.coerce(v, kind) for v in (args.rate, args.alpha, args.beta))
         family = poisson_family(rate, alpha, beta, kind)
@@ -225,6 +243,8 @@ def _verify_payload(args):
         return {"suite": "limits", "max_residual": worst,
                 "convergence_ratios": ratios}, kind
     # semigroup
+    from .convolution import bifree_convolve, free_convolve_marginal, semigroup_scale
+    from .cumulants import CumulantTable, cumulants_to_moments
     table = CumulantTable.from_jsonable(_load(args.table))
     s = scalars.coerce(args.s, table.kind)
     t = scalars.coerce(args.t, table.kind)

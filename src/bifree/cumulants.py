@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 
 from . import scalars, series
 from .errors import DegreeError
-from .partitions import enumerate_nc, mobius_top
 
 TRANSFORM_MAX_DEGREE = 12
 MOBIUS_MAX_DEGREE = 8
@@ -239,6 +238,7 @@ def mobius_cumulant(table: MomentTable, m: int, n: int):
     positions 1..m to the left positions. ``verify chi`` compares it with
     :func:`moments_to_cumulants`, the closed form for rational data.
     """
+    from .partitions import enumerate_nc, mobius_top  # the lattice loads for this sum alone
     total = m + n
     if not 1 <= total <= MOBIUS_MAX_DEGREE:
         raise DegreeError(f"m + n = {total} outside [1, {MOBIUS_MAX_DEGREE}]")

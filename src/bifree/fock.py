@@ -35,7 +35,6 @@ commutation is automatic and all cumulants stay real.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import scalars
 from .cumulants import CumulantTable, MomentTable, table_keys
@@ -43,6 +42,7 @@ from .errors import CommutationError, ShapeError, SizeLimitError
 
 MAX_MODEL_DIM = 12
 MAX_FOCK_WORDS = 2 ** 14
+COMMUTATION_TOL = 1e-10  # largest float residual of check_commutation that passes
 
 
 def _dot(x, y):
@@ -204,7 +204,7 @@ class CommutationReport:
     commutator_residual: float
 
 
-def check_commutation(model: FockModel, tol: float = 1e-10) -> CommutationReport:
+def check_commutation(model: FockModel) -> CommutationReport:
     """Whether the two faces commute: T1 g = T2 f and T1 T2 = T2 T1.
 
     Over the reals the remaining condition (the mixed inner product being
@@ -220,7 +220,7 @@ def check_commutation(model: FockModel, tol: float = 1e-10) -> CommutationReport
     if model.kind == scalars.RATIONAL:
         ok = all(x == 0 for x in diff_vec) and all(x == 0 for x in diff_mat)
     else:
-        ok = gauge_res <= tol and comm_res <= tol
+        ok = gauge_res <= COMMUTATION_TOL and comm_res <= COMMUTATION_TOL
     return CommutationReport(ok, gauge_res, comm_res)
 
 
@@ -258,44 +258,25 @@ def model_cumulants(model: FockModel, degree: int) -> CumulantTable:
     return CumulantTable(degree, kind, entries)
 
 
-def _rescale(model: FockModel, vec_scale, lam_scale) -> FockModel:
-    kind = model.kind
-    if isinstance(vec_scale, float) and kind == scalars.RATIONAL:
-        kind = scalars.FLOAT
-    conv = lambda x: scalars.coerce(x, kind)
-    return FockModel.from_arrays(
-        [conv(x) * conv(vec_scale) for x in model.f],
-        [conv(x) * conv(vec_scale) for x in model.g],
-        [[conv(x) for x in row] for row in model.t1],
-        [[conv(x) for x in row] for row in model.t2],
-        conv(model.lambda1) * conv(lam_scale),
-        conv(model.lambda2) * conv(lam_scale), kind)
-
-
-def amplify(model: FockModel, n: int) -> FockModel:
-    """The single-summand model whose n-fold bi-free sum gives this one.
-
-    Vectors shrink by 1/sqrt(n) and the scalar parts by 1/n, so every
-    cumulant is divided by n. Exact when n is a perfect square times a
-    square denominator; otherwise the result drops to float scalars.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    root = scalars.sqrt_or_float(Fraction(n) if model.kind == scalars.RATIONAL else float(n))
-    inv_root = (Fraction(1) / root) if isinstance(root, Fraction) else 1.0 / root
-    inv = Fraction(1, n) if model.kind == scalars.RATIONAL else 1.0 / n
-    return _rescale(model, inv_root, inv)
-
-
 def levy_marginal_model(model: FockModel, t) -> FockModel:
     """Time-t marginal of the stationary-increment process through the model.
 
     Scaling (f, g) by sqrt(t) and the scalar parts by t multiplies every
     cumulant by t, which reproduces the marginal distribution of the
-    continuous-time increment construction at cumulant level.
+    continuous-time increment construction at cumulant level; at t = 1/n
+    it is the summand whose n-fold bi-free sum is the model. Exact when t
+    is the square of a rational; otherwise the result has float scalars.
     """
     t = scalars.coerce(t, model.kind)
     if t < 0:
         raise ValueError("time must be nonnegative")
     root = scalars.sqrt_or_float(t)
-    return _rescale(model, root, t)
+    kind = scalars.FLOAT if isinstance(root, float) else model.kind
+    conv = lambda x: scalars.coerce(x, kind)
+    return FockModel.from_arrays(
+        [conv(x) * conv(root) for x in model.f],
+        [conv(x) * conv(root) for x in model.g],
+        [[conv(x) for x in row] for row in model.t1],
+        [[conv(x) for x in row] for row in model.t2],
+        conv(model.lambda1) * conv(t),
+        conv(model.lambda2) * conv(t), kind)

@@ -16,9 +16,11 @@ a finite-dimensional operator model, and simultaneous diagonalization of
 its two gauge matrices recovers the measures. Only this float inverse
 (the Gram gates, gns_reconstruct, extract_levy_measures) uses numpy, and
 it imports numpy on first use, so the forward direction and the rest of
-the package run without loading it. Each table entry the Grams read is
-converted to float once per call; the window's monomials and Gram index
-arrays are integer data, made once per window and shared read-only.
+the package run without loading it. The Fock layer likewise loads only in
+gns_reconstruct and extract_levy_measures, which build and read a model.
+Each table entry the Grams read is converted to float once per call; the
+window's monomials and Gram index arrays are integer data, made once per
+window and shared read-only.
 
 Certification is windowed: positivity and boundedness are checked on the
 monomials of total degree <= d, which needs table entries up to degree
@@ -47,7 +49,6 @@ from . import scalars
 from .cumulants import CumulantTable, MomentTable, table_keys
 from .errors import (CommutationError, DegreeError, InconsistentDataError,
                      RealizabilityError)
-from .fock import FockModel, check_commutation
 from .measures import DiscretePlanarMeasure
 
 PSD_TOL = -1e-9
@@ -56,6 +57,15 @@ NULL_SHIFT_TOL = 1e-8
 LEAK_TOL = 1e-8
 DIAG_RESIDUAL_TOL = 1e-8
 FORMULA_TOL = 1e-10
+
+
+@functools.cache
+def _fock():
+    # the Fock layer, imported on first use and then kept: an import
+    # statement in every gns_reconstruct and extract_levy_measures call cost
+    # about 0.3 ms of a 33 ms round trip of 64 degree-8 tables
+    from . import fock
+    return fock
 
 
 @dataclass(frozen=True)
@@ -367,6 +377,9 @@ def gns_reconstruct(table: CumulantTable, d: int) -> FockModel:
     Gram and quotient first, raising as check_cpsd and check_cond_bounded
     do; an empty window d < 1 raises DegreeError.
     """
+    # the Fock layer before the Gram arrays: loaded after them, it raised a
+    # `bifree gns` call's peak RSS from 31.1 to 32.1 MB
+    fock = _fock()
     _check_window(table, d, 2 * d)
     mono, gram_of = _gram_source(table, d, min(table.degree, 2 * d + 2))
     gram = gram_of()
@@ -381,7 +394,7 @@ def gns_reconstruct(table: CumulantTable, d: int) -> FockModel:
     coords = basis.T @ gram
     f = coords[:, mono.index((1, 0))]
     g = coords[:, mono.index((0, 1))]
-    return FockModel.from_arrays(
+    return fock.FockModel.from_arrays(
         f.tolist(), g.tolist(), s1.tolist(), s2.tolist(),
         float(table.get(1, 0)), float(table.get(0, 1)),
         kind=scalars.FLOAT)
@@ -397,7 +410,7 @@ def extract_levy_measures(model: FockModel, seed: int = 0) -> LevyHincinData:
     joint eigenvalue pair of each basis vector u_k.
     """
     import numpy as np
-    report = check_commutation(model)
+    report = _fock().check_commutation(model)
     if not report.ok:
         raise CommutationError(f"faces do not commute: {report}")
     dim = model.dim

@@ -27,6 +27,7 @@ from .cumulants import MomentTable, table_keys
 from .errors import UnsupportedMeasureError
 
 MERGE_TOL = 1e-12
+PROBABILITY_TOL = 1e-12  # how far a float total mass may sit from 1
 
 FIRST = "first"
 SECOND = "second"
@@ -104,9 +105,10 @@ class DiscretePlanarMeasure:
     def total_mass(self):
         return self.moment(0, 0)
 
-    def is_probability(self, tol: float = 1e-12) -> bool:
+    def is_probability(self) -> bool:
         positive = all(w > 0 for _, _, w in self.atoms)
-        return positive and scalars.close(self.total_mass(), scalars.one(self.kind), self.kind, tol)
+        return positive and scalars.close(self.total_mass(), scalars.one(self.kind), self.kind,
+                                            PROBABILITY_TOL)
 
     def weight_at(self, s, t):
         for a, b, w in self.atoms:

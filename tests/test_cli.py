@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -540,45 +541,108 @@ def test_non_object_json_is_an_input_error(tmp_path, capsys, argv, value):
     assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
 
 
-NUMPY_COMMANDS = ("check_id", "gns", "extract")
-LAZY_NUMPY = """
-import contextlib, io, json, sys
-import bifree, bifree.cli
-cases, check_id = json.loads(sys.argv[1])
-seen = [("import", "numpy" in sys.modules, 0)]
-for name, argv in cases:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = bifree.cli.run(argv)
-    seen.append((name, "numpy" in sys.modules, code))
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    code = bifree.cli.run(check_id)
-print(json.dumps({"seen": seen, "check_id": [code, out.getvalue(), "numpy" in sys.modules]}))
-"""
+def _fresh_python(script, *args):
+    """Run `script` in a new interpreter on this checkout's src; its stdout parsed as JSON.
 
-
-def test_numpy_is_imported_only_by_the_float_inverse():
-    # a subprocess: this test process has numpy loaded already (conftest)
-    cases = [(name, argv) for name, argv in CASES if name not in NUMPY_COMMANDS]
-    check_id = dict(CASES)["check_id"]
+    A subprocess, because this test process has loaded every module already
+    (numpy too, through conftest).
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parent.parent / "src"),
                                                       env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", LAZY_NUMPY, json.dumps([cases, check_id])],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout)
-    assert [(name, loaded, code) for name, loaded, code in report["seen"]
-            if loaded or code] == []
-    code, out, loaded = report["check_id"]
-    assert (code, loaded) == (0, True)
-    assert out.encode() == (GOLDEN / "check_id.json").read_bytes()
+    return json.loads(done.stdout)
+
+
+LOADS = """
+import contextlib, io, json, sys
+import bifree
+loaded = lambda: sorted(m.removeprefix("bifree.") for m in sys.modules
+                        if m.startswith("bifree.")) + ["numpy"] * ("numpy" in sys.modules)
+before = loaded()
+import bifree.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = bifree.cli.run(json.loads(sys.argv[1]))
+print(json.dumps({"import": before, "code": code, "stdout": out.getvalue(), "loaded": loaded()}))
+"""
+# The bifree modules (and numpy) each golden command loads, beyond the cli,
+# scalars and errors modules that `import bifree.cli` loads. fock, levy_hincin,
+# limits and partitions load only where the command calls them, and numpy
+# only for the float inverse (Gram gates, GNS quotient, joint diagonalization).
+TABLES = {"cumulants", "series"}
+LEVY_HINCIN = TABLES | {"levy_hincin", "measures"}
+LIMITS = TABLES | {"convolution", "limits", "measures"}
+COMMAND_LOADS = {
+    "partitions_n3": {"partitions"},
+    "partitions_chi": {"partitions"},
+    "cumulants": TABLES,
+    "moments": TABLES,
+    "convolve": TABLES | {"convolution"},
+    "semigroup": TABLES | {"convolution"},
+    "make_gaussian": LIMITS,
+    "make_poisson": LIMITS,
+    "make_compound": LIMITS,
+    "lh_cumulants": LEVY_HINCIN,
+    "lh_validate": LEVY_HINCIN,
+    "check_id": LEVY_HINCIN | {"numpy"},
+    "gns": LEVY_HINCIN | {"fock", "numpy"},
+    "extract": LEVY_HINCIN | {"fock", "numpy"},
+    "fock_moments": TABLES | {"fock"},
+    "fock_moment_single": TABLES | {"fock"},
+    "verify_voiculescu": TABLES | {"fock"},
+    "verify_chi": TABLES | {"measures", "partitions"},
+    "verify_roundtrip": TABLES | {"measures"},
+    "verify_limits": LIMITS,
+    "verify_semigroup": TABLES | {"convolution"},
+}
+
+
+def test_each_command_loads_only_the_modules_it_calls():
+    # one new interpreter per command, two at a time
+    with ThreadPoolExecutor(2) as pool:
+        reports = list(pool.map(lambda case: _fresh_python(LOADS, json.dumps(case[1])), CASES))
+    assert sorted(COMMAND_LOADS) == sorted(name for name, _ in CASES)
+    for (name, _), report in zip(CASES, reports):
+        assert report["import"] == [], name  # `import bifree` loads no layer module
+        assert report["code"] == 0, name
+        assert report["stdout"].encode() == (GOLDEN / f"{name}.json").read_bytes(), name
+        assert set(report["loaded"]) == {"cli", "scalars", "errors"} | COMMAND_LOADS[name], name
+
+
+SURFACE = """
+import json, sys
+import bifree
+loaded = sorted(m for m in sys.modules if m.startswith("bifree."))
+modules = [bifree.scalars.__name__, bifree.fock.__name__]
+after_modules = sorted(m for m in sys.modules if m.startswith("bifree."))
+unknown = hasattr(bifree, "no_such_name")
+star = {}
+exec("from bifree import *", star)
+print(json.dumps({"loaded": loaded, "modules": modules, "after_modules": after_modules,
+                  "unknown": unknown, "star": sorted(set(star) - {"__builtins__"}),
+                  "dir": dir(bifree)}))
+"""
+
+
+def test_package_surface_is_whole_in_a_fresh_interpreter():
+    report = _fresh_python(SURFACE)
+    assert report["loaded"] == []
+    # a submodule name loads that module (and what it imports), not the layers
+    assert report["modules"] == ["bifree.scalars", "bifree.fock"]
+    assert not {"bifree.levy_hincin", "bifree.limits"} & set(report["after_modules"])
+    assert report["unknown"] is False
+    assert set(report["star"]) == PUBLIC_NAMES
+    assert PUBLIC_NAMES <= set(report["dir"])
 
 
 def test_rational_verify_verdicts_are_exact(monkeypatch):
     # a rational residual of 1e-30 lies far inside --tolerance and prints as
-    # 1e-30, yet fails; float data keeps the tolerance for its 1e-12
-    from bifree import cli
+    # 1e-30, yet fails; float data keeps the tolerance for its 1e-12. The
+    # suites import the transform from bifree.cumulants when they run.
+    from bifree import cumulants
 
     def shift(table):
         out = transform(table)
@@ -586,8 +650,8 @@ def test_rational_verify_verdicts_are_exact(monkeypatch):
         entries[(1, 1)] += Fraction(1, 10**30) if out.kind == "rational" else 1e-12
         return type(out)(out.degree, out.kind, entries)
 
-    transform = cli.moments_to_cumulants
-    monkeypatch.setattr(cli, "moments_to_cumulants", shift)
+    transform = cumulants.moments_to_cumulants
+    monkeypatch.setattr(cumulants, "moments_to_cumulants", shift)
     for suite in ("chi", "roundtrip"):
         argv = ["verify", suite, "--measure", str(DATA / "measure.json"), "--degree", "4"]
         code, out = invoke(argv)
@@ -614,7 +678,7 @@ PUBLIC_NAMES = {
     "CumulantTable", "DegreeError", "DiscretePlanarMeasure", "FockModel",
     "InconsistentDataError", "LevyHincinData", "LhValidation", "MomentTable", "OrderError",
     "Partition", "RealizabilityError", "ShapeError", "SingularSeriesError", "SizeLimitError",
-    "UncertifiedScaleWarning", "UnsupportedMeasureError", "amplify", "bifree_convolve",
+    "UncertifiedScaleWarning", "UnsupportedMeasureError", "bifree_convolve",
     "bifree_gaussian", "bifree_poisson", "catalan", "check_commutation", "check_cond_bounded",
     "check_cpsd", "check_moment_2sequence", "compound_bifree_poisson", "compound_family",
     "cumulant_seq_to_moment_seq", "cumulants_to_moments", "enumerate_bnc", "enumerate_nc",
@@ -629,6 +693,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    exported = {name for name, value in vars(bifree).items()
-                if not name.startswith("_") and not isinstance(value, type(bifree))}
+    # dir, not vars: the package binds its names on the first lookup of one
+    exported = {name for name in dir(bifree)
+                if not name.startswith("_") and not isinstance(getattr(bifree, name), type(bifree))}
     assert exported == PUBLIC_NAMES

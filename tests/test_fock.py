@@ -11,7 +11,7 @@ from bifree import scalars
 from bifree.convolution import bifree_convolve
 from bifree.cumulants import moments_to_cumulants
 from bifree.errors import CommutationError, ShapeError
-from bifree.fock import (CommutationReport, FockModel, _face, amplify,
+from bifree.fock import (CommutationReport, FockModel, _face,
                          check_commutation, levy_marginal_model,
                          model_cumulants, moment_table_from_model,
                          vacuum_moment)
@@ -172,20 +172,22 @@ def test_cumulant_consistency_random_models(rng):
         assert moments_to_cumulants(table).entries == model_cumulants(model, 6).entries
 
 
-def test_amplify_identity_and_quarter():
+def test_levy_marginal_identity_and_quarter():
     m = FockModel.from_arrays([2], [2], [[1]], [[1]], 4, 4)
-    assert model_cumulants(amplify(m, 1), 5).entries == model_cumulants(m, 5).entries
-    quarter = model_cumulants(amplify(m, 4), 5)
+    assert model_cumulants(levy_marginal_model(m, 1), 5).entries == model_cumulants(m, 5).entries
+    quarter_model = levy_marginal_model(m, Fraction(1, 4))
+    quarter = model_cumulants(quarter_model, 5)
     full = model_cumulants(m, 5)
     assert all(4 * quarter.entries[k] == full.entries[k] for k in full.entries)
-    assert amplify(m, 4).kind == scalars.RATIONAL
+    assert quarter_model.kind == scalars.RATIONAL
 
 
-def test_amplify_nfold_convolution_recovers_model(rng):
+def test_levy_marginal_nfold_convolution_recovers_model(rng):
+    # the time-1/n marginal is the one summand whose n-fold bi-free sum is the model
     model = random_commuting_model(rng, 3)
     full = model_cumulants(model, 5)
     for n in (2, 3, 4, 5):
-        part = model_cumulants(amplify(model, n), 5)
+        part = model_cumulants(levy_marginal_model(model, Fraction(1, n)), 5)
         if part.kind == scalars.FLOAT:
             acc = part
             for _ in range(n - 1):
