@@ -207,8 +207,7 @@ def _verify_payload(args):
             table.kind
     if args.suite == "chi":
         from .cumulants import mobius_cumulant, moments_to_cumulants, table_keys
-        # the literal Mobius sum against the closed-form transform (for float
-        # data, the first-block recursion)
+        # the literal Mobius sum against the closed-form transform
         kappa = moments_to_cumulants(table)
         worst = max(abs(mobius_cumulant(table, m, n) - kappa.get(m, n))
                     for m, n in table_keys(args.degree, 1))

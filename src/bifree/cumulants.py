@@ -6,40 +6,39 @@ cumulant attached to a left/right word depends only on how many left and
 right letters it contains, so one (m, n)-indexed table covers every
 labelling.
 
-Two algorithms connect the tables, each with its own job.
+Every table, rational or float, takes the closed form of the two-variable
+partial R-transform (:func:`bifree.series.transform`): O(D^4)
+multiply-adds for a table of degree D, about D^4 / 24 in each of its
+two-variable steps.
 
-- Rational data takes the closed form of the two-variable partial
-  R-transform (:func:`bifree.series.transform`): O(D^4) multiply-adds for
-  a table of degree D, about D^4 / 24 in each of its two-variable steps.
-- The first-block recursion below is the combinatorial side of
-  :func:`verify_voiculescu_identity`, which would read 0 by construction
-  if it checked the closed form against itself, and the path for float
-  data, whose bits it fixes. It reads the moment-cumulant formula
-  phi(a^m b^n) = sum over pi in NC(m+n) of the block products of kappa on
-  the word a^m b^n through the block V that holds position 1 (first-block
-  decomposition; Nica-Speicher, Lectures 10-11). Between consecutive
-  elements of V, and after its last one, only whole blocks occur, so each
-  gap is partitioned on its own; a gap is a contiguous word a^i b^j, and
-  its partitions sum to its moment phi(a^i b^j):
+The first-block recursion below has one job: it is the independent
+combinatorial side of :func:`verify_voiculescu_identity`, which would read
+0 by construction if it checked the closed form against itself. It reads
+the moment-cumulant formula phi(a^m b^n) = sum over pi in NC(m+n) of the
+block products of kappa on the word a^m b^n through the block V that
+holds position 1 (first-block decomposition; Nica-Speicher, Lectures
+10-11). Between consecutive elements of V, and after its last one, only
+whole blocks occur, so each gap is partitioned on its own; a gap is a
+contiguous word a^i b^j, and its partitions sum to its moment
+phi(a^i b^j):
 
-      phi(a^m b^n) = sum over V of kappa(V's letter counts) * prod of gap moments.
+    phi(a^m b^n) = sum over V of kappa(V's letter counts) * prod of gap moments.
 
-  Every term but V = [m+n] has lower degree, so both directions fill the
-  table degree by degree. Walking V left to right with the state (last
-  position, a-count, b-count) costs O((m+n)^4) multiply-adds per entry and
-  O(D^5) per table, against Catalan(m+n) products per entry for the
-  literal sum.
+Every term but V = [m+n] has lower degree, so it fills the table degree
+by degree. Walking V left to right with the state (last position, a-count,
+b-count) costs O((m+n)^4) multiply-adds per entry and O(D^5) per table,
+against Catalan(m+n) products per entry for the literal sum.
 
-The one-variable transforms are the n = 0 column of either. Both
-directions are graded: entry (m, n) is an integer combination of
-products whose degrees add up to m + n. So with L the common denominator
-of the given table, the scaled table L^(m+n) v_{m,n} is an integer table
-whose transform is the scaled result, and both algorithms run on Python
-ints with one Fraction(x, L^(m+n)) per result (scalars.clear_graded).
-Clearing is declined, and the same code runs on the values as they are
-with L = 1, for float data and when L^D would exceed
-scalars.GRADED_MAX_BITS bits, where ints that large cost more than the
-Fraction arithmetic they replace.
+The one-variable transforms are the n = 0 column of the two-variable
+ones. Both directions are graded: entry (m, n) is an integer combination
+of products whose degrees add up to m + n. So with L the common
+denominator of the given table, the scaled table L^(m+n) v_{m,n} is an
+integer table whose transform is the scaled result, and both the closed
+form and the recursion run on Python ints with one Fraction(x, L^(m+n))
+per result (scalars.clear_graded). Clearing is declined, and the same
+code runs on the values as they are with L = 1, for float data and when
+L^D would exceed scalars.GRADED_MAX_BITS bits, where ints that large cost
+more than the Fraction arithmetic they replace.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from .errors import DegreeError
 
 TRANSFORM_MAX_DEGREE = 12
 MOBIUS_MAX_DEGREE = 8
+UNIT_MASS_TOL = 1e-12  # how far a float moment (0, 0) may sit from 1
 
 
 def table_keys(degree: int, lowest: int) -> list:
@@ -108,7 +108,8 @@ class MomentTable(_Table):
 
     def __post_init__(self):
         super().__post_init__()
-        if not scalars.close(self.entries[(0, 0)], scalars.one(self.kind), self.kind, 1e-12):
+        if not scalars.close(self.entries[(0, 0)], scalars.one(self.kind), self.kind,
+                             UNIT_MASS_TOL):
             raise ValueError("entry (0, 0) must equal 1")
 
 
@@ -166,24 +167,10 @@ def _solve(given, to_cumulants):
     return out
 
 
-def graded_solve(entries: dict, degree: int, to_cumulants: bool) -> tuple:
-    """The first-block recursion on a table's entries, on the graded-cleared scale.
-
-    Returns (L, given, out): L from :func:`scalars.clear_graded`, the given
-    entries times L^(m+n), and the other table's entries times L^(m+n).
-    """
-    _check_degree(degree)
-    scale, given = scalars.clear_graded(entries)
-    return scale, given, _solve(given, to_cumulants)
-
-
 def _transform(entries, degree, kind, to_cumulants):
     _check_degree(degree)
     scale, given = scalars.clear_graded(entries)
-    if kind == scalars.FLOAT:  # float data keeps the first-block recursion and its bits
-        out = _solve(given, to_cumulants)
-    else:
-        out = series.transform(given, degree, to_cumulants)
+    out = series.transform(given, degree, to_cumulants)
     powers = [scale ** k for k in range(degree + 1)]
     return {(m, n): scalars.over(v, powers[m + n], kind) for (m, n), v in out.items()}
 
@@ -236,7 +223,7 @@ def mobius_cumulant(table: MomentTable, m: int, n: int):
     labelling with m left letters: the bi-non-crossing partitions of a
     labelling chi are the images sigma_chi(pi), and sigma_chi sends the
     positions 1..m to the left positions. ``verify chi`` compares it with
-    :func:`moments_to_cumulants`, the closed form for rational data.
+    :func:`moments_to_cumulants`, the closed form.
     """
     from .partitions import enumerate_nc, mobius_top  # the lattice loads for this sum alone
     total = m + n
@@ -267,5 +254,7 @@ def verify_voiculescu_identity(table: MomentTable):
     """
     if table.degree < 2:
         raise DegreeError("need degree >= 2")
-    scale, moments, kappa = graded_solve(table.entries, table.degree, to_cumulants=True)
+    _check_degree(table.degree)
+    scale, moments = scalars.clear_graded(table.entries)
+    kappa = _solve(moments, to_cumulants=True)
     return series.residual(moments, kappa, scale, table.degree, table.kind)

@@ -43,6 +43,7 @@ from .errors import CommutationError, ShapeError, SizeLimitError
 MAX_MODEL_DIM = 12
 MAX_FOCK_WORDS = 2 ** 14
 COMMUTATION_TOL = 1e-10  # largest float residual of check_commutation that passes
+SYMMETRY_TOL = 1e-12  # how far a float T[i][j] may sit from T[j][i]
 
 
 def _dot(x, y):
@@ -90,7 +91,7 @@ class FockModel:
                 raise ShapeError(f"{name} must be {dim}x{dim}")
             for i in range(dim):
                 for j in range(i + 1, dim):
-                    if not scalars.close(t[i][j], t[j][i], kind, 1e-12):
+                    if not scalars.close(t[i][j], t[j][i], kind, SYMMETRY_TOL):
                         raise ShapeError(f"{name} is not symmetric")
         return cls(dim, f, g, t1, t2, scalars.coerce(lambda1, kind),
                    scalars.coerce(lambda2, kind), kind)
@@ -105,12 +106,13 @@ class FockModel:
             "T2": [[enc(x) for x in row] for row in self.t2],
             "lambda1": enc(self.lambda1),
             "lambda2": enc(self.lambda2),
+            "kind": self.kind,
         }
 
     @classmethod
-    def from_jsonable(cls, data, kind=None) -> "FockModel":
-        if kind is None:
-            kind = scalars.RATIONAL if isinstance(data["lambda1"], str) else scalars.FLOAT
+    def from_jsonable(cls, data, kind=scalars.RATIONAL) -> "FockModel":
+        """A model document in its own "kind", or in `kind` when it states none."""
+        kind = scalars.check_kind(data.get("kind", kind))
         dec = lambda v: scalars.from_jsonable(v, kind)
         return cls.from_arrays(
             [dec(x) for x in data["f"]], [dec(x) for x in data["g"]],
@@ -264,19 +266,16 @@ def levy_marginal_model(model: FockModel, t) -> FockModel:
     Scaling (f, g) by sqrt(t) and the scalar parts by t multiplies every
     cumulant by t, which reproduces the marginal distribution of the
     continuous-time increment construction at cumulant level; at t = 1/n
-    it is the summand whose n-fold bi-free sum is the model. Exact when t
-    is the square of a rational; otherwise the result has float scalars.
+    it is the summand whose n-fold bi-free sum is the model. The result
+    has the model's kind, so a rational model takes only a t whose square
+    root is rational (t = 1/4, 9/4, ...); any other t raises ValueError
+    naming t, and a float copy of the model takes it.
     """
     t = scalars.coerce(t, model.kind)
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    root = scalars.sqrt_or_float(t)
-    kind = scalars.FLOAT if isinstance(root, float) else model.kind
-    conv = lambda x: scalars.coerce(x, kind)
-    return FockModel.from_arrays(
-        [conv(x) * conv(root) for x in model.f],
-        [conv(x) * conv(root) for x in model.g],
-        [[conv(x) for x in row] for row in model.t1],
-        [[conv(x) for x in row] for row in model.t2],
-        conv(model.lambda1) * conv(t),
-        conv(model.lambda2) * conv(t), kind)
+    try:
+        root = scalars.exact_sqrt(t)
+    except ValueError as exc:
+        raise ValueError(f"time t = {t} does not rescale a {model.kind} model: {exc}") from None
+    return FockModel.from_arrays([x * root for x in model.f], [x * root for x in model.g],
+                                 model.t1, model.t2, model.lambda1 * t, model.lambda2 * t,
+                                 model.kind)

@@ -36,7 +36,13 @@ directions and LEAK_TOL what escapes the quotient, both times scale;
 DIAG_RESIDUAL_TOL bounds the off-diagonal residual of the joint
 diagonalization times max(1, |T1|, |T2|); FORMULA_TOL bounds how far
 lh_to_cumulants' formulas for one entry disagree, times max(1, |entry|)
-in float mode (rational mode compares exactly).
+in float mode (rational mode compares exactly). check_cpsd treats a face
+as degenerate when its variance entry, (2,0) or (0,2), is within
+ZERO_VARIANCE_TOL of 0, and then requires every entry of order >= 2 on
+that face within DEGENERATE_FACE_TOL of 0 (both absolute).
+extract_levy_measures puts no atom of rho1, rho2 or rho at the
+eigenvalue pair of u_k when |<f, u_k>|, |<g, u_k>| or |<f, u_k><g, u_k>|
+respectively is at most ATOM_WEIGHT_TOL (absolute).
 """
 
 from __future__ import annotations
@@ -57,6 +63,9 @@ NULL_SHIFT_TOL = 1e-8
 LEAK_TOL = 1e-8
 DIAG_RESIDUAL_TOL = 1e-8
 FORMULA_TOL = 1e-10
+ZERO_VARIANCE_TOL = 1e-12
+DEGENERATE_FACE_TOL = 1e-10
+ATOM_WEIGHT_TOL = 1e-13
 
 
 @functools.cache
@@ -86,12 +95,13 @@ class LevyHincinData:
             "rho1": self.rho1.to_jsonable(),
             "rho2": self.rho2.to_jsonable(),
             "rho": self.rho.to_jsonable(),
+            "kind": self.kind,
         }
 
     @classmethod
-    def from_jsonable(cls, data, kind=None) -> "LevyHincinData":
-        if kind is None:
-            kind = scalars.RATIONAL if isinstance(data["kappa10"], str) else scalars.FLOAT
+    def from_jsonable(cls, data, kind=scalars.RATIONAL) -> "LevyHincinData":
+        """A triple document in its own "kind", or in `kind` when it states none."""
+        kind = scalars.check_kind(data.get("kind", kind))
         return cls(
             scalars.from_jsonable(data["kappa10"], kind),
             scalars.from_jsonable(data["kappa01"], kind),
@@ -255,11 +265,11 @@ def _cpsd(table, d: int, gram: np.ndarray) -> CpsdReport:
     ok = min_eig >= PSD_TOL
     kind = table.kind
     zero = scalars.zero(kind)
-    if ok and scalars.close(table.get(2, 0), zero, kind, 1e-12):
-        ok = all(scalars.close(v, zero, kind, 1e-10)
+    if ok and scalars.close(table.get(2, 0), zero, kind, ZERO_VARIANCE_TOL):
+        ok = all(scalars.close(v, zero, kind, DEGENERATE_FACE_TOL)
                  for (m, n), v in table.entries.items() if m >= 1 and m + n >= 2)
-    if ok and scalars.close(table.get(0, 2), zero, kind, 1e-12):
-        ok = all(scalars.close(v, zero, kind, 1e-10)
+    if ok and scalars.close(table.get(0, 2), zero, kind, ZERO_VARIANCE_TOL):
+        ok = all(scalars.close(v, zero, kind, DEGENERATE_FACE_TOL)
                  for (m, n), v in table.entries.items() if n >= 1 and m + n >= 2)
     return CpsdReport(ok, min_eig, d)
 
@@ -443,11 +453,11 @@ def extract_levy_measures(model: FockModel, seed: int = 0) -> LevyHincinData:
     atoms1, atoms2, atoms = [], [], []
     for k in range(dim):
         s, t = float(svals[k]), float(tvals[k])
-        if abs(fh[k]) > 1e-13:
+        if abs(fh[k]) > ATOM_WEIGHT_TOL:
             atoms1.append((s, t, float(fh[k] ** 2)))
-        if abs(gh[k]) > 1e-13:
+        if abs(gh[k]) > ATOM_WEIGHT_TOL:
             atoms2.append((s, t, float(gh[k] ** 2)))
-        if abs(fh[k] * gh[k]) > 1e-13:
+        if abs(fh[k] * gh[k]) > ATOM_WEIGHT_TOL:
             atoms.append((s, t, float(fh[k] * gh[k])))
     return LevyHincinData(
         lam1, lam2,

@@ -38,13 +38,7 @@ def bifree_gaussian(s1, s2, c, degree: int, kind: str = scalars.RATIONAL) -> Cum
 
 def bifree_poisson(rate, alpha, beta, degree: int, kind: str = scalars.RATIONAL) -> CumulantTable:
     """Poisson pair with the given rate and jump: entry (m, n) is rate * alpha^m * beta^n."""
-    rate = scalars.coerce(rate, kind)
-    alpha = scalars.coerce(alpha, kind)
-    beta = scalars.coerce(beta, kind)
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    entries = {(m, n): rate * alpha**m * beta**n for m, n in table_keys(degree, 1)}
-    return CumulantTable(degree, kind, entries)
+    return compound_bifree_poisson(rate, point_mass(alpha, beta, kind), degree)
 
 
 def compound_bifree_poisson(rate, jump: DiscretePlanarMeasure, degree: int) -> CumulantTable:

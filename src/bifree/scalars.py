@@ -58,7 +58,7 @@ def one(kind: str):
     return Fraction(1) if kind == RATIONAL else 1.0
 
 
-def close(a, b, kind: str, tol: float = 1e-10) -> bool:
+def close(a, b, kind: str, tol: float) -> bool:
     """Exact equality for rationals, absolute tolerance for floats."""
     if kind == RATIONAL:
         return a == b
@@ -126,20 +126,18 @@ def from_jsonable(v, kind: str):
     return coerce(str(v) if kind == RATIONAL else v, kind)
 
 
-def sqrt_or_float(x):
-    """Square root, exact when x is a perfect-square rational.
+def exact_sqrt(x):
+    """The square root of x in x's own kind, or ValueError.
 
-    Returns a Fraction for perfect squares, a float otherwise; negative
-    input raises ValueError.
+    A Fraction's root is a Fraction, and a Fraction that is not the square
+    of a rational raises rather than turning float; a float's root is
+    math.sqrt. Negative input raises.
     """
-    if isinstance(x, Fraction):
-        if x < 0:
-            raise ValueError("square root of a negative rational")
-        p, q = x.numerator, x.denominator
-        rp, rq = math.isqrt(p), math.isqrt(q)
-        if rp * rp == p and rq * rq == q:
-            return Fraction(rp, rq)
-        return math.sqrt(p / q)
     if x < 0:
-        raise ValueError("square root of a negative number")
-    return math.sqrt(x)
+        raise ValueError(f"square root of the negative number {x}")
+    if isinstance(x, float):
+        return math.sqrt(x)
+    roots = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if roots[0] ** 2 != x.numerator or roots[1] ** 2 != x.denominator:
+        raise ValueError(f"{x} is not the square of a rational")
+    return Fraction(*roots)

@@ -7,7 +7,7 @@ step is coefficient-level: no analytic questions are asked. Row lists are
 internal: the coefficients of the R-transform are the cumulants, so the
 public form of that series is the CumulantTable itself.
 
-The moment-cumulant transforms of a commuting pair (rational data) run
+The moment-cumulant transforms of a commuting pair, rational or float, run
 through the two-variable partial R-transform (Voiculescu, Free probability
 for pairs of faces I, CMP 2014; analytic form in Huang-Wang, JFA 2016).
 With M(z, w) the moment series, M_a, M_b its marginals, C_a(z) = 1 plus
@@ -26,7 +26,8 @@ and M_b^k; the division-free recursion for S from M or M from S
 (:func:`_compose`, about as many) or its inverse (:func:`_uncompose`, two
 unit-triangular solves, O(D^3)). The first-block recursion in
 :mod:`bifree.cumulants` costs O(D^5). Constant terms are 1, so nothing
-divides: graded integer tables stay integers and Fractions stay exact.
+divides: graded integer tables stay integers, Fractions stay exact, and
+floats round only in the multiply-adds.
 
 The identity's residual (:func:`residual`) reads the second relation the
 other way: from the moments and the cumulants of the first-block
@@ -221,7 +222,7 @@ def transform(given: dict, degree: int, to_cumulants: bool) -> dict:
     """The other table of a commuting pair by the closed form, on keys (m, n).
 
     given holds moments on m + n <= degree with (0, 0) = 1, or cumulants on
-    1 <= m + n <= degree, as ints or Fractions; one that holds only the
+    1 <= m + n <= degree, all of one number type; one that holds only the
     n = 0 column is a one-variable sequence, and only that column returns.
     """
     rows = _rows(given, degree)

@@ -99,11 +99,11 @@ def test_outputs_reparse_as_their_own_formats():
 
     _, out = invoke(["gns", str(DATA / "poisson8.json"), "--gram-degree", "3"])
     model = FockModel.from_jsonable(json.loads(out))
-    assert model.dim == 1
+    assert (model.dim, model.kind) == (1, "float")
 
     _, out = invoke(["extract", str(DATA / "model_poisson.json")])
     data = LevyHincinData.from_jsonable(json.loads(out))
-    assert len(data.rho.atoms) == 1
+    assert (len(data.rho.atoms), data.kind) == (1, "float")
 
     raw = json.loads((DATA / "measure.json").read_text())
     mu = DiscretePlanarMeasure.from_jsonable(raw, "rational")
@@ -670,6 +670,30 @@ def test_verify_model_is_read_in_the_kind_flag():
         assert found == kind
         assert (payload["max_residual"] == 0) == (kind == "rational")
         assert 0 <= payload["max_residual"] < 1e-12
+
+
+def test_model_document_states_its_kind(tmp_path):
+    # model_gaussian.json written as JSON numbers: without "kind" both commands
+    # read it as rational (the flag's default), with "kind": "float" as float,
+    # whatever --kind says
+    def numbers(value):
+        if isinstance(value, list):
+            return [numbers(v) for v in value]
+        return float(Fraction(value)) if isinstance(value, str) else value
+
+    text = json.loads((DATA / "model_gaussian.json").read_text())
+    raw = {key: numbers(v) for key, v in text.items()}
+    for stated, want in ((None, "rational"), ("float", "float")):
+        doc = raw if stated is None else {**raw, "kind": stated}
+        path = _write(tmp_path / f"model_{want}.json", doc)
+        code, out = invoke(["fock-moments", path, "--m", "0", "--n", "2"])
+        value = json.loads(out)["value"]
+        assert code == 0 and isinstance(value, str if want == "rational" else float)
+        argv = ["verify", "voiculescu", "--model", path, "--degree", "6", "--kind"]
+        flags = ("rational", "float") if stated else ("rational",)
+        for flag in flags:
+            assert _verify_payload(build_parser().parse_args(argv + [flag]))[1] == want
+    assert value == 1.3611111111111112  # 1 + (1/2)^2 + (1/3)^2 in float
 
 
 # What the package exports; perfbench reaches the program through these names

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bifree import cumulants, scalars, series
 from bifree.cumulants import (TRANSFORM_MAX_DEGREE, CumulantTable, MomentTable, _solve,
                               cumulant_seq_to_moment_seq, cumulants_to_moments,
-                              graded_solve, mobius_cumulant,
+                              mobius_cumulant,
                               moment_seq_to_cumulant_seq, moments_to_cumulants,
                               table_keys, verify_voiculescu_identity, zero_cumulants)
 from bifree.errors import DegreeError
@@ -118,9 +118,10 @@ def float_outputs():
     return lines
 
 
-# SHA-256 of float_outputs() on the transforms before their denominators were
-# cleared; float data takes no part in the clearing, so not one bit may change
-FLOAT_OUTPUTS_SHA256 = "b43b4d57f40e1215fc1123f6dc9f0ec35f9106e04e7157fd5d9237b17fccd8da"
+# SHA-256 of float_outputs(), float transforms by the closed form; recorded
+# after test_float_transforms_are_accurate bounded their error against the
+# exact values
+FLOAT_OUTPUTS_SHA256 = "a4b93760a03fbd4b4502d53553f6a1edcad3da32d0e867f1a447cab3526b301d"
 
 
 def test_float_outputs_are_unchanged_bit_for_bit():
@@ -177,19 +178,48 @@ def test_closed_form_equals_the_first_block_recursion(degree, seed, mix):
 
 
 def test_identity_checks_the_first_block_recursion(monkeypatch):
-    # the transforms take the closed form and the identity the recursion: a
-    # recursion off at one entry moves the residual and leaves the transform
+    # the transforms of either kind take the closed form and the identity the
+    # recursion: a recursion off at one entry moves the residual and leaves
+    # the transform
     table = moment_table(random_planar_measure(random.Random(3), 3), 6)
-    kappa = moments_to_cumulants(table)
+    floats = MomentTable(6, scalars.FLOAT, {k: float(v) for k, v in table.entries.items()})
+    kappas = [moments_to_cumulants(t).entries for t in (table, floats)]
     assert verify_voiculescu_identity(table) == 0
+    assert verify_voiculescu_identity(floats) < 1e-12
     exact = cumulants._non_top_sum
 
     def shifted(m, n, moment, kappa):
         return exact(m, n, moment, kappa) + ((m, n) == (2, 1))
 
     monkeypatch.setattr(cumulants, "_non_top_sum", shifted)
-    assert moments_to_cumulants(table).entries == kappa.entries
+    for t, kappa in zip((table, floats), kappas):
+        assert moments_to_cumulants(t).entries == kappa
     assert verify_voiculescu_identity(table) != 0
+    assert verify_voiculescu_identity(floats) > 1e-9  # past the CLI's float tolerance
+
+
+# Worst relative error, |float - exact| / max(1, |exact|), that a float
+# transform may show on the seeded tables of test_float_transforms_are_accurate:
+# about 100 times the worst seen there (9.5e-11, degree 12, moments to cumulants)
+FLOAT_TRANSFORM_RTOL = 1e-8
+
+
+@pytest.mark.parametrize("degree", [4, 8, 12])
+def test_float_transforms_are_accurate(degree):
+    # the exact cumulants and moments of seeded 4-atom measures, against the
+    # float transforms of the same tables rounded to float
+    def worst(got, want):
+        return max(abs(got[k] - float(v)) / max(1.0, abs(float(v))) for k, v in want.items())
+
+    errors = []
+    for seed in range(30):
+        moments = moment_table(random_planar_measure(random.Random(seed), 4), degree)
+        kappa = moments_to_cumulants(moments)
+        floats = [cls(degree, scalars.FLOAT, {k: float(v) for k, v in t.entries.items()})
+                  for cls, t in ((MomentTable, moments), (CumulantTable, kappa))]
+        errors.append(max(worst(moments_to_cumulants(floats[0]).entries, kappa.entries),
+                          worst(cumulants_to_moments(floats[1]).entries, moments.entries)))
+    assert max(errors) <= FLOAT_TRANSFORM_RTOL
 
 
 def test_graded_clearing_declines_unrelated_denominators():
@@ -205,9 +235,12 @@ def test_graded_clearing_declines_unrelated_denominators():
     assert scalars.clear_graded(floats) == (1, floats)
 
 
-def test_graded_solve_scales_both_tables_by_degree(rng):
+def test_graded_clearing_scales_both_tables_by_degree(rng):
+    # the identity's recursion runs on the cleared table and gives the
+    # cleared cumulants
     table = random_moment_table(rng, 5)
-    scale, given, out = graded_solve(table.entries, 5, to_cumulants=True)
+    scale, given = scalars.clear_graded(table.entries)
+    out = _solve(given, to_cumulants=True)
     kappa = moments_to_cumulants(table)
     assert scale == 12  # the denominators 1..4
     for (m, n), value in out.items():
