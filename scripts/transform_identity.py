@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Coefficient residuals of the two-variable transform identity.
 
-Evaluates both sides of
+Checks
 
     R(z, w) = 1 + z R_a(z) + w R_b(w) - zw / G(K_a(z), K_b(w))
 
-as truncated series for random atomic measures and random commuting
-operator models, in exact rational arithmetic. Every residual should be
+on truncations for random atomic measures and random commuting operator
+models, in exact rational arithmetic: the cumulants of the first-block
+recursion against the closed form, which is the identity solved for them
+(bifree.cumulants.verify_voiculescu_identity). Every residual should be
 exactly zero.
 """
 

@@ -23,8 +23,8 @@ _EXPORTS = {
                   "cumulants_to_moments", "mobius_cumulant", "moment_seq_to_cumulant_seq",
                   "moments_to_cumulants", "verify_voiculescu_identity", "zero_cumulants"),
     "errors": ("BifreeError", "CommutationError", "DegreeError", "InconsistentDataError",
-               "OrderError", "RealizabilityError", "ShapeError", "SingularSeriesError",
-               "SizeLimitError", "UnsupportedMeasureError"),
+               "OrderError", "RealizabilityError", "ShapeError", "SizeLimitError",
+               "UnsupportedMeasureError"),
     "fock": ("FockModel", "check_commutation", "levy_marginal_model", "model_cumulants",
              "moment_table_from_model", "vacuum_moment"),
     "levy_hincin": ("BoundednessReport", "CpsdReport", "LevyHincinData", "LhValidation",

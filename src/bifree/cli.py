@@ -131,16 +131,16 @@ def cmd_make(args) -> int:
 
 
 def cmd_lh_cumulants(args) -> int:
-    from .levy_hincin import LevyHincinData, lh_to_cumulants
+    from .levy_hincin import LevyHincinData, r_transform_from_lh
     data = LevyHincinData.from_jsonable(_load(args.data))
-    _emit(lh_to_cumulants(data, args.degree).to_jsonable())
+    _emit(r_transform_from_lh(data, args.degree).to_jsonable())
     return 0
 
 
 def cmd_lh_validate(args) -> int:
     from .levy_hincin import LevyHincinData, validate_lh
     data = LevyHincinData.from_jsonable(_load(args.data))
-    report = validate_lh(data, args.tolerance)
+    report = validate_lh(data)
     _emit(report.to_jsonable())
     return 0 if report.ok else 1
 
@@ -348,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lh-validate", help="check the Levy-Hincin measure relations")
     p.add_argument("data")
-    p.add_argument("--tolerance", type=_finite_float, default=1e-9)
     p.set_defaults(func=cmd_lh_validate)
 
     p = sub.add_parser("check-id", help="conditional positivity and boundedness gates")

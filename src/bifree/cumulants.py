@@ -12,15 +12,15 @@ multiply-adds for a table of degree D, about D^4 / 24 in each of its
 two-variable steps.
 
 The first-block recursion below has one job: it is the independent
-combinatorial side of :func:`verify_voiculescu_identity`, which would read
-0 by construction if it checked the closed form against itself. It reads
-the moment-cumulant formula phi(a^m b^n) = sum over pi in NC(m+n) of the
-block products of kappa on the word a^m b^n through the block V that
-holds position 1 (first-block decomposition; Nica-Speicher, Lectures
-10-11). Between consecutive elements of V, and after its last one, only
-whole blocks occur, so each gap is partitioned on its own; a gap is a
-contiguous word a^i b^j, and its partitions sum to its moment
-phi(a^i b^j):
+combinatorial side of :func:`verify_voiculescu_identity`, which compares it
+with the closed form (the closed form checked against itself would read 0
+by construction). It reads the moment-cumulant formula phi(a^m b^n) = sum
+over pi in NC(m+n) of the block products of kappa on the word a^m b^n
+through the block V that holds position 1 (first-block decomposition;
+Nica-Speicher, Lectures 10-11). Between consecutive elements of V, and
+after its last one, only whole blocks occur, so each gap is partitioned on
+its own; a gap is a contiguous word a^i b^j, and its partitions sum to its
+moment phi(a^i b^j):
 
     phi(a^m b^n) = sum over V of kappa(V's letter counts) * prod of gap moments.
 
@@ -244,17 +244,23 @@ def mobius_cumulant(table: MomentTable, m: int, n: int):
 def verify_voiculescu_identity(table: MomentTable):
     """Coefficient-level residual of the two-variable transform identity.
 
-    Checks R(z, w) = 1 + z R_a(z) + w R_b(w) - zw / G(K_a(z), K_b(w)) on
-    truncations, with the cumulants of the first-block recursion, which
-    shares no code with the closed form the transforms take, and the last
-    term evaluated in pole-free form (:func:`bifree.series.residual`).
-    Returns the maximum absolute coefficient discrepancy over total degree
-    <= D - 1; the final degree is not certified because the reciprocal
-    loses one degree of trustworthy information.
+    The identity R(z, w) = 1 + z R_a(z) + w R_b(w) - zw / G(K_a(z), K_b(w))
+    fixes the cumulants degree by degree, and the closed form the transforms
+    take (:func:`bifree.series.transform`) is the identity solved for them.
+    So the identity holds on a window exactly where the closed form agrees
+    with the first-block recursion, which shares no code with it. Returns
+    the largest |recursion - closed form| over total degree <= D - 1, the
+    window the identity's series side certifies: at degree D its
+    reciprocal of G loses one degree.
     """
     if table.degree < 2:
         raise DegreeError("need degree >= 2")
     _check_degree(table.degree)
     scale, moments = scalars.clear_graded(table.entries)
-    kappa = _solve(moments, to_cumulants=True)
-    return series.residual(moments, kappa, scale, table.degree, table.kind)
+    recursion = _solve(moments, to_cumulants=True)
+    closed = series.transform(moments, table.degree, to_cumulants=True)
+    worst = scalars.zero(table.kind)
+    for m, n in table_keys(table.degree - 1, 1):
+        worst = max(worst, scalars.over(abs(recursion[(m, n)] - closed[(m, n)]),
+                                        scale ** (m + n), table.kind))
+    return worst

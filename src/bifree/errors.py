@@ -17,10 +17,6 @@ class OrderError(BifreeError):
     """Partitions are not comparable in reverse refinement order."""
 
 
-class SingularSeriesError(BifreeError):
-    """Reciprocal of a series whose constant term vanishes."""
-
-
 class ShapeError(BifreeError):
     """Arrays of the wrong shape, or an operator of an unknown kind."""
 

@@ -42,7 +42,11 @@ ZERO_VARIANCE_TOL of 0, and then requires every entry of order >= 2 on
 that face within DEGENERATE_FACE_TOL of 0 (both absolute).
 extract_levy_measures puts no atom of rho1, rho2 or rho at the
 eigenvalue pair of u_k when |<f, u_k>|, |<g, u_k>| or |<f, u_k><g, u_k>|
-respectively is at most ATOM_WEIGHT_TOL (absolute).
+respectively is at most ATOM_WEIGHT_TOL (absolute). validate_lh accepts
+a float triple whose relations t rho1 - s rho and s rho2 - t rho are within
+RELATION_TOL of 0 at every atom, and whose rho{(0,0)}^2 exceeds
+rho1{(0,0)} rho2{(0,0)} by at most RELATION_TOL (both absolute); every
+command and r_transform_from_lh judge a triple by it.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ FORMULA_TOL = 1e-10
 ZERO_VARIANCE_TOL = 1e-12
 DEGENERATE_FACE_TOL = 1e-10
 ATOM_WEIGHT_TOL = 1e-13
+RELATION_TOL = 1e-10
 
 
 @functools.cache
@@ -128,7 +133,7 @@ class LhValidation:
         return {**asdict(self), "ok": self.ok}
 
 
-def validate_lh(data: LevyHincinData, tol: float = 1e-10) -> LhValidation:
+def validate_lh(data: LevyHincinData) -> LhValidation:
     """Check the measure relations atom by atom; reports, never throws.
 
     Over the union of supports: t * rho1{(s,t)} = s * rho{(s,t)} and
@@ -146,14 +151,14 @@ def validate_lh(data: LevyHincinData, tol: float = 1e-10) -> LhValidation:
         w = data.rho.weight_at(s, t)
         r1 = t * w1 - s * w
         r2 = s * w2 - t * w
-        if not scalars.close(r1, zero, kind, tol):
+        if not scalars.close(r1, zero, kind, RELATION_TOL):
             rel1_ok = False
-        if not scalars.close(r2, zero, kind, tol):
+        if not scalars.close(r2, zero, kind, RELATION_TOL):
             rel2_ok = False
         worst = max(worst, abs(float(r1)), abs(float(r2)))
     w0 = data.rho.weight_at(zero, zero)
     bound = data.rho1.weight_at(zero, zero) * data.rho2.weight_at(zero, zero)
-    atom_ok = w0 * w0 <= bound or scalars.close(w0 * w0, bound, kind, tol)
+    atom_ok = w0 * w0 <= bound or scalars.close(w0 * w0, bound, kind, RELATION_TOL)
     positive = all(w > 0 for _, _, w in data.rho1.atoms) \
         and all(w > 0 for _, _, w in data.rho2.atoms)
     return LhValidation(rel1_ok, rel2_ok, atom_ok, positive, worst)

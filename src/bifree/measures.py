@@ -102,13 +102,10 @@ class DiscretePlanarMeasure:
         return {(m, n): scalars.over(sums[m][n], scale_w * scale_s**m * scale_t**n, self.kind)
                 for m, n in table_keys(degree, 0)}
 
-    def total_mass(self):
-        return self.moment(0, 0)
-
     def is_probability(self) -> bool:
         positive = all(w > 0 for _, _, w in self.atoms)
-        return positive and scalars.close(self.total_mass(), scalars.one(self.kind), self.kind,
-                                            PROBABILITY_TOL)
+        return positive and scalars.close(self.moment(0, 0), scalars.one(self.kind), self.kind,
+                                          PROBABILITY_TOL)
 
     def weight_at(self, s, t):
         for a, b, w in self.atoms:

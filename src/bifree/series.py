@@ -1,4 +1,4 @@
-"""Truncated power series on row lists: the closed-form transforms and the identity.
+"""Truncated power series on row lists: the closed-form transforms.
 
 A two-variable series truncated at total degree D is a row list r with
 r[m][n] the coefficient of z^m w^n, m + n <= D, so row m holds D - m + 1
@@ -17,40 +17,29 @@ m, n >= 1:
 - each face is a one-variable free transform, C_a(z M_a(z)) = M_a(z);
 - 1 - R_mixed(z, w) = C_a(z) C_b(w) / M(z / C_a(z), w / C_b(w)).
 
-z = s M_a(s) inverts z / C_a(z), so substituting it, and w = t M_b(t),
-turns the second relation into S M = M - M_a M_b with S(s, t) =
-R_mixed(s M_a(s), t M_b(t)). A transform takes three steps: the marginal
-solve (:func:`_marginal`, O(D^3)), which also tabulates the powers M_a^k
-and M_b^k; the division-free recursion for S from M or M from S
-(:func:`_mixed`, about D^4 / 24 multiply-adds); and the substitution
-(:func:`_compose`, about as many) or its inverse (:func:`_uncompose`, two
-unit-triangular solves, O(D^3)). The first-block recursion in
-:mod:`bifree.cumulants` costs O(D^5). Constant terms are 1, so nothing
-divides: graded integer tables stay integers, Fractions stay exact, and
-floats round only in the multiply-adds.
-
-The identity's residual (:func:`residual`) reads the second relation the
-other way: from the moments and the cumulants of the first-block
-recursion it forms C_a(z) C_b(w) / M(u(z), v(w)), u = z / C_a(z), with the
-composition, the reciprocal and the separable product, and compares it
-with 1 - R_mixed. On graded tables (entries times L^(m+n), the
-substitution z -> Lz, w -> Lw) every step keeps integer coefficients, so
-residual entry (m, n) is one integer over L^(m+n); float data runs the same
-steps on floats.
+The second relation is the identity R(z, w) = 1 + z R_a(z) + w R_b(w) -
+zw / G(K_a(z), K_b(w)) read at the coefficients with m, n >= 1. z = s M_a(s)
+inverts z / C_a(z), so substituting it, and w = t M_b(t), turns it into
+S M = M - M_a M_b with S(s, t) = R_mixed(s M_a(s), t M_b(t)). A transform
+takes three steps: the marginal solve (:func:`_marginal`, O(D^3)), which
+also tabulates the powers M_a^k and M_b^k; the division-free recursion for
+S from M or M from S (:func:`_mixed`, about D^4 / 24 multiply-adds); and
+the substitution (:func:`_compose`, about as many) or its inverse
+(:func:`_uncompose`, two unit-triangular solves, O(D^3)). Constant terms
+are 1, so nothing divides: graded integer tables stay integers, Fractions
+stay exact, and floats round only in the multiply-adds. The first-block
+recursion in :mod:`bifree.cumulants` costs O(D^5); it shares no code with
+this module, and the identity's check compares the two.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from . import scalars
-from .errors import SingularSeriesError
-
 
 # The cores below run on any one number type. The integers 0 and 1 serve as
 # the zero and unit of every kind, so graded tables stay ints, and floats give
-# the same bits as with 0.0 and 1.0. A constant term equal to 1 is its own
-# inverse, so ints never divide.
+# the same bits as with 0.0 and 1.0.
 
 def _rows(entries: dict, degree: int) -> list:
     # a table on keys (m, n), m + n <= degree, as rows; absent keys are 0
@@ -58,84 +47,11 @@ def _rows(entries: dict, degree: int) -> list:
             for m in range(degree + 1)]
 
 
-def _uni_multiply(f, g) -> list:
-    # the product truncated at the length of f
-    out = [0] * len(f)
-    for i, a in enumerate(f):
-        for j in range(len(f) - i):
-            out[i + j] = out[i + j] + a * g[j]
-    return out
-
-
-def _inverse(c0):
-    if c0 == 0:
-        raise SingularSeriesError("reciprocal of a series with zero constant term")
-    return c0 if c0 == 1 else 1 / c0
-
-
-def _uni_reciprocal(f) -> list:
-    inv0 = _inverse(f[0])
-    out = [inv0] + [0] * (len(f) - 1)
-    for k in range(1, len(f)):
-        acc = 0
-        for i in range(1, k + 1):
-            acc = acc + f[i] * out[k - i]
-        out[k] = -inv0 * acc
-    return out
-
-
-def _powers(f, degree: int) -> list:
-    # powers[k][j] = [z^j] f^k for j <= degree - k: the coefficients of
-    # (z f)^k from z^k up, all that a composition of degree <= degree reads
-    powers = [[1] + [0] * degree]
-    for k in range(1, degree + 1):
-        powers.append(_uni_multiply(powers[-1][:degree - k + 1], f))
-    return powers
-
-
-def _reciprocal(rows: list) -> list:
-    degree = len(rows) - 1
-    inv0 = _inverse(rows[0][0])
-    out = [[0] * (degree - m + 1) for m in range(degree + 1)]
-    out[0][0] = inv0
-    for m in range(degree + 1):
-        for n in range(degree - m + 1):
-            if m + n == 0:
-                continue
-            acc = 0
-            for i in range(m + 1):
-                row, back = rows[i], out[m - i]
-                for j in range(n + 1):
-                    c = row[j]
-                    if c != 0 and i + j:
-                        acc = acc + c * back[n - j]
-            out[m][n] = -inv0 * acc
-    return out
-
-
-def _separable_product(f, g, rows: list) -> list:
-    # f(z) g(w) r(z, w), term by term: coefficient (m, n) sums the products
-    # (f_i g_j) r[m - i][n - j] over i, then j, ascending
-    degree = len(rows) - 1
-    out = [[0] * (degree - m + 1) for m in range(degree + 1)]
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j in range(degree - i + 1):
-            ab = a * g[j]
-            if ab == 0:
-                continue
-            for m in range(i, degree + 1 - j):
-                row, src = out[m], rows[m - i]
-                for n in range(j, degree - m + 1):
-                    row[n] = row[n] + ab * src[n - j]
-    return out
-
-
 def _compose(rows: list, upowers: list, vpowers: list) -> list:
-    # M(z u(z), w v(w)) from the power tables of u and v (see _powers): term
-    # (m, n) of M adds (M[m][n] [z^(i-m)] u^m) [w^(j-n)] v^n at (i, j), term
-    # by term in table-key order: float residuals round by this order, and
+    # M(z u(z), w v(w)) from the power tables of u and v, upowers[k][j] =
+    # [z^j] u^k (see _marginal): term (m, n) of M adds (M[m][n] [z^(i-m)]
+    # u^m) [w^(j-n)] v^n at (i, j), term by term in table-key order: the
+    # float moments of cumulants_to_moments round by this order, and
     # tests/test_cumulants.py pins their bits.
     degree = len(rows) - 1
     out = [[0] * (degree - i + 1) for i in range(degree + 1)]
@@ -163,7 +79,7 @@ def _marginal(column: list, to_cumulants: bool) -> tuple:
     # plus the sum over 1 <= k < n of kappa_k [z^(n-k)] M^k, and M^k up to
     # z^(n-k) needs only moments below n. column holds m_0..m_D (m_0 = 1) or
     # kappa_1..kappa_D behind a placeholder at 0. Returns the moments, the
-    # cumulants and powers[k][j] = [z^j] M^k for j <= D - k (as _powers).
+    # cumulants and powers[k][j] = [z^j] M^k for j <= D - k.
     degree = len(column) - 1
     moments = column if to_cumulants else [1] + [0] * degree
     kappa = [0] * (degree + 1) if to_cumulants else column
@@ -248,33 +164,3 @@ def transform(given: dict, degree: int, to_cumulants: bool) -> dict:
         _mixed(out, mixed, to_mixed=False)
     return {(m, total - m): out[m][total - m]
             for total in range(int(to_cumulants), degree + 1) for m in range(total + 1)}
-
-
-def residual(moments: dict, kappa: dict, scale: int, degree: int, kind: str):
-    """The identity's largest coefficient discrepancy below total degree D.
-
-    moments and kappa are the tables times L^(m+n), L = scale: the
-    substitution z -> Lz, w -> Lw commutes with every step, and degree D,
-    which the reciprocal leaves uncertified, is never formed. Entry (m, n)
-    compares kappa_{m,n} with the right side 1 + z R_a(z) + w R_b(w) minus
-    C_a(z) C_b(w) / M(u(z), v(w)): one at the origin, kappa on the two axes
-    and zero inside before the subtraction.
-    """
-    top = degree - 1
-    one_plus_zra = [1] + [kappa[(m, 0)] for m in range(1, top + 1)]
-    one_plus_wrb = [1] + [kappa[(0, n)] for n in range(1, top + 1)]
-    # u(z) = z / (1 + z R_a(z)): the powers of the reciprocal, shifted by _compose
-    composed = _compose(_rows(moments, top), _powers(_uni_reciprocal(one_plus_zra), top),
-                        _powers(_uni_reciprocal(one_plus_wrb), top))
-    green = _separable_product(one_plus_zra, one_plus_wrb, _reciprocal(composed))
-    worst = scalars.zero(kind)
-    for total in range(top + 1):
-        for m in range(total + 1):
-            n = total - m
-            left = kappa.get((m, n), 0)
-            base = 1 if total == 0 else left if m * n == 0 else 0
-            diff = scalars.over(abs(left - (base - green[m][n])), scale ** total, kind)
-            if diff > worst:
-                worst = diff
-    return worst
-

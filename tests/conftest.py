@@ -14,7 +14,7 @@ import pytest
 
 from bifree import scalars
 from bifree.cumulants import table_keys
-from bifree.errors import ShapeError, SingularSeriesError
+from bifree.errors import ShapeError
 from bifree.fock import FockModel, _face, _inner
 from bifree.levy_hincin import LevyHincinData
 from bifree.measures import FIRST, DiscretePlanarMeasure
@@ -309,7 +309,7 @@ def oracle_vacuum_moment(model, m, n, cap=None):
     return state.get((), scalars.zero(model.kind))
 
 
-# -- series algebra on coefficient dicts, the oracle for bifree.series ----------
+# -- series algebra on coefficient dicts: the literal transform identity ---------
 # Two-variable series are dicts {(m, n): c} truncated at a total degree, one-
 # variable series coefficient tuples c_0..c_D; every loop runs over the terms.
 
@@ -328,7 +328,7 @@ def oracle_reciprocal(f, degree):
     """The inverse up to total degree `degree`; f(0, 0) must be nonzero."""
     c0 = f.get((0, 0), 0)
     if c0 == 0:
-        raise SingularSeriesError("reciprocal of a series with zero constant term")
+        raise ZeroDivisionError("reciprocal of a series with zero constant term")
     out = {(0, 0): 1 / Fraction(c0)}
     for m, n in table_keys(degree, 1):
         acc = sum(f.get((i, j), 0) * out[(m - i, n - j)]
@@ -340,7 +340,7 @@ def oracle_reciprocal(f, degree):
 def oracle_compose(series, u, v, degree):
     """series(u(z), v(w)) for tuples u, v of degree + 1 coefficients, both 0 at 0."""
     if u[0] != 0 or v[0] != 0:
-        raise SingularSeriesError("substituted series must have zero constant term")
+        raise ValueError("substituted series must have zero constant term")
     one = (1,) + (0,) * degree
 
     def power(f, k):

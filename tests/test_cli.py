@@ -21,8 +21,9 @@ import pytest
 import bifree
 from bifree.cli import _verify_payload, build_parser, run
 from bifree.cumulants import CumulantTable, MomentTable
+from bifree.errors import RealizabilityError
 from bifree.fock import FockModel
-from bifree.levy_hincin import LevyHincinData
+from bifree.levy_hincin import LevyHincinData, lh_to_cumulants, r_transform_from_lh
 from bifree.measures import DiscretePlanarMeasure
 
 DATA = Path(__file__).parent / "data"
@@ -153,6 +154,34 @@ def test_exit_code_verdict_false():
                         "--gram-degree", "3"])
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def test_lh_cumulants_refuses_an_invalid_triple(capsys):
+    # rho{(0,0)} = 2 against rho1 = rho2 = 1 at the origin: the cumulants
+    # would be kappa11 = 2 with kappa20 = kappa02 = 1, past Cauchy-Schwarz
+    assert invoke(["lh-validate", str(DATA / "lh_invalid.json")])[0] == 1
+    assert invoke(["lh-cumulants", str(DATA / "lh_invalid.json"), "--degree", "4"]) == (2, "")
+    assert "fails validation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("offset,valid", [(5e-10, False), (5e-11, True)])
+def test_one_tolerance_judges_a_float_triple(tmp_path, capsys, offset, valid):
+    # rho's weight off by `offset` moves the relations by offset and
+    # offset / 2, about RELATION_TOL = 1e-10: every entry point gives one verdict
+    doc = {"kind": "float", "kappa10": 0.0, "kappa01": 0.0,
+           "rho1": {"atoms": [[1.0, 0.5, 2.0]]}, "rho2": {"atoms": [[1.0, 0.5, 0.5]]},
+           "rho": {"atoms": [[1.0, 0.5, 1.0 + offset]], "signed": True}}
+    path = _write(tmp_path / "triple.json", doc)
+    assert invoke(["lh-validate", path])[0] == (0 if valid else 1)
+    code, out = invoke(["lh-cumulants", path, "--degree", "4"])
+    assert (code, bool(out)) == ((0, True) if valid else (2, False))
+    data = LevyHincinData.from_jsonable(doc)
+    if valid:
+        assert r_transform_from_lh(data, 4).entries == lh_to_cumulants(data, 4).entries
+    else:
+        with pytest.raises(RealizabilityError):
+            r_transform_from_lh(data, 4)
+    capsys.readouterr()
 
 
 def test_exit_code_input_errors(capsys):
@@ -346,7 +375,7 @@ FLAGS = {
         "compound": ["--degree", "--kind", "--lambda", "--nu"],
     },
     "lh-cumulants": ["--degree"],
-    "lh-validate": ["--tolerance"],
+    "lh-validate": [],
     "check-id": ["--gram-degree"],
     "gns": ["--gram-degree"],
     "extract": ["--seed"],
@@ -696,12 +725,14 @@ def test_model_document_states_its_kind(tmp_path):
     assert value == 1.3611111111111112  # 1 + (1/2)^2 + (1/3)^2 in float
 
 
-# What the package exports; perfbench reaches the program through these names
+# What the package exports; perfbench reaches the program through these names.
+# SingularSeriesError is gone: no series step divides since the identity's
+# reciprocals were removed.
 PUBLIC_NAMES = {
     "BifreeError", "BoundednessReport", "ChiMap", "CommutationError", "CpsdReport",
     "CumulantTable", "DegreeError", "DiscretePlanarMeasure", "FockModel",
     "InconsistentDataError", "LevyHincinData", "LhValidation", "MomentTable", "OrderError",
-    "Partition", "RealizabilityError", "ShapeError", "SingularSeriesError", "SizeLimitError",
+    "Partition", "RealizabilityError", "ShapeError", "SizeLimitError",
     "UncertifiedScaleWarning", "UnsupportedMeasureError", "bifree_convolve",
     "bifree_gaussian", "bifree_poisson", "catalan", "check_commutation", "check_cond_bounded",
     "check_cpsd", "check_moment_2sequence", "compound_bifree_poisson", "compound_family",

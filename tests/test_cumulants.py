@@ -118,10 +118,11 @@ def float_outputs():
     return lines
 
 
-# SHA-256 of float_outputs(), float transforms by the closed form; recorded
-# after test_float_transforms_are_accurate bounded their error against the
-# exact values
-FLOAT_OUTPUTS_SHA256 = "a4b93760a03fbd4b4502d53553f6a1edcad3da32d0e867f1a447cab3526b301d"
+# SHA-256 of float_outputs(), float transforms by the closed form and
+# identity residuals as the recursion against the closed form; recorded after
+# test_float_transforms_are_accurate bounded the transforms' error against
+# the exact values
+FLOAT_OUTPUTS_SHA256 = "e0b96c180d2f0a9a4cd8f64a319b9bf97626207146b54afce81a47c4c5354842"
 
 
 def test_float_outputs_are_unchanged_bit_for_bit():
@@ -196,6 +197,18 @@ def test_identity_checks_the_first_block_recursion(monkeypatch):
         assert moments_to_cumulants(t).entries == kappa
     assert verify_voiculescu_identity(table) != 0
     assert verify_voiculescu_identity(floats) > 1e-9  # past the CLI's float tolerance
+
+
+@pytest.mark.parametrize("degree", [3, 6, 12])
+def test_identity_window_is_total_degree_below_d(monkeypatch, degree):
+    # the recursion off at one key of degree D - 1 moves the residual, off at
+    # one of degree D leaves it 0: the identity certifies total degree <= D - 1
+    table = moment_table(random_planar_measure(random.Random(5), 3), degree)
+    exact = cumulants._non_top_sum
+    for key, moved in (((1, degree - 2), True), ((1, degree - 1), False)):
+        monkeypatch.setattr(cumulants, "_non_top_sum", lambda m, n, moment, kappa, key=key:
+                            exact(m, n, moment, kappa) + ((m, n) == key))
+        assert (verify_voiculescu_identity(table) != 0) == moved, key
 
 
 # Worst relative error, |float - exact| / max(1, |exact|), that a float

@@ -496,7 +496,7 @@ def test_extract_poisson_atoms():
     assert data.rho1.weight_at(a, b) == pytest.approx(lam * a * a)
     assert data.rho2.weight_at(a, b) == pytest.approx(lam * b * b)
     assert data.rho.weight_at(a, b) == pytest.approx(lam * a * b)
-    assert validate_lh(data, 1e-8).ok
+    assert validate_lh(data).ok
 
 
 def test_extract_zero_vectors_empty_measures():

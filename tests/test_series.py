@@ -1,4 +1,4 @@
-"""Series cores on row lists, their dict oracle, and the transform identity."""
+"""The transform identity: its literal dict oracle, the composition core, verdicts."""
 
 import random
 from fractions import Fraction
@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifree import scalars
-from bifree.cumulants import (CumulantTable, MomentTable, _solve, table_keys,
+from bifree.cumulants import (CumulantTable, MomentTable, moments_to_cumulants, table_keys,
                               verify_voiculescu_identity)
-from bifree.errors import DegreeError, SingularSeriesError
+from bifree.errors import DegreeError
 from bifree.fock import FockModel, moment_table_from_model
 from bifree.measures import moment_table, point_mass, product_measure
 from bifree.measures import SECOND
-from bifree.series import _compose, _powers, _reciprocal, _rows, _separable_product, residual
+from bifree.series import _compose, _rows
 
 from conftest import (oracle_compose, oracle_multiply, oracle_reciprocal,
                       random_commuting_model, random_line_measure, random_moment_table,
@@ -40,14 +40,11 @@ def test_multiply_difference_of_squares():
     one_plus, one_minus = coeffs({(0, 0): 1, (1, 0): 1}), coeffs({(0, 0): 1, (1, 0): -1})
     expected = {(0, 0): 1, (2, 0): -1}
     assert nonzero(oracle_multiply(one_plus, one_minus, 4)) == expected
-    rows = _separable_product((1, 1, 0, 0, 0), (1, 0, 0, 0, 0), _rows(one_minus, 4))
-    assert as_dict(rows) == expected
 
 
 def test_multiply_identity_element():
     f = coeffs({(0, 0): 2, (1, 1): 3, (2, 0): -1})
     assert nonzero(oracle_multiply(f, {(0, 0): 1}, 3)) == f
-    assert as_dict(_separable_product((1, 0, 0, 0), (1, 0, 0, 0), _rows(f, 3))) == f
 
 
 def test_multiply_geometric_grid():
@@ -56,30 +53,24 @@ def test_multiply_geometric_grid():
     wgeo = {(0, n): 1 for n in range(d + 1)}
     grid = dict.fromkeys(table_keys(d, 0), 1)
     assert oracle_multiply(zgeo, wgeo, d) == grid
-    assert as_dict(_separable_product((1,) * (d + 1), (1,) * (d + 1), _rows({(0, 0): 1}, d))) \
-        == grid
 
 
 def test_reciprocal_geometric():
     f = coeffs({(0, 0): 1, (1, 0): -1})  # 1 - z
     geometric = {(k, 0): 1 for k in range(6)}
     assert nonzero(oracle_reciprocal(f, 5)) == geometric
-    assert as_dict(_reciprocal(_rows(f, 5))) == geometric
-    assert as_dict(_reciprocal(_rows({(0, 0): 1}, 3))) == {(0, 0): 1}
+    assert nonzero(oracle_reciprocal({(0, 0): 1}, 3)) == {(0, 0): 1}
 
 
 def test_reciprocal_product_of_geometrics():
     f = oracle_multiply(coeffs({(0, 0): 1, (1, 0): -1}), coeffs({(0, 0): 1, (0, 1): -1}), 4)
     grid = dict.fromkeys(table_keys(4, 0), 1)
     assert nonzero(oracle_reciprocal(f, 4)) == grid
-    assert as_dict(_reciprocal(_rows(f, 4))) == grid
 
 
 def test_reciprocal_requires_unit():
-    with pytest.raises(SingularSeriesError):
+    with pytest.raises(ZeroDivisionError):
         oracle_reciprocal(coeffs({(1, 0): 1}), 3)
-    with pytest.raises(SingularSeriesError):
-        _reciprocal(_rows(coeffs({(1, 0): 1}), 3))
 
 
 @settings(max_examples=25, deadline=None)
@@ -90,15 +81,24 @@ def test_reciprocal_is_inverse(seed):
     for total in range(1, 4):
         for m in range(total + 1):
             f[(m, total - m)] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    inverse = as_dict(_reciprocal(_rows(f, 3)))
-    assert inverse == nonzero(oracle_reciprocal(f, 3))
+    inverse = oracle_reciprocal(f, 3)
     assert nonzero(oracle_multiply(f, inverse, 3)) == {(0, 0): 1}
+
+
+def power_table(f, degree):
+    """powers[k][j] = [z^j] f^k for j <= degree - k: what _compose reads of z f(z)."""
+    powers = [[1] + [0] * degree]
+    for k in range(1, degree + 1):
+        last = powers[-1]
+        powers.append([sum(last[i] * f[j - i] for i in range(j + 1))
+                       for j in range(degree - k + 1)])
+    return powers
 
 
 def compose_rows(series, u, v, degree):
     """_compose with u(z) and v(w) given as tuples that vanish at 0."""
-    return as_dict(_compose(_rows(series, degree), _powers(u[1:], degree),
-                            _powers(v[1:], degree)))
+    return as_dict(_compose(_rows(series, degree), power_table(u[1:], degree),
+                            power_table(v[1:], degree)))
 
 
 def test_compose_identity_substitution():
@@ -106,6 +106,8 @@ def test_compose_identity_substitution():
     z = w = (0, 1, 0, 0)
     assert nonzero(oracle_compose(m, z, w, 3)) == m
     assert compose_rows(m, z, w, 3) == m
+    with pytest.raises(ValueError):  # only a series without constant term substitutes
+        oracle_compose(m, (1, 1, 0, 0), w, 3)
 
 
 def test_compose_squares_the_variable():
@@ -180,7 +182,12 @@ def test_voiculescu_requires_unit_constant():
         verify_voiculescu_identity(moment_table(point_mass(1, 1), 1))
 
 def slow_residual(moments, kappa):
-    """The identity's residual from the dict oracle on the unscaled tables."""
+    """The identity's largest coefficient discrepancy below total degree D.
+
+    The literal series side on the unscaled tables: the right side
+    1 + z R_a(z) + w R_b(w) - C_a(z) C_b(w) / M(u(z), v(w)), u = z / C_a(z),
+    by the dict oracle, against R(z, w) = sum of kappa_{m,n} z^m w^n.
+    """
     degree = moments.degree
     one_plus_zra = {(0, 0): 1, **{(m, 0): kappa.get(m, 0) for m in range(1, degree + 1)}}
     one_plus_wrb = {(0, 0): 1, **{(0, n): kappa.get(0, n) for n in range(1, degree + 1)}}
@@ -202,19 +209,20 @@ def slow_residual(moments, kappa):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=10_000),
        st.booleans())
-def test_inconsistent_pair_residual_is_the_slow_residual(degree, seed, spread):
-    # moments with the cumulants of another table: one cumulant of degree
-    # < D moved by d / L^(m+n); spread denominators make the clearing decline
+def test_closed_form_cumulants_satisfy_the_literal_identity(degree, seed, spread):
+    # the closed form's cumulants make every coefficient of the identity
+    # below degree D vanish; one of them moved does not, and one of degree D
+    # lies outside the window. Spread denominators make the graded clearing
+    # decline.
     rng = random.Random(seed)
     table = random_moment_table(rng, degree)
     if spread:
         table = MomentTable(degree, R, {(m, n): v + Fraction(1, 10**30 + 16 * m + n)
                                         if m + n else v for (m, n), v in table.entries.items()})
-    scale, moments = scalars.clear_graded(table.entries)
-    kappa = _solve(moments, to_cumulants=True)
-    declined = any(isinstance(v, Fraction) for v in moments.values())
-    assert declined == (spread and degree >= 4)
-    key = rng.choice(table_keys(degree - 1, 1))
-    kappa[key] += rng.choice((-3, -1, 1, 2))
-    wrong = CumulantTable(degree, R, {k: Fraction(v) / scale ** sum(k) for k, v in kappa.items()})
-    assert residual(moments, kappa, scale, degree, R) == slow_residual(table, wrong) != 0
+    kappa = moments_to_cumulants(table)
+    assert slow_residual(table, kappa) == 0 == verify_voiculescu_identity(table)
+    for lowest, top, moved in ((1, degree - 1, True), (degree, degree, False)):
+        key = rng.choice(table_keys(top, lowest))
+        wrong = CumulantTable(degree, R, dict(kappa.entries))
+        wrong.entries[key] += rng.choice((-3, -1, 1, 2))
+        assert (slow_residual(table, wrong) != 0) == moved
