@@ -2,8 +2,8 @@
 
 Every subcommand reads JSON from file arguments (or "-" for stdin) and
 writes a single JSON document to stdout. Output is byte-deterministic for
-fixed inputs and flags; randomized steps take --seed. Exit codes: 0 for
-success or a true verdict, 1 for a false verdict, 2 for input errors.
+fixed inputs and flags. Exit codes: 0 for success or a true verdict, 1 for
+a false verdict, 2 for input errors.
 
 Each handler imports the modules it calls, so a call loads only what its
 command reads: `moments` never loads the Fock or Levy-Hincin layers, and
@@ -124,8 +124,9 @@ def cmd_make(args) -> int:
         table = bifree_poisson(conv(args.rate), conv(args.alpha), conv(args.beta),
                                args.degree, kind)
     else:
+        # the rate takes the kind of the jump document, which may state its own
         jump = DiscretePlanarMeasure.from_jsonable(_load(args.nu), kind)
-        table = compound_bifree_poisson(conv(args.rate), jump, args.degree)
+        table = compound_bifree_poisson(args.rate, jump, args.degree)
     _emit(table.to_jsonable())
     return 0
 
@@ -169,7 +170,7 @@ def cmd_extract(args) -> int:
     from .fock import FockModel
     from .levy_hincin import extract_levy_measures
     model = FockModel.from_jsonable(_load(args.model))
-    _emit(extract_levy_measures(model, seed=args.seed).to_jsonable())
+    _emit(extract_levy_measures(model).to_jsonable())
     return 0
 
 
@@ -362,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="Levy measures of an operator model")
     p.add_argument("model")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("fock-moments", help="vacuum moments of an operator model")

@@ -107,12 +107,14 @@ class LevyHincinData:
     def from_jsonable(cls, data, kind=scalars.RATIONAL) -> "LevyHincinData":
         """A triple document in its own "kind", or in `kind` when it states none."""
         kind = scalars.check_kind(data.get("kind", kind))
+        # the measures are read in the triple's kind, whatever their own says
+        rho1, rho2, rho = ({**data[name], "kind": kind} for name in ("rho1", "rho2", "rho"))
         return cls(
             scalars.from_jsonable(data["kappa10"], kind),
             scalars.from_jsonable(data["kappa01"], kind),
-            DiscretePlanarMeasure.from_jsonable(data["rho1"], kind),
-            DiscretePlanarMeasure.from_jsonable(data["rho2"], kind),
-            DiscretePlanarMeasure.from_jsonable({**data["rho"], "signed": True}, kind),
+            DiscretePlanarMeasure.from_jsonable(rho1, kind),
+            DiscretePlanarMeasure.from_jsonable(rho2, kind),
+            DiscretePlanarMeasure.from_jsonable({**rho, "signed": True}, kind),
             kind)
 
 
@@ -415,11 +417,11 @@ def gns_reconstruct(table: CumulantTable, d: int) -> FockModel:
         kind=scalars.FLOAT)
 
 
-def extract_levy_measures(model: FockModel, seed: int = 0) -> LevyHincinData:
+def extract_levy_measures(model: FockModel) -> LevyHincinData:
     """Levy-Hincin triple of a commuting model by joint diagonalization.
 
-    Diagonalizes T1 + gamma T2 for a seeded random gamma and checks both
-    matrices come out diagonal, retrying with a fresh gamma up to five
+    Diagonalizes T1 + gamma T2 for a gamma from random.Random(0) and checks
+    both matrices come out diagonal, retrying with a fresh gamma up to five
     times (only finitely many gammas merge distinct eigenvalue pairs). The
     measures put mass <f, u_k>^2, <g, u_k>^2, and <f, u_k><g, u_k> at the
     joint eigenvalue pair of each basis vector u_k.
@@ -438,7 +440,7 @@ def extract_levy_measures(model: FockModel, seed: int = 0) -> LevyHincinData:
     t1, t2, fvec, gvec = (np.array(x, dtype=float)
                           for x in (model.t1, model.t2, model.f, model.g))
     scale = max(1.0, _largest(t1), _largest(t2))
-    rng = random.Random(seed)
+    rng = random.Random(0)
     basis = None
     for _ in range(5):
         gamma = rng.uniform(0.25, 1.75)

@@ -30,9 +30,8 @@ def bifree_gaussian(s1, s2, c, degree: int, kind: str = scalars.RATIONAL) -> Cum
     if c * c > s1 * s2:
         raise RealizabilityError(f"covariance {c} violates Cauchy-Schwarz")
     entries = dict.fromkeys(table_keys(degree, 1), scalars.zero(kind))
-    entries[(2, 0)] = s1
-    entries[(0, 2)] = s2
-    entries[(1, 1)] = c
+    if degree >= 2:  # degree 1 keeps only the zero means
+        entries.update({(2, 0): s1, (0, 2): s2, (1, 1): c})
     return CumulantTable(degree, kind, entries)
 
 

@@ -71,30 +71,29 @@ class DiscretePlanarMeasure:
         scale_w, w = scalars.clear_denominators(w for _, _, w in self.atoms)
         return scale_s, scale_t, scale_w, tuple(zip(s, t, w))
 
-    def moment_rows(self, degree: int, corner: tuple = (0, 0)) -> tuple:
+    def moment_rows(self, degree: int) -> tuple:
         """Unreduced moment rows: (L_s, L_t, L_w, sums), the one moment kernel.
 
-        sums[i][j], i + j <= degree, is the sum over atoms of W S^m T^n at
-        (m, n) = corner + (i, j), on Python ints in rational mode; the moment
-        there is sums[i][j] / (L_w L_s^m L_t^n). Rows are plain lists filled
-        atom by atom, so in float mode (scales 1) each sum adds the terms
-        (w * s**m) * t**n in atom order, starting from 0.0.
+        sums[m][n], m + n <= degree, is the sum over atoms of W S^m T^n, on
+        Python ints in rational mode; the moment is sums[m][n] / (L_w L_s^m
+        L_t^n). Rows are plain lists filled atom by atom, so in float mode
+        (scales 1) each sum adds the terms (w * s**m) * t**n in atom order,
+        starting from 0.0.
         """
         scale_s, scale_t, scale_w, atoms = self._cleared
-        m0, n0 = corner
         start = 0 if self.kind == scalars.RATIONAL else 0.0
         sums = [[start] * (degree - i + 1) for i in range(degree + 1)]
         for s, t, w in atoms:
-            powers = [t**(n0 + j) for j in range(degree + 1)]
+            powers = [t**j for j in range(degree + 1)]
             for i, row in enumerate(sums):
-                weighted = w * s**(m0 + i)
+                weighted = w * s**i
                 sums[i] = [acc + weighted * power for acc, power in zip(row, powers)]
         return scale_s, scale_t, scale_w, sums
 
     def moment(self, m: int, n: int):
-        """The integral of s^m t^n: the kernel evaluated at that entry alone."""
-        scale_s, scale_t, scale_w, sums = self.moment_rows(0, (m, n))
-        return scalars.over(sums[0][0], scale_w * scale_s**m * scale_t**n, self.kind)
+        """The integral of s^m t^n: entry (m, n) of the kernel's rows."""
+        scale_s, scale_t, scale_w, sums = self.moment_rows(m + n)
+        return scalars.over(sums[m][n], scale_w * scale_s**m * scale_t**n, self.kind)
 
     def moments(self, degree: int) -> dict:
         """Every moment of total degree <= degree, keyed (m, n) in table order."""
@@ -122,6 +121,8 @@ class DiscretePlanarMeasure:
 
     @classmethod
     def from_jsonable(cls, data, kind):
+        """A measure document in its own "kind", or in `kind` when it states none."""
+        kind = scalars.check_kind(data.get("kind", kind))
         atoms = [(scalars.from_jsonable(s, kind), scalars.from_jsonable(t, kind),
                   scalars.from_jsonable(w, kind)) for s, t, w in data["atoms"]]
         return cls.from_atoms(atoms, signed=bool(data.get("signed", False)), kind=kind)

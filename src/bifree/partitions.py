@@ -6,8 +6,13 @@ throughout is reverse refinement: ``pi <= sigma`` iff every block of pi is
 contained in a block of sigma, so the one-block partition 1_n is the top
 element and the all-singletons partition 0_n is the bottom.
 
-Enumeration order is deterministic: lexicographic on the restricted-growth
-string of the canonical form, so downstream sums are reproducible.
+Non-crossing is one rule, a left-to-right walk over the positions 1..n:
+each position either opens a new block or joins a block that is still
+open, and joining a block closes for good every block opened after it.
+`is_noncrossing` runs the walk along a partition's restricted-growth
+string (RGS); `enumerate_nc` runs it over every choice, open blocks oldest
+first and then a new block, which yields the lattice in RGS-lexicographic
+order, so downstream sums are reproducible.
 """
 
 from __future__ import annotations
@@ -77,62 +82,38 @@ def one_partition(n: int) -> Partition:
 def is_noncrossing(p: Partition) -> bool:
     """True iff no a < b < c < d has a, c in one block and b, d in another.
 
-    Equivalently: between consecutive members of a block, only whole blocks
-    may occur.
+    The walk along p.rgs(): a label seen for the first time opens a block,
+    a label in the open stack closes every block above it, and any other
+    label rejoins a closed block, a crossing.
     """
-    for block in p.blocks:
-        for lo, hi in zip(block, block[1:]):
-            for other in p.blocks:
-                if other is block:
-                    continue
-                inside = sum(1 for x in other if lo < x < hi)
-                if inside not in (0, len(other)):
-                    return False
+    stack, seen = [], set()
+    for label in p.rgs():
+        if label not in seen:
+            seen.add(label)
+            stack.append(label)
+        elif label in stack:
+            del stack[stack.index(label) + 1:]
+        else:
+            return False
     return True
-
-
-def _first_block_splits(rest):
-    # Yield (members, segments): `members` joins the leading element's block,
-    # `segments` are the maximal runs of skipped elements. Each segment is
-    # partitioned independently; no block may straddle two segments without
-    # crossing the leading block.
-    if not rest:
-        yield (), ()
-        return
-    yield (), (rest,)
-    for j in range(len(rest)):
-        seg = rest[:j]
-        for members, segments in _first_block_splits(rest[j + 1:]):
-            yield (rest[j],) + members, ((seg,) if seg else ()) + segments
-
-
-def _nc_blocks(elems):
-    # Yield the canonical block tuple of every non-crossing partition of
-    # the increasing tuple `elems`.
-    if not elems:
-        yield ()
-        return
-    first, rest = elems[0], elems[1:]
-
-    def expand(segments, i):
-        if i == len(segments):
-            yield ()
-            return
-        for left in _nc_blocks(segments[i]):
-            for right in expand(segments, i + 1):
-                yield left + right
-
-    for members, segments in _first_block_splits(rest):
-        head = (first,) + members
-        for tail in expand(segments, 0):
-            yield (head,) + tail
 
 
 @functools.lru_cache(maxsize=1)
 def _nc_lattice(n: int) -> tuple[Partition, ...]:
     # One lattice is kept: repeated callers ask for the same n in a row.
-    parts = [Partition(n, blocks) for blocks in _nc_blocks(tuple(range(1, n + 1)))]
-    parts.sort(key=Partition.rgs)
+    # Position k joins each open block, oldest first, then opens a new one:
+    # block labels in that order rise, so the output is RGS-lexicographic.
+    parts = []
+
+    def walk(k, blocks, stack):
+        if k > n:
+            parts.append(Partition(n, blocks))
+            return
+        for depth, i in enumerate(stack):
+            walk(k + 1, blocks[:i] + (blocks[i] + (k,),) + blocks[i + 1:], stack[:depth + 1])
+        walk(k + 1, blocks + ((k,),), stack + (len(blocks),))
+
+    walk(1, (), ())
     return tuple(parts)
 
 

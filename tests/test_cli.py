@@ -345,6 +345,33 @@ def test_ratio_text_parses_in_float_mode():
     assert floats == pytest.approx(exact, rel=1e-12, abs=0)
 
 
+def test_make_gaussian_of_degree_one():
+    for kind, zero in (("rational", "0"), ("float", 0.0)):
+        code, out = invoke(["make", "gaussian", "--degree", "1", "--kind", kind])
+        assert code == 0
+        assert json.loads(out) == {"degree": 1, "kind": kind,
+                                   "entries": [[0, 1, zero], [1, 0, zero]]}
+
+
+def test_a_measure_document_reads_in_its_own_kind(tmp_path):
+    # three float weights of 1/3: total mass 1 in float, 1 - 1e-16 read exactly
+    atoms = [[0.5, 1.0, 1 / 3], [1.0, 0.0, 1 / 3], [1.0, 1.0, 1 / 3]]
+    stated = _write(tmp_path / "stated.json", {"atoms": atoms, "kind": "float"})
+    unstated = _write(tmp_path / "unstated.json", {"atoms": atoms})
+    make = ["make", "compound", "--degree", "2", "--nu"]
+    roundtrip = ["verify", "roundtrip", "--degree", "3", "--measure"]
+    code, out = invoke(make + [stated])
+    assert code == 0
+    table = json.loads(out)
+    assert table["kind"] == "float"
+    assert [type(v) for _, _, v in table["entries"]] == [float] * 5
+    assert invoke(roundtrip + [stated])[0] == 0
+    # a document that states no kind takes --kind, rational by default
+    assert invoke(make + [unstated])[0] == 2
+    assert invoke(roundtrip + [unstated])[0] == 2
+    assert invoke(make + [unstated, "--kind", "float"]) == (code, out)
+
+
 def test_zero_denominators_are_input_errors(tmp_path, capsys):
     entries = [[m, t - m, "1"] for t in range(1, 3) for m in range(t + 1)]
     entries[1][2] = "1/0"
@@ -362,7 +389,7 @@ def test_zero_denominators_are_input_errors(tmp_path, capsys):
 
 
 # Each subcommand's optional flags (per distribution for make, per suite for
-# verify); --kind, --seed and --tolerance only where read.
+# verify); --kind and --tolerance only where read, and --seed nowhere.
 FLAGS = {
     "partitions": ["--chi", "--n"],
     "cumulants": [],
@@ -378,7 +405,7 @@ FLAGS = {
     "lh-validate": [],
     "check-id": ["--gram-degree"],
     "gns": ["--gram-degree"],
-    "extract": ["--seed"],
+    "extract": [],
     "fock-moments": ["--degree", "--m", "--n"],
     "verify": {
         "voiculescu": ["--degree", "--kind", "--measure", "--model", "--tolerance"],

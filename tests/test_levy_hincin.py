@@ -622,6 +622,17 @@ def test_gates_report_window():
     assert check_cond_bounded(cum, 3).degree_window == 3
 
 
+def test_measures_in_a_triple_read_in_the_triple_kind():
+    doc = {"kappa10": "2", "kappa01": "1", "kind": "rational",
+           "rho1": {"atoms": [["1", "1/2", "2"]], "kind": "float"},
+           "rho2": {"atoms": [["1", "1/2", "1/2"]], "kind": "float"},
+           "rho": {"atoms": [["1", "1/2", "1"]], "kind": "float"}}
+    data = LevyHincinData.from_jsonable(doc, scalars.FLOAT)
+    assert data.kind == R
+    assert {mu.kind for mu in (data.rho1, data.rho2, data.rho)} == {R}
+    assert data.rho.signed and data.rho1.atoms == ((1, Fraction(1, 2), 2),)
+
+
 def float_inverse_outputs():
     """float.hex of every float the inverse direction gives on 12 seeded triples.
 
@@ -637,7 +648,7 @@ def float_inverse_outputs():
         cpsd, bounded = check_cpsd(table, 3), check_cond_bounded(table, 3)
         moments = check_moment_2sequence(moment_table(random_planar_measure(rng, 3), 8), 3)
         model = gns_reconstruct(table, 3)
-        recovered = extract_levy_measures(model, seed)
+        recovered = extract_levy_measures(model)
         rebuilt = lh_to_cumulants(recovered, 8)
         lines.append(f"{cpsd.ok} {bounded.ok} {moments.ok} {model.dim}")
         for values in ([cpsd.min_eigenvalue],
@@ -654,8 +665,9 @@ def float_inverse_outputs():
 
 
 # SHA-256 of float_inverse_outputs() before the float Gram pipeline was
-# trimmed; every change there keeps each operation, so not one bit may move
-FLOAT_INVERSE_SHA256 = "ee35da7e56f23a7062b3bad0161a91aaa7f27747c5e0014c9eaffb4593b48d38"
+# trimmed, with extract's gamma drawn from random.Random(0) on every triple;
+# every change there keeps each operation, so not one bit may move
+FLOAT_INVERSE_SHA256 = "090d68886fbcf937a8dc97d38477950420b927e6b62f3a7508522ecff464e2f4"
 
 
 def test_float_inverse_outputs_are_unchanged_bit_for_bit():

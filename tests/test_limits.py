@@ -37,6 +37,14 @@ def test_gaussian_constructor_entries():
     with pytest.raises(ValueError):
         bifree_gaussian(0, 1, 0, 4)
 
+    # degree 1 is the zero table: the variances and covariance sit at degree 2,
+    # and they are checked all the same
+    assert bifree_gaussian(2, 3, 1, 1).entries == {(1, 0): 0, (0, 1): 0}
+    with pytest.raises(RealizabilityError):
+        bifree_gaussian(1, 1, 2, 1)
+    with pytest.raises(ValueError):
+        bifree_gaussian(0, 1, 0, 1)
+
 
 def test_poisson_constructor_entries():
     table = bifree_poisson(1, 1, 1, 4)

@@ -127,6 +127,17 @@ def test_json_round_trip(rng):
     assert again == mu
 
 
+def test_a_measure_document_states_its_own_kind():
+    atoms = [["1/2", "1", 0.25], [1, "-1", "3/4"]]
+    stated = DiscretePlanarMeasure.from_jsonable({"atoms": atoms, "kind": "float"}, "rational")
+    assert stated == DiscretePlanarMeasure.from_atoms(
+        [(0.5, 1.0, 0.25), (1.0, -1.0, 0.75)], kind="float")
+    unstated = DiscretePlanarMeasure.from_jsonable({"atoms": atoms}, "rational")
+    assert unstated.kind == "rational" and unstated.moment(1, 0) == Fraction(7, 8)
+    with pytest.raises(ValueError, match="unknown scalar kind"):
+        DiscretePlanarMeasure.from_jsonable({"atoms": atoms, "kind": "complex"}, "float")
+
+
 # -- the integer moment kernel against the per-atom sums ---------------------
 
 # coprime denominators, one far beyond a machine word, and zero coordinates

@@ -68,12 +68,13 @@ def test_singleton_ground_set():
     assert enumerate_nc(1) == (Partition(1, ((1,),)),)
 
 
-@pytest.mark.parametrize("n,count", [(3, 5), (4, 14)])
+@pytest.mark.parametrize("n,count", [(n, catalan(n)) for n in range(1, 9)])
 def test_small_counts_match_bruteforce(n, count):
-    brute = {p.blocks for p in all_set_partitions(n) if not has_crossing_bruteforce(p)}
-    fast = {p.blocks for p in enumerate_nc(n)}
-    assert fast == brute
-    assert len(fast) == count
+    # the same partitions in the same order: RGS-lexicographic
+    brute = sorted((p for p in all_set_partitions(n) if not has_crossing_bruteforce(p)),
+                   key=Partition.rgs)
+    assert enumerate_nc(n) == tuple(brute)
+    assert len(brute) == count
 
 
 def test_catalan_counts_up_to_nine():
@@ -97,6 +98,9 @@ def test_is_noncrossing_examples():
     assert is_noncrossing(Partition.from_blocks(4, [[1, 4], [2, 3]]))
     for n in (1, 3, 6):
         assert is_noncrossing(one_partition(n))
+    # blocks out of canonical order: the verdict reads only which block holds k
+    assert is_noncrossing(Partition(4, ((2, 3), (1, 4))))
+    assert not is_noncrossing(Partition(4, ((2, 4), (1, 3))))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
