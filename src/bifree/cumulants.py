@@ -168,14 +168,14 @@ def _solve(given, to_cumulants):
 
 
 def _transform(entries, degree, kind, to_cumulants):
-    _check_degree(degree)
+    check_degree(degree)
     scale, given = scalars.clear_graded(entries)
     out = series.transform(given, degree, to_cumulants)
     powers = [scale ** k for k in range(degree + 1)]
     return {(m, n): scalars.over(v, powers[m + n], kind) for (m, n), v in out.items()}
 
 
-def _check_degree(degree):
+def check_degree(degree):
     if degree > TRANSFORM_MAX_DEGREE:
         raise DegreeError(f"degree {degree} exceeds cap {TRANSFORM_MAX_DEGREE}")
 
@@ -255,7 +255,7 @@ def verify_voiculescu_identity(table: MomentTable):
     """
     if table.degree < 2:
         raise DegreeError("need degree >= 2")
-    _check_degree(table.degree)
+    check_degree(table.degree)
     scale, moments = scalars.clear_graded(table.entries)
     recursion = _solve(moments, to_cumulants=True)
     closed = series.transform(moments, table.degree, to_cumulants=True)

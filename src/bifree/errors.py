@@ -6,7 +6,7 @@ class BifreeError(Exception):
 
 
 class SizeLimitError(BifreeError):
-    """A size exceeds its cap: a partition ground set or a Fock vacuum power."""
+    """A size exceeds its cap: a partition ground set."""
 
 
 class DegreeError(BifreeError):

@@ -5,28 +5,40 @@ The model (f, g, T1, T2, lambda1, lambda2) realizes the pair
     a = l(f) + l(f)* + gauge_l(T1) + lambda1,
     b = r(g) + r(g)* + gauge_r(T2) + lambda2,
 
-on the full Fock space over R^d. Vectors are sparse maps from words over
-the letters {0..d-1} to amplitudes; the empty word is the vacuum. A face
-acts on such a map in one pass over its words.
+on the full Fock space over R^d, whose words the left operators read at
+the first letter and the right ones at the last. Moving a^m across needs
+only that a is self-adjoint (T1 is symmetric and lambda1 real; likewise
+for b), so the faces need not commute and
 
-Moment tables read every entry as an inner product of vacuum powers,
+    phi(a^m b^n) = <a^m b^n vac, vac> = <b^n vac, a^m vac>.
 
-    phi(a^m b^n) = <a^m b^n vac, vac> = <b^n vac, a^m vac>,
+No Fock vector is built. A word is a stack for each face, topped by its
+first letter for a and by its last for b, and each step of a face is a
+push, a pop, a gauge step on the top letter or a scalar step. A letter
+pushed by a face with vector v and gauge T is on top for a stretch of
+steps; h[k][e] weighs a stretch of k steps, e of them gauge steps on the
+letter, which then reads u_e = T^e v. Splitting on the first step,
 
-so a^k vac and b^k vac are built once for k = 0..D and each entry costs
-one sparse dot product.
+    h[k][e] = lambda h[k-1][e] + h[k-1][e-1] + sum_{j>=2} X_j h[k-j][e],
 
-Rational data is cleared of denominators once per face before any power
-is built: with L_a the common denominator of (f, T1, lambda1) and L_b that
-of (g, T2, lambda2), the faces L_a a and L_b b have integer data, so their
-vacuum powers carry Python ints and no Fraction is made on the way. Entry
-(m, n) is divided back once, as <(L_b b)^n vac, (L_a a)^m vac> / (L_a^m L_b^n).
-Float data is not scaled (L = 1). Moving a^m across needs only that a is
-self-adjoint: l(f)* is the adjoint of l(f), and gauge_l(T1) and lambda1
-are self-adjoint because T1 is symmetric and lambda1 is real (likewise
-for b). The faces need not commute. No truncation enters, because a^k vac
-never leaves the levels <= k; but it can hold d^k words, so a power whose
-words could exceed MAX_FOCK_WORDS is refused before it is built.
+where X_j = sum_e h[j-2][e] <u_e, v> is a complete excursion of j steps
+(push, stretch, pop). The empty stack has the same recursion without
+gauge steps, since gauge_l(T) vac = 0, so its stretch is h[k][0]. The
+letters a^m vac and b^n vac leave behind pair up, a's top with b's
+bottom, each pair weighing
+
+    P[k][l] = sum_{e,e'} h_a[k-1][e] h_b[l-1][e'] <T1^e f, T2^e' g>,
+
+so phi(a^m b^n) = [z^m w^n] H_a(z) H_b(w) Q(z, w) with H(z) the vacuum
+stretches and Q = sum_j P^j = 1 + P Q, solved without division. That is
+O(D dim^2 + D^4) for a table of degree D, which is capped at the
+transforms' TRANSFORM_MAX_DEGREE.
+
+Rational data is cleared of denominators once per face: with L_a the
+common denominator of (f, T1, lambda1) and L_b that of (g, T2, lambda2),
+the kernel runs on the integer data of L_a a and L_b b, making no
+Fraction on the way, and entry (m, n) is divided back once by
+L_a^m L_b^n. Float data is not scaled (L = 1).
 
 Real scalars only: over the reals the mixed-inner-product condition for
 commutation is automatic and all cumulants stay real.
@@ -37,11 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import scalars
-from .cumulants import CumulantTable, MomentTable, table_keys
-from .errors import CommutationError, ShapeError, SizeLimitError
+from .cumulants import CumulantTable, MomentTable, check_degree, table_keys
+from .errors import CommutationError, ShapeError
 
 MAX_MODEL_DIM = 12
-MAX_FOCK_WORDS = 2 ** 14
 COMMUTATION_TOL = 1e-10  # largest float residual of check_commutation that passes
 SYMMETRY_TOL = 1e-12  # how far a float T[i][j] may sit from T[j][i]
 
@@ -121,82 +132,66 @@ class FockModel:
             dec(data["lambda1"]), dec(data["lambda2"]), kind)
 
 
-def _face(amplitudes: dict, vec, mat, lam, left: bool) -> dict:
-    # One pass of l(vec) + l(vec)* + gauge_l(mat) + lam over the words, or of
-    # the right-handed operators when `left` is false; zero amplitudes dropped.
-    creators = [(i, c) for i, c in enumerate(vec) if c]
-    columns = [[(i, row[col]) for i, row in enumerate(mat) if row[col]]
-               for col in range(len(mat))]
-    # a new word starts from the integer 0, the zero of every kind; only the
-    # sign of a float zero can differ from starting at the first term, and
-    # zeros are dropped
-    out: dict = {}
-    get = out.get
-    for word, amp in amplitudes.items():
-        if lam:
-            out[word] = get(word, 0) + amp * lam
-        if word:
-            letter, rest = (word[0], word[1:]) if left else (word[-1], word[:-1])
-            if vec[letter]:
-                out[rest] = get(rest, 0) + amp * vec[letter]
-            for i, t in columns[letter]:
-                key = (i,) + rest if left else rest + (i,)
-                out[key] = get(key, 0) + amp * t
-        for i, c in creators:
-            key = (i,) + word if left else word + (i,)
-            out[key] = get(key, 0) + amp * c
-    return {w: a for w, a in out.items() if a}
-
-
-def _inner(x: dict, y: dict, zero):
-    if len(y) < len(x):
-        x, y = y, x
-    return sum((a * y[w] for w, a in x.items() if w in y), zero)
-
-
-def _vacuum_powers(model: FockModel, degree: int, left: bool) -> tuple:
-    # (L, [(L a)^k vac for k = 0..degree]) with L the common denominator of
-    # the face's data, or the same for b; the top power can hold dim^degree
-    # words, so the bound is checked before any work
-    words = max(model.dim, 2) ** degree
-    if words > MAX_FOCK_WORDS:
-        raise SizeLimitError(f"degree {degree} over dimension {model.dim} reaches {words} "
-                             f"Fock words, above the cap {MAX_FOCK_WORDS}")
-    vec, mat, lam = ((model.f, model.t1, model.lambda1) if left
-                     else (model.g, model.t2, model.lambda2))
-    dim = model.dim
-    scale, (lam, *data) = scalars.clear_denominators((lam, *vec, *(x for row in mat for x in row)))
-    vec, mat = data[:dim], [data[dim * (i + 1):dim * (i + 2)] for i in range(dim)]
-    powers = [{(): 1 if model.kind == scalars.RATIONAL else 1.0}]
-    for _ in range(degree):
-        powers.append(_face(powers[-1], vec, mat, lam, left))
-    return scale, powers
-
-
-def _moment(model: FockModel, left: tuple, right: tuple, m: int, n: int):
-    # <(L_b b)^n vac, (L_a a)^m vac>, divided back by L_a^m L_b^n
-    (scale_a, powers_a), (scale_b, powers_b) = left, right
-    zero = 0 if model.kind == scalars.RATIONAL else 0.0
-    return scalars.over(_inner(powers_a[m], powers_b[n], zero),
-                        scale_a**m * scale_b**n, model.kind)
-
-
-def vacuum_moment(model: FockModel, m: int, n: int):
-    """The joint moment <a^m b^n vac, vac>, read as <b^n vac, a^m vac>.
-
-    The same inner product of the same vacuum powers as entry (m, n) of
-    moment_table_from_model, so the two agree bit for bit in float mode.
-    """
-    return _moment(model, _vacuum_powers(model, m, True), _vacuum_powers(model, n, False),
-                   m, n)
+def _stretches(vec, mat, lam, degree: int) -> tuple:
+    # (h, u) for one face's cleared data (v, T, lambda): h[k][e] weighs k steps
+    # taken while a letter this face pushed is on top of the stack, e of them
+    # gauge steps on it, so that it reads u[e] = T^e v; a letter that is
+    # popped or paired takes at most degree - 2 gauge steps
+    u = [vec]
+    for _ in range(degree - 2):
+        u.append(_matvec(mat, u[-1]))
+    pops = [_dot(x, vec) for x in u]  # <u_e, v>: popping a letter gauged e times
+    h, excursions = [[1]], [0]
+    for k in range(1, degree + 1):
+        # a complete excursion of k steps: a push, a stretch of k - 2, a pop
+        excursions.append(_dot(h[k - 2], pops) if k >= 2 else 0)
+        row = [lam * w for w in h[k - 1]] + [0]  # first step scalar,
+        for e, w in enumerate(h[k - 1]):  # or a gauge step,
+            row[e + 1] += w
+        for j in range(2, k + 1):  # or an excursion of j steps
+            for e, w in enumerate(h[k - j]):
+                row[e] += excursions[j] * w
+        h.append(row)
+    return h, u
 
 
 def moment_table_from_model(model: FockModel, degree: int) -> MomentTable:
-    """Vacuum moments up to total degree, each read as <b^n vac, a^m vac>."""
-    left = _vacuum_powers(model, degree, True)
-    right = _vacuum_powers(model, degree, False)
-    entries = {(m, n): _moment(model, left, right, m, n) for m, n in table_keys(degree, 0)}
+    """Vacuum moments up to total degree, by stretches and pairings of letters."""
+    check_degree(degree)
+    dim, faces = model.dim, []
+    for vec, mat, lam in ((model.f, model.t1, model.lambda1),
+                          (model.g, model.t2, model.lambda2)):
+        scale, (lam, *data) = scalars.clear_denominators(
+            (lam, *vec, *(x for row in mat for x in row)))
+        vec, mat = data[:dim], [data[dim * (i + 1):dim * (i + 2)] for i in range(dim)]
+        faces.append((scale, *_stretches(vec, mat, lam, degree)))
+    (scale_a, h_a, u_a), (scale_b, h_b, u_b) = faces
+    # a letter of a, k steps from its push on, paired with a letter of b, l steps
+    gram = [[_dot(x, y) for y in u_b] for x in u_a]
+    pair = {(k, l): sum(x * y * gram[e][f] for e, x in enumerate(h_a[k - 1])
+                        for f, y in enumerate(h_b[l - 1]))
+            for k, l in table_keys(degree, 2) if k and l}
+    # chains of paired letters: Q = sum_j P^j, solved as Q = 1 + P Q
+    chains = {(0, 0): 1}
+    for m, n in table_keys(degree, 1):
+        chains[(m, n)] = sum(pair[(k, l)] * chains[(m - k, n - l)]
+                             for k in range(1, m + 1) for l in range(1, n + 1))
+    # the vacuum stretches are h[i][0]: a stretch with no gauge step on its
+    # letter has the recursion of the empty stack, which a gauge step kills
+    entries = {(m, n): scalars.over(
+        sum(h_a[i][0] * h_b[j][0] * chains[(m - i, n - j)]
+            for i in range(m + 1) for j in range(n + 1)),
+        scale_a**m * scale_b**n, model.kind) for m, n in table_keys(degree, 0)}
     return MomentTable(degree, model.kind, entries)
+
+
+def vacuum_moment(model: FockModel, m: int, n: int):
+    """The joint moment <a^m b^n vac, vac>: entry (m, n) of the table of degree m + n.
+
+    An entry does not depend on the table's degree, so the two agree bit
+    for bit in float mode.
+    """
+    return moment_table_from_model(model, m + n).get(m, n)
 
 
 @dataclass(frozen=True)

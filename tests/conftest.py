@@ -15,7 +15,7 @@ import pytest
 from bifree import scalars
 from bifree.cumulants import table_keys
 from bifree.errors import ShapeError
-from bifree.fock import FockModel, _face, _inner
+from bifree.fock import FockModel
 from bifree.levy_hincin import LevyHincinData
 from bifree.measures import FIRST, DiscretePlanarMeasure
 
@@ -165,7 +165,7 @@ def random_validated_lh(rng, natoms=3) -> LevyHincinData:
         DiscretePlanarMeasure.from_atoms(atoms, signed=True))
 
 
-# -- the per-atom and per-face loops, oracles for the integer kernels ---------
+# -- the per-atom loops, oracles for the integer kernels ----------------------
 
 def oracle_measure_moment(mu, m, n):
     """The integral of s^m t^n as the per-atom sum of w * s**m * t**n, in mu's kind."""
@@ -201,21 +201,6 @@ def oracle_lh_to_cumulants(data, degree):
     return entries
 
 
-def unscaled_moment_table(model, degree):
-    """Vacuum moments from powers of the faces on the model's own data.
-
-    The per-face loop before denominators were cleared: Fraction amplitudes
-    in rational mode, and in float mode the exact operations of the float
-    path, so a float table must equal it bit for bit.
-    """
-    one, zero = scalars.one(model.kind), scalars.zero(model.kind)
-    left, right = [{(): one}], [{(): one}]
-    for _ in range(degree):
-        left.append(_face(left[-1], model.f, model.t1, model.lambda1, True))
-        right.append(_face(right[-1], model.g, model.t2, model.lambda2, False))
-    return {(m, n): _inner(left[m], right[n], zero) for m, n in table_keys(degree, 0)}
-
-
 FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                        "__truediv__", "__rtruediv__", "__pow__", "__rpow__")
 
@@ -237,6 +222,56 @@ def no_fraction_arithmetic():
     finally:
         for name, method in saved.items():
             setattr(Fraction, name, method)
+
+
+# -- the word maps: vacuum powers of each face, an oracle for bifree.fock -----
+
+def face_on_words(amplitudes, vec, mat, lam, left):
+    """One pass of l(vec) + l(vec)* + gauge_l(mat) + lam over a word -> amplitude map.
+
+    The right-handed operators when `left` is false; zero amplitudes are
+    dropped. A new word starts from the integer 0, the zero of every kind.
+    """
+    creators = [(i, c) for i, c in enumerate(vec) if c]
+    columns = [[(i, row[col]) for i, row in enumerate(mat) if row[col]]
+               for col in range(len(mat))]
+    out: dict = {}
+    get = out.get
+    for word, amp in amplitudes.items():
+        if lam:
+            out[word] = get(word, 0) + amp * lam
+        if word:
+            letter, rest = (word[0], word[1:]) if left else (word[-1], word[:-1])
+            if vec[letter]:
+                out[rest] = get(rest, 0) + amp * vec[letter]
+            for i, t in columns[letter]:
+                key = (i,) + rest if left else rest + (i,)
+                out[key] = get(key, 0) + amp * t
+        for i, c in creators:
+            key = (i,) + word if left else word + (i,)
+            out[key] = get(key, 0) + amp * c
+    return {w: a for w, a in out.items() if a}
+
+
+def inner_on_words(x, y, zero):
+    """The inner product of two word -> amplitude maps."""
+    if len(y) < len(x):
+        x, y = y, x
+    return sum((a * y[w] for w, a in x.items() if w in y), zero)
+
+
+def word_moment_table(model, degree):
+    """Vacuum moments as <b^n vac, a^m vac> from the powers a^k vac and b^k vac.
+
+    Each power is a map of up to dim^k words, built by one pass of the face
+    on the one below it, on the model's own data.
+    """
+    one, zero = scalars.one(model.kind), scalars.zero(model.kind)
+    left, right = [{(): one}], [{(): one}]
+    for _ in range(degree):
+        left.append(face_on_words(left[-1], model.f, model.t1, model.lambda1, True))
+        right.append(face_on_words(right[-1], model.g, model.t2, model.lambda2, False))
+    return {(m, n): inner_on_words(left[m], right[n], zero) for m, n in table_keys(degree, 0)}
 
 
 # -- the operator-by-operator Fock engine, the oracle for bifree.fock ----------

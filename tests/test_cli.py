@@ -518,12 +518,12 @@ def test_inputs_are_required_and_exclusive(capsys, case):
     assert capsys.readouterr().err
 
 
-def test_fock_word_bound_refuses_before_work(capsys):
+def test_fock_degree_bound_refuses_before_work(capsys):
     start = time.perf_counter()
     code, out = invoke(["fock-moments", str(DATA / "model_gaussian.json"), "--degree", "24"])
     assert (code, out) == (2, "")
     assert time.perf_counter() - start < 1.0
-    assert "words" in capsys.readouterr().err
+    assert "degree 24" in capsys.readouterr().err
 
 
 def _leaves(parser, path=()):

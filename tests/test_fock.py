@@ -11,14 +11,12 @@ from bifree import scalars
 from bifree.convolution import bifree_convolve
 from bifree.cumulants import moments_to_cumulants
 from bifree.errors import CommutationError, ShapeError
-from bifree.fock import (CommutationReport, FockModel, _face,
-                         check_commutation, levy_marginal_model,
-                         model_cumulants, moment_table_from_model,
-                         vacuum_moment)
+from bifree.fock import (FockModel, check_commutation, levy_marginal_model,
+                         model_cumulants, moment_table_from_model, vacuum_moment)
 
 from conftest import (ANNIH_L, CREATE_L, CREATE_R, GAUGE_L, GAUGE_R,
-                      apply_operator, face_by_operators, no_fraction_arithmetic,
-                      oracle_vacuum_moment, random_commuting_model, unscaled_moment_table)
+                      apply_operator, face_by_operators, face_on_words, no_fraction_arithmetic,
+                      oracle_vacuum_moment, random_commuting_model, rational, word_moment_table)
 
 VAC = {(): Fraction(1)}
 
@@ -114,8 +112,8 @@ def test_commutation_as_operators(rng):
     # space, not just in distribution
     model = random_commuting_model(rng, 3)
     assert check_commutation(model).ok
-    a = lambda state: _face(state, model.f, model.t1, model.lambda1, True)
-    b = lambda state: _face(state, model.g, model.t2, model.lambda2, False)
+    a = lambda state: face_on_words(state, model.f, model.t1, model.lambda1, True)
+    b = lambda state: face_on_words(state, model.g, model.t2, model.lambda2, False)
     for _ in range(50):
         words = {}
         for _ in range(rng.randint(1, 4)):
@@ -296,6 +294,30 @@ def test_float_moment_table_matches_per_entry_moments(model, degree):
         assert abs(fast[key] - want) <= 1e-9 * max(1.0, abs(want))
 
 
+def test_commuting_model_of_dimension_12_at_degree_12(rng):
+    # dim^degree = 12^12 words would make the word maps hopeless here
+    model = random_commuting_model(rng, 12)
+    table = moment_table_from_model(model, 12)
+    assert moments_to_cumulants(table).entries == model_cumulants(model, 12).entries
+
+
+def test_non_commuting_model_of_dimension_5_at_degree_6(rng):
+    def symmetric():
+        mat = [[None] * 5 for _ in range(5)]
+        for i in range(5):
+            for j in range(i, 5):
+                mat[i][j] = mat[j][i] = rational(rng)
+        return mat
+
+    model = FockModel.from_arrays([rational(rng) for _ in range(5)],
+                                  [rational(rng) for _ in range(5)], symmetric(), symmetric(),
+                                  rational(rng), rational(rng))
+    assert not check_commutation(model).ok
+    table = moment_table_from_model(model, 6)
+    for (m, n), value in table.entries.items():
+        assert value == oracle_vacuum_moment(model, m, n), (m, n)
+
+
 @st.composite
 def fock_states(draw, dim, cap=4):
     words = st.lists(st.integers(0, dim - 1), max_size=cap).map(tuple)
@@ -308,13 +330,13 @@ def test_one_pass_faces_equal_operator_sums(data):
     # cap 5 leaves room for every word of length <= 4 to grow
     model = data.draw(fock_models())
     state = data.draw(fock_states(model.dim))
-    assert _face(state, model.f, model.t1, model.lambda1, True) == \
+    assert face_on_words(state, model.f, model.t1, model.lambda1, True) == \
         face_by_operators(model, state, 5, True)
-    assert _face(state, model.g, model.t2, model.lambda2, False) == \
+    assert face_on_words(state, model.g, model.t2, model.lambda2, False) == \
         face_by_operators(model, state, 5, False)
 
 
-# -- integer vacuum powers: each face over its own common denominator --------
+# -- integer stretches: each face over its own common denominator ------------
 
 DENOMINATORS = (7, 11, 13, 10**30)
 
@@ -347,21 +369,38 @@ def two_denominator_models(draw):
 def test_two_denominator_tables_match_per_entry_moments(model, degree):
     table = moment_table_from_model(model, degree).entries
     assert table == per_entry_table(model, degree)
-    assert table == unscaled_moment_table(model, degree)
+    assert table == word_moment_table(model, degree)
     m = degree // 2
     assert vacuum_moment(model, m, degree - m) == table[(m, degree - m)]
 
 
+def absolute_model(model):
+    """The model with every datum replaced by its absolute value."""
+    absolute = lambda rows: [[abs(x) for x in row] for row in rows]
+    return FockModel.from_arrays([abs(x) for x in model.f], [abs(x) for x in model.g],
+                                 absolute(model.t1), absolute(model.t2),
+                                 abs(model.lambda1), abs(model.lambda2))
+
+
+FLOAT_TABLE_RTOL = 1e-14
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.one_of(fock_models(), two_denominator_models()), st.integers(0, 6))
-def test_float_tables_are_the_unscaled_tables_bit_for_bit(model, degree):
-    model = as_float_model(model)
-    fast = moment_table_from_model(model, degree).entries
-    want = unscaled_moment_table(model, degree)
-    assert {k: repr(v) for k, v in fast.items()} == {k: repr(v) for k, v in want.items()}
+def test_float_tables_match_the_exact_tables(model, degree):
+    # a vacuum moment sums products of the model's data over paths, each with a
+    # positive count, so the absolute model's moment bounds the sum of the
+    # terms' sizes; up to degree 6 the float table of the rounded data is
+    # within FLOAT_TABLE_RTOL times that bound of the exact table (worst seen
+    # 6.6e-16)
+    exact = moment_table_from_model(model, degree).entries
+    sizes = moment_table_from_model(absolute_model(model), degree).entries
+    fast = moment_table_from_model(as_float_model(model), degree).entries
+    for key, want in exact.items():
+        assert abs(Fraction(fast[key]) - want) <= FLOAT_TABLE_RTOL * sizes[key], key
 
 
-def test_vacuum_powers_make_no_fraction_arithmetic():
+def test_fock_kernel_makes_no_fraction_arithmetic():
     model = FockModel.from_arrays([Fraction(1, 7), Fraction(2, 7)], [Fraction(3, 11), 0],
                                   [[Fraction(1, 7), 0], [0, 1]], [[1, Fraction(1, 11)],
                                                                   [Fraction(1, 11), 0]],
