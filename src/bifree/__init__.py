@@ -21,21 +21,19 @@ _EXPORTS = {
                     "semigroup_scale"),
     "cumulants": ("CumulantTable", "MomentTable", "cumulant_seq_to_moment_seq",
                   "cumulants_to_moments", "mobius_cumulant", "moment_seq_to_cumulant_seq",
-                  "moments_to_cumulants", "verify_voiculescu_identity", "zero_cumulants"),
+                  "moments_to_cumulants", "verify_voiculescu_identity"),
     "errors": ("BifreeError", "CommutationError", "DegreeError", "InconsistentDataError",
                "OrderError", "RealizabilityError", "ShapeError", "SizeLimitError",
                "UnsupportedMeasureError"),
     "fock": ("FockModel", "check_commutation", "levy_marginal_model", "model_cumulants",
              "moment_table_from_model", "vacuum_moment"),
     "levy_hincin": ("BoundednessReport", "CpsdReport", "LevyHincinData", "LhValidation",
-                    "check_cond_bounded", "check_cpsd", "check_moment_2sequence",
-                    "extract_levy_measures", "gns_reconstruct", "lh_to_cumulants",
-                    "r_transform_from_lh", "validate_lh"),
+                    "check_cond_bounded", "check_cpsd", "extract_levy_measures",
+                    "gns_reconstruct", "lh_to_cumulants", "r_transform_from_lh", "validate_lh"),
     "limits": ("bifree_gaussian", "bifree_poisson", "compound_bifree_poisson",
                "compound_family", "poisson_family", "row_sum_moments",
                "triangular_limit_estimate"),
-    "measures": ("DiscretePlanarMeasure", "marginal", "moment_table", "point_mass",
-                 "product_measure"),
+    "measures": ("DiscretePlanarMeasure", "moment_table", "point_mass"),
     "partitions": ("ChiMap", "Partition", "catalan", "enumerate_bnc", "enumerate_nc",
                    "is_noncrossing", "mobius_nc", "mobius_top", "sigma_chi"),
 }

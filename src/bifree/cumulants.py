@@ -119,11 +119,6 @@ class CumulantTable(_Table):
     lowest = 1
 
 
-def zero_cumulants(degree: int, kind: str = scalars.RATIONAL) -> CumulantTable:
-    z = scalars.zero(kind)
-    return CumulantTable(degree, kind, dict.fromkeys(table_keys(degree, 1), z))
-
-
 def _non_top_sum(m, n, moment, kappa):
     # Sum over pi in NC(m+n), pi != 1, of the block products of kappa on the
     # word a^m b^n, walking the block V of position 1 left to right. A state

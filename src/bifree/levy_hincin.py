@@ -29,21 +29,20 @@ state the window used.
 
 Float tolerances and what each is relative to ("scale" is max(1, the
 largest |entry| of the (2,0)- and (0,2)-shifted Grams)): PSD_TOL bounds
-the smallest Gram eigenvalue, absolute in check_cpsd and times scale in
-check_moment_2sequence; Gram eigenvalues <= NULL_SPACE_TOL (absolute) are
-null directions; NULL_SHIFT_TOL bounds the shifted Grams on the null
-directions and LEAK_TOL what escapes the quotient, both times scale;
-DIAG_RESIDUAL_TOL bounds the off-diagonal residual of the joint
-diagonalization times max(1, |T1|, |T2|); FORMULA_TOL bounds how far
-lh_to_cumulants' formulas for one entry disagree, times max(1, |entry|)
-in float mode (rational mode compares exactly). check_cpsd treats a face
-as degenerate when its variance entry, (2,0) or (0,2), is within
-ZERO_VARIANCE_TOL of 0, and then requires every entry of order >= 2 on
-that face within DEGENERATE_FACE_TOL of 0 (both absolute).
-extract_levy_measures puts no atom of rho1, rho2 or rho at the
+the smallest Gram eigenvalue (absolute); Gram eigenvalues <=
+NULL_SPACE_TOL (absolute) are null directions; NULL_SHIFT_TOL bounds the
+shifted Grams on the null directions and LEAK_TOL what escapes the
+quotient, both times scale; DIAG_RESIDUAL_TOL bounds the off-diagonal
+residual of the joint diagonalization times max(1, |T1|, |T2|);
+FORMULA_TOL bounds how far lh_to_cumulants' formulas for one entry
+disagree, times max(1, |entry|) in float mode (rational mode compares
+exactly). check_cpsd treats a face as degenerate when its variance entry,
+(2,0) or (0,2), is within ZERO_VARIANCE_TOL of 0, and then requires every
+entry of order >= 2 on that face within DEGENERATE_FACE_TOL of 0 (both
+absolute). extract_levy_measures puts no atom of rho1, rho2 or rho at the
 eigenvalue pair of u_k when |<f, u_k>|, |<g, u_k>| or |<f, u_k><g, u_k>|
-respectively is at most ATOM_WEIGHT_TOL (absolute). validate_lh accepts
-a float triple whose relations t rho1 - s rho and s rho2 - t rho are within
+respectively is at most ATOM_WEIGHT_TOL (absolute). validate_lh accepts a
+float triple whose relations t rho1 - s rho and s rho2 - t rho are within
 RELATION_TOL of 0 at every atom, and whose rho{(0,0)}^2 exceeds
 rho1{(0,0)} rho2{(0,0)} by at most RELATION_TOL (both absolute); every
 command and r_transform_from_lh judge a triple by it.
@@ -56,7 +55,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from . import scalars
-from .cumulants import CumulantTable, MomentTable, table_keys
+from .cumulants import CumulantTable, table_keys
 from .errors import (CommutationError, DegreeError, InconsistentDataError,
                      RealizabilityError)
 from .measures import DiscretePlanarMeasure
@@ -212,15 +211,14 @@ def lh_to_cumulants(data: LevyHincinData, degree: int) -> CumulantTable:
 
 
 @functools.lru_cache(maxsize=16)
-def _window(d: int, include_constant: bool) -> tuple:
-    """The window's monomials, s-heavy first, and its Gram's index arrays.
+def _window(d: int) -> tuple:
+    """The window's monomials (degree 1..d, s-heavy first) and its Gram's index arrays.
 
     These are integer data alone, so one read-only copy per window serves
     every table and every call.
     """
     import numpy as np
-    start = 0 if include_constant else 1
-    mono = tuple((m, total - m) for total in range(start, d + 1)
+    mono = tuple((m, total - m) for total in range(1, d + 1)
                  for m in range(total, -1, -1))
     ms, ns = np.array(mono, dtype=int).reshape(-1, 2).T
     rows, cols = np.add.outer(ms, ms), np.add.outer(ns, ns)
@@ -228,21 +226,21 @@ def _window(d: int, include_constant: bool) -> tuple:
     return mono, rows, cols
 
 
-def _gram_source(table, d: int, top: int, include_constant: bool = False):
+def _gram_source(table, d: int, top: int):
     """The window's monomials and every Gram of it, read from one float array.
 
-    Each entry of total degree 2..top (0..top with the constant monomial)
-    is converted to float once, into values[m, n]; a rational entry as
-    numerator / denominator, the correctly rounded division float() makes.
+    Each entry of total degree 2..top is converted to float once, into
+    values[m, n]; a rational entry as numerator / denominator, the correctly
+    rounded division float() makes.
     The Gram of shift (a, b) pairs s^m1 t^n1 with s^m2 t^n2 through
     values[m1 + m2 + a, n1 + n2 + b], one fancy-index; a Gram of this Hankel
     type is symmetric as built.
     """
     import numpy as np
-    mono, rows, cols = _window(d, include_constant)
+    mono, rows, cols = _window(d)
     exact = table.kind == scalars.RATIONAL
     values = np.zeros((top + 1, top + 1))
-    for m, n in table_keys(top, 0 if include_constant else 2):
+    for m, n in table_keys(top, 2):
         value = table.entries[(m, n)]
         values[m, n] = value.numerator / value.denominator if exact else value
     return mono, lambda a=0, b=0: values[a:, b:][rows, cols]
@@ -258,18 +256,18 @@ class CpsdReport:
         return asdict(self)
 
 
-def _check_window(table, d: int, need: int, smallest: int = 1) -> None:
-    if d < smallest:
+def _check_window(table, d: int, need: int) -> None:
+    if d < 1:
         raise DegreeError(f"Gram window d = {d} is empty and certifies nothing; "
-                          f"need d >= {smallest} (table degree {table.degree})")
+                          f"need d >= 1 (table degree {table.degree})")
     if need > table.degree:
         raise DegreeError(f"need table degree >= {need}, have {table.degree}")
 
 
 def _cpsd(table, d: int, gram: np.ndarray) -> CpsdReport:
     import numpy as np
-    min_eig = float(np.linalg.eigvalsh(gram)[0])
-    ok = min_eig >= PSD_TOL
+    smallest = float(np.linalg.eigvalsh(gram)[0])
+    ok = smallest >= PSD_TOL
     kind = table.kind
     zero = scalars.zero(kind)
     if ok and scalars.close(table.get(2, 0), zero, kind, ZERO_VARIANCE_TOL):
@@ -278,7 +276,7 @@ def _cpsd(table, d: int, gram: np.ndarray) -> CpsdReport:
     if ok and scalars.close(table.get(0, 2), zero, kind, ZERO_VARIANCE_TOL):
         ok = all(scalars.close(v, zero, kind, DEGENERATE_FACE_TOL)
                  for (m, n), v in table.entries.items() if n >= 1 and m + n >= 2)
-    return CpsdReport(ok, min_eig, d)
+    return CpsdReport(ok, smallest, d)
 
 
 def check_cpsd(table: CumulantTable, d: int) -> CpsdReport:
@@ -313,7 +311,7 @@ def _largest(values: np.ndarray) -> float:
     return float(abs(values).max(initial=0.0))
 
 
-def _quotient(gram_of, gram: np.ndarray, d: int, min_eig: float | None = None):
+def _quotient(gram_of, gram: np.ndarray, d: int):
     """Boundedness report, quotient basis and compressed shifts S1, S2.
 
     The basis (columns) is orthonormal for the form on the eigenvalues
@@ -322,7 +320,7 @@ def _quotient(gram_of, gram: np.ndarray, d: int, min_eig: float | None = None):
     the quotient span into itself; the second condition is measured by
     comparing the true degree-two Gram against the square of the
     compressed shift (the difference is the squared norm of what escapes
-    the span). With `min_eig`, positivity of the form is required too.
+    the span).
     """
     import numpy as np
     eigvals, eigvecs = np.linalg.eigh(gram)
@@ -341,21 +339,7 @@ def _quotient(gram_of, gram: np.ndarray, d: int, min_eig: float | None = None):
                _largest(basis.T @ gram_of(1, 1) @ basis - (s1 @ s2 + s2 @ s1) / 2.0))
     witness = max(_largest(np.linalg.eigvalsh(s1)), _largest(np.linalg.eigvalsh(s2)), 1.0)
     ok = null_res <= NULL_SHIFT_TOL * scale and leak <= LEAK_TOL * scale
-    if min_eig is not None:
-        ok = ok and min_eig >= PSD_TOL * scale
     return BoundednessReport(ok, witness, null_res, leak, d), basis, s1, s2
-
-
-def _bounded(table, d: int, include_constant: bool) -> BoundednessReport:
-    # the body of check_cond_bounded and, with the constant, check_moment_2sequence
-    import numpy as np
-    _check_window(table, d, 2 * d + 2, smallest=0 if include_constant else 1)
-    if include_constant and float(table.get(0, 0)) <= 0:
-        raise ValueError("the (0, 0) entry must be positive")
-    _, gram_of = _gram_source(table, d, 2 * d + 2, include_constant)
-    gram = gram_of()
-    min_eig = float(np.linalg.eigvalsh(gram)[0]) if include_constant else None
-    return _quotient(gram_of, gram, d, min_eig)[0]
 
 
 def check_cond_bounded(table: CumulantTable, d: int) -> BoundednessReport:
@@ -368,18 +352,9 @@ def check_cond_bounded(table: CumulantTable, d: int) -> BoundednessReport:
     max(norm(S1), norm(S2), 1); for data carried by a measure it bounds the
     support coordinates seen by the window.
     """
-    return _bounded(table, d, include_constant=False)
-
-
-def check_moment_2sequence(table: MomentTable, d: int) -> BoundednessReport:
-    """Whether the table could be the moments of a compactly supported measure.
-
-    Same Gram-and-shift machinery as the cumulant gates but over the
-    monomials of degree 0..d including the constant; requires the (0,0)
-    entry positive, positivity of the form, and shifts that act on the
-    quotient with a finite witness. A window d < 0 raises DegreeError.
-    """
-    return _bounded(table, d, include_constant=True)
+    _check_window(table, d, 2 * d + 2)
+    _, gram_of = _gram_source(table, d, 2 * d + 2)
+    return _quotient(gram_of, gram_of(), d)[0]
 
 
 def gns_reconstruct(table: CumulantTable, d: int) -> FockModel:

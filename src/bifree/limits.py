@@ -91,5 +91,5 @@ def row_sum_moments(family, n_rows: int, degree: int):
     as N grows these converge to the limit moments at rate O(1/N).
     """
     table = moment_table(family(n_rows), degree)
-    scaled = semigroup_scale(moments_to_cumulants(table), n_rows, assume_divisible=True)
+    scaled = semigroup_scale(moments_to_cumulants(table), n_rows)
     return cumulants_to_moments(scaled)

@@ -1,10 +1,10 @@
-"""Atomic planar measures: moments, marginals, products.
+"""Atomic planar measures and their moments.
 
 Only purely atomic measures are representable; that covers every
 desk-scale object here (Gaussian and Poisson Levy data, compound jumps
 with finitely many atoms). Atoms with equal coordinates are merged, within
 1e-12 in float mode, so canonical form is deterministic. A law on the
-line is a planar measure on one axis: marginals are returned that way.
+line is a planar measure on one axis.
 
 Moments are read off cleared data: in rational mode the s-coordinates, the
 t-coordinates and the weights are each put over their common denominator
@@ -28,9 +28,6 @@ from .errors import UnsupportedMeasureError
 
 MERGE_TOL = 1e-12
 PROBABILITY_TOL = 1e-12  # how far a float total mass may sit from 1
-
-FIRST = "first"
-SECOND = "second"
 
 
 def _merge_2d(triples, kind):
@@ -130,31 +127,6 @@ class DiscretePlanarMeasure:
 
 def point_mass(s, t, kind=scalars.RATIONAL) -> DiscretePlanarMeasure:
     return DiscretePlanarMeasure.from_atoms([(s, t, 1)], kind=kind)
-
-
-def marginal(mu: DiscretePlanarMeasure, axis: str) -> DiscretePlanarMeasure:
-    """Pushforward onto one coordinate axis: atoms (s, 0, w) or (0, t, w).
-
-    Atoms with equal coordinate on that axis merge.
-    """
-    if mu.signed:
-        raise UnsupportedMeasureError("marginal of a signed measure is not supported")
-    if axis not in (FIRST, SECOND):
-        raise ValueError(f"axis must be {FIRST!r} or {SECOND!r}")
-    atoms = [(s, 0, w) if axis == FIRST else (0, t, w) for s, t, w in mu.atoms]
-    return DiscretePlanarMeasure.from_atoms(atoms, kind=mu.kind)
-
-
-def product_measure(nu1: DiscretePlanarMeasure,
-                    nu2: DiscretePlanarMeasure) -> DiscretePlanarMeasure:
-    """Product of nu1's first coordinate and nu2's second; its moments factorize.
-
-    Entry (m, n) of its moment table is nu1.moment(m, 0) * nu2.moment(0, n).
-    """
-    if nu1.kind != nu2.kind:
-        raise ValueError("factors must share a scalar kind")
-    atoms = [(s, t, w1 * w2) for s, _, w1 in nu1.atoms for _, t, w2 in nu2.atoms]
-    return DiscretePlanarMeasure.from_atoms(atoms, kind=nu1.kind)
 
 
 def moment_table(mu: DiscretePlanarMeasure, degree: int) -> MomentTable:

@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 
 from bifree import scalars
-from bifree.cumulants import table_keys
-from bifree.errors import ShapeError
+from bifree.cumulants import CumulantTable, MomentTable, table_keys
+from bifree.errors import ShapeError, UnsupportedMeasureError
 from bifree.fock import FockModel
 from bifree.levy_hincin import LevyHincinData
-from bifree.measures import FIRST, DiscretePlanarMeasure
+from bifree.measures import DiscretePlanarMeasure
+
+FIRST = "first"
+SECOND = "second"
 
 # rational rotation pairs (cos, sin) from Pythagorean triples
 ROTATIONS = [
@@ -45,10 +48,9 @@ def block_side_counts(block, left_count):
     return a, len(block) - a
 
 
-def window_monomials(d, include_constant):
-    """s^m t^n of total degree 1..d (0..d with the constant), s-heavy first."""
-    start = 0 if include_constant else 1
-    return [(m, total - m) for total in range(start, d + 1) for m in range(total, -1, -1)]
+def window_monomials(d):
+    """s^m t^n of total degree 1..d, s-heavy first."""
+    return [(m, total - m) for total in range(1, d + 1) for m in range(total, -1, -1)]
 
 
 def gram_entry_by_entry(get, monomials, shift=(0, 0)):
@@ -62,7 +64,6 @@ def gram_entry_by_entry(get, monomials, shift=(0, 0)):
 
 
 def random_moment_table(rng, degree):
-    from bifree.cumulants import MomentTable
     entries = {(0, 0): Fraction(1)}
     for total in range(1, degree + 1):
         for m in range(total + 1):
@@ -71,7 +72,6 @@ def random_moment_table(rng, degree):
 
 
 def random_cumulant_table(rng, degree):
-    from bifree.cumulants import CumulantTable
     entries = {(m, total - m): rational(rng)
                for total in range(1, degree + 1) for m in range(total + 1)}
     return CumulantTable(degree, scalars.RATIONAL, entries)
@@ -98,6 +98,39 @@ def random_line_measure(rng, natoms=2, axis=FIRST) -> DiscretePlanarMeasure:
     return DiscretePlanarMeasure.from_atoms(
         [(x, 0, w / total) if axis == FIRST else (0, x, w / total)
          for x, w in zip(sorted(coords), weights)])
+
+
+# -- marginals, products and the zero table: test data the library never builds -
+
+def marginal(mu: DiscretePlanarMeasure, axis: str) -> DiscretePlanarMeasure:
+    """Pushforward onto one coordinate axis: atoms (s, 0, w) or (0, t, w).
+
+    Atoms with equal coordinate on that axis merge.
+    """
+    if mu.signed:
+        raise UnsupportedMeasureError("marginal of a signed measure is not supported")
+    if axis not in (FIRST, SECOND):
+        raise ValueError(f"axis must be {FIRST!r} or {SECOND!r}")
+    atoms = [(s, 0, w) if axis == FIRST else (0, t, w) for s, t, w in mu.atoms]
+    return DiscretePlanarMeasure.from_atoms(atoms, kind=mu.kind)
+
+
+def product_measure(nu1: DiscretePlanarMeasure,
+                    nu2: DiscretePlanarMeasure) -> DiscretePlanarMeasure:
+    """Product of nu1's first coordinate and nu2's second; its moments factorize.
+
+    Entry (m, n) of its moment table is nu1.moment(m, 0) * nu2.moment(0, n).
+    """
+    if nu1.kind != nu2.kind:
+        raise ValueError("factors must share a scalar kind")
+    atoms = [(s, t, w1 * w2) for s, _, w1 in nu1.atoms for _, t, w2 in nu2.atoms]
+    return DiscretePlanarMeasure.from_atoms(atoms, kind=nu1.kind)
+
+
+def zero_cumulants(degree: int, kind: str = scalars.RATIONAL) -> CumulantTable:
+    """The cumulant table of degree `degree` with every entry 0."""
+    z = scalars.zero(kind)
+    return CumulantTable(degree, kind, dict.fromkeys(table_keys(degree, 1), z))
 
 
 def rational_orthogonal(rng, dim):

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -24,6 +25,7 @@ from bifree.cumulants import CumulantTable, MomentTable
 from bifree.errors import RealizabilityError
 from bifree.fock import FockModel
 from bifree.levy_hincin import LevyHincinData, lh_to_cumulants, r_transform_from_lh
+from bifree.limits import poisson_family, row_sum_moments
 from bifree.measures import DiscretePlanarMeasure
 
 DATA = Path(__file__).parent / "data"
@@ -80,6 +82,18 @@ def test_golden_output(name, argv):
     if os.environ.get("BIFREE_REGEN_GOLDEN"):
         path.write_text(out)
     assert path.read_bytes() == out.encode()
+
+
+def test_scales_of_at_least_one_raise_no_warning():
+    # row_sum_moments scales by the row count and verify semigroup by 2; a
+    # factor >= 1 is always a convolution power, so neither may warn
+    family = poisson_family(Fraction(1), Fraction(1), Fraction(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert row_sum_moments(family, 10, 5).degree == 5
+        code, out = invoke(["verify", "semigroup", "--table", str(DATA / "poisson8.json"),
+                            "--s", "3/2", "--t", "7/3"])
+    assert code == 0 and json.loads(out)["max_residual"] == 0
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
@@ -762,15 +776,14 @@ PUBLIC_NAMES = {
     "Partition", "RealizabilityError", "ShapeError", "SizeLimitError",
     "UncertifiedScaleWarning", "UnsupportedMeasureError", "bifree_convolve",
     "bifree_gaussian", "bifree_poisson", "catalan", "check_commutation", "check_cond_bounded",
-    "check_cpsd", "check_moment_2sequence", "compound_bifree_poisson", "compound_family",
-    "cumulant_seq_to_moment_seq", "cumulants_to_moments", "enumerate_bnc", "enumerate_nc",
-    "extract_levy_measures", "free_convolve_marginal", "gns_reconstruct", "is_noncrossing",
-    "levy_marginal_model", "lh_to_cumulants", "marginal", "mobius_cumulant", "mobius_nc",
-    "mobius_top", "model_cumulants", "moment_seq_to_cumulant_seq", "moment_table",
-    "moment_table_from_model", "moments_to_cumulants", "point_mass", "poisson_family",
-    "product_measure", "r_transform_from_lh", "row_sum_moments", "semigroup_scale", "sigma_chi",
-    "triangular_limit_estimate", "vacuum_moment", "validate_lh", "verify_voiculescu_identity",
-    "zero_cumulants",
+    "check_cpsd", "compound_bifree_poisson", "compound_family", "cumulant_seq_to_moment_seq",
+    "cumulants_to_moments", "enumerate_bnc", "enumerate_nc", "extract_levy_measures",
+    "free_convolve_marginal", "gns_reconstruct", "is_noncrossing", "levy_marginal_model",
+    "lh_to_cumulants", "mobius_cumulant", "mobius_nc", "mobius_top", "model_cumulants",
+    "moment_seq_to_cumulant_seq", "moment_table", "moment_table_from_model",
+    "moments_to_cumulants", "point_mass", "poisson_family", "r_transform_from_lh",
+    "row_sum_moments", "semigroup_scale", "sigma_chi", "triangular_limit_estimate",
+    "vacuum_moment", "validate_lh", "verify_voiculescu_identity",
 }
 
 

@@ -15,15 +15,15 @@ from bifree.cumulants import (TRANSFORM_MAX_DEGREE, CumulantTable, MomentTable, 
                               cumulant_seq_to_moment_seq, cumulants_to_moments,
                               mobius_cumulant,
                               moment_seq_to_cumulant_seq, moments_to_cumulants,
-                              table_keys, verify_voiculescu_identity, zero_cumulants)
+                              table_keys, verify_voiculescu_identity)
 from bifree.errors import DegreeError
 from bifree.limits import bifree_gaussian, compound_bifree_poisson
-from bifree.measures import (SECOND, DiscretePlanarMeasure, moment_table, point_mass,
-                             product_measure)
+from bifree.measures import DiscretePlanarMeasure, moment_table, point_mass
 from bifree.partitions import LEFT, RIGHT, ChiMap, enumerate_bnc, enumerate_nc, mobius_top
 
-from conftest import (block_side_counts, no_fraction_arithmetic, random_cumulant_table,
-                      random_line_measure, random_moment_table, random_planar_measure)
+from conftest import (SECOND, block_side_counts, no_fraction_arithmetic, product_measure,
+                      random_cumulant_table, random_line_measure, random_moment_table,
+                      random_planar_measure, zero_cumulants)
 
 
 def mobius_sum_cumulant(table, m, n):

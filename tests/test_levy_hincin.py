@@ -12,23 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifree import levy_hincin, scalars
-from bifree.cumulants import CumulantTable, MomentTable
+from bifree.cumulants import CumulantTable
 from bifree.errors import (DegreeError, InconsistentDataError,
                            RealizabilityError)
 from bifree.fock import FockModel, model_cumulants
 from bifree.levy_hincin import (LevyHincinData, check_cond_bounded, check_cpsd,
-                                check_moment_2sequence, extract_levy_measures,
-                                gns_reconstruct, lh_to_cumulants,
+                                extract_levy_measures, gns_reconstruct, lh_to_cumulants,
                                 r_transform_from_lh, validate_lh)
 from bifree.limits import (bifree_gaussian, bifree_poisson,
                            compound_bifree_poisson)
-from bifree.measures import (SECOND, DiscretePlanarMeasure, moment_table,
-                             point_mass, product_measure)
+from bifree.measures import DiscretePlanarMeasure
 
-from conftest import (gram_entry_by_entry, no_fraction_arithmetic, oracle_lh_to_cumulants,
-                      random_commuting_model, random_cumulant_table,
-                      random_line_measure, random_moment_table, random_planar_measure,
-                      random_validated_lh, window_monomials)
+from conftest import (SECOND, gram_entry_by_entry, no_fraction_arithmetic,
+                      oracle_lh_to_cumulants, product_measure, random_commuting_model,
+                      random_cumulant_table, random_line_measure, random_validated_lh,
+                      window_monomials)
 
 R = scalars.RATIONAL
 
@@ -263,23 +261,21 @@ def test_round_trip_four_atom_triple_with_entries_in_the_hundreds():
 SHIFTS = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
 
 
-@pytest.mark.parametrize("include_constant", [False, True], ids=["cumulant", "moment"])
-def test_gram_source_equals_entry_by_entry_grams(rng, include_constant):
-    make = random_moment_table if include_constant else random_cumulant_table
+def test_gram_source_equals_entry_by_entry_grams(rng):
     for _ in range(4):
-        table = make(rng, 8)
+        table = random_cumulant_table(rng, 8)
         for d in range(4):
-            mono, gram_of = levy_hincin._gram_source(table, d, 2 * d + 2, include_constant)
-            assert mono == tuple(window_monomials(d, include_constant))
+            mono, gram_of = levy_hincin._gram_source(table, d, 2 * d + 2)
+            assert mono == tuple(window_monomials(d))
             for shift in SHIFTS:
                 want = gram_entry_by_entry(table.get, mono, shift)
                 assert np.array_equal(gram_of(*shift), want), (d, shift)
 
 
 def test_gram_window_is_shared_read_only_and_converts_like_float():
-    # the monomials and index arrays are made once per (d, constant) and
-    # cannot be written; entries far past the float grid convert as float()
-    first, second = levy_hincin._window(3, False), levy_hincin._window(3, False)
+    # the monomials and index arrays are made once per window and cannot be
+    # written; entries far past the float grid convert as float()
+    first, second = levy_hincin._window(3), levy_hincin._window(3)
     assert first is second and isinstance(first[0], tuple)
     for array in first[1:]:
         with pytest.raises(ValueError):
@@ -586,36 +582,6 @@ def test_r_transform_from_lh_rejects_invalid():
         r_transform_from_lh(gaussian_lh(Fraction(1), Fraction(1), Fraction(2)), 4)
 
 
-def test_moment_2sequence_point_mass():
-    report = check_moment_2sequence(moment_table(point_mass(1, 2), 8), 2)
-    assert report.ok
-    assert report.witness == pytest.approx(2.0)
-
-
-def test_moment_2sequence_psd_violation():
-    entries = {(m, t - m): Fraction(0) for t in range(0, 9) for m in range(t + 1)}
-    entries[(0, 0)] = Fraction(1)
-    entries[(1, 1)] = Fraction(5)
-    entries[(2, 0)] = Fraction(1)
-    entries[(0, 2)] = Fraction(1)
-    entries[(2, 2)] = Fraction(1)
-    table = MomentTable(8, R, entries)
-    assert not check_moment_2sequence(table, 2).ok
-
-
-def test_moment_2sequence_negative_window_is_a_degree_error():
-    table = moment_table(point_mass(1, 2), 8)
-    assert check_moment_2sequence(table, 0).ok  # the constant alone is a window
-    with pytest.raises(DegreeError, match="window d = -1"):
-        check_moment_2sequence(table, -1)
-
-
-def test_moment_2sequence_origin_point():
-    report = check_moment_2sequence(moment_table(point_mass(0, 0), 8), 2)
-    assert report.ok
-    assert report.witness == 1.0  # clamped at one
-
-
 def test_gates_report_window():
     cum = bifree_poisson(1, 1, 1, 8)
     assert check_cpsd(cum, 2).degree_window == 2
@@ -638,7 +604,7 @@ def float_inverse_outputs():
 
     Per triple: the check_cpsd and check_cond_bounded reports, the
     gns_reconstruct model, the extracted triple and its float
-    lh_to_cumulants table; and check_moment_2sequence on a random measure.
+    lh_to_cumulants table.
     """
     lines = []
     for seed in range(12):
@@ -646,14 +612,12 @@ def float_inverse_outputs():
         data = random_validated_lh(rng, 1 + seed % 4)
         table = lh_to_cumulants(data, 8)
         cpsd, bounded = check_cpsd(table, 3), check_cond_bounded(table, 3)
-        moments = check_moment_2sequence(moment_table(random_planar_measure(rng, 3), 8), 3)
         model = gns_reconstruct(table, 3)
         recovered = extract_levy_measures(model)
         rebuilt = lh_to_cumulants(recovered, 8)
-        lines.append(f"{cpsd.ok} {bounded.ok} {moments.ok} {model.dim}")
+        lines.append(f"{cpsd.ok} {bounded.ok} {model.dim}")
         for values in ([cpsd.min_eigenvalue],
                        [bounded.witness, bounded.null_shift_residual, bounded.invariance_residual],
-                       [moments.witness, moments.null_shift_residual, moments.invariance_residual],
                        model.f, model.g, [x for row in model.t1 for x in row],
                        [x for row in model.t2 for x in row], [model.lambda1, model.lambda2],
                        [recovered.kappa10, recovered.kappa01],
@@ -665,9 +629,10 @@ def float_inverse_outputs():
 
 
 # SHA-256 of float_inverse_outputs() before the float Gram pipeline was
-# trimmed, with extract's gamma drawn from random.Random(0) on every triple;
+# trimmed, with extract's gamma drawn from random.Random(0) on every triple,
+# and without the moment-problem gate's report once that gate was deleted;
 # every change there keeps each operation, so not one bit may move
-FLOAT_INVERSE_SHA256 = "090d68886fbcf937a8dc97d38477950420b927e6b62f3a7508522ecff464e2f4"
+FLOAT_INVERSE_SHA256 = "0f827817be9eb7074d7c921dd1c9ec1feb32d71220c3f8a8b958de9d2aecbcd3"
 
 
 def test_float_inverse_outputs_are_unchanged_bit_for_bit():

@@ -15,8 +15,9 @@ from bifree.limits import (bifree_gaussian, bifree_poisson,
                            compound_bifree_poisson, compound_family,
                            poisson_family, row_sum_moments,
                            triangular_limit_estimate)
-from bifree.measures import (FIRST, SECOND, DiscretePlanarMeasure, marginal,
-                             moment_table)
+from bifree.measures import DiscretePlanarMeasure, moment_table
+
+from conftest import FIRST, SECOND, marginal, random_planar_measure
 
 
 def test_gaussian_constructor_entries():
@@ -80,7 +81,6 @@ def test_compound_constructor_entries():
 
 
 def test_compound_marginals_are_free_compound_poisson(rng):
-    from conftest import random_planar_measure
     lam = Fraction(2)
     jump = random_planar_measure(rng, 3)
     table = compound_bifree_poisson(lam, jump, 6)

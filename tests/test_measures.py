@@ -1,4 +1,4 @@
-"""Atomic planar measures: moments, marginals, products."""
+"""Atomic planar measures and their moments; the marginal and product test oracles."""
 
 from fractions import Fraction
 
@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from bifree import scalars
 from bifree.cumulants import moments_to_cumulants
 from bifree.errors import UnsupportedMeasureError
-from bifree.measures import (FIRST, SECOND, DiscretePlanarMeasure, marginal,
-                             moment_table, point_mass, product_measure)
+from bifree.measures import DiscretePlanarMeasure, moment_table, point_mass
 
-from conftest import (no_fraction_arithmetic, oracle_measure_moment, random_line_measure,
-                      random_planar_measure)
+from conftest import (FIRST, SECOND, marginal, no_fraction_arithmetic, oracle_measure_moment,
+                      product_measure, random_line_measure, random_planar_measure)
 
 
 def test_point_mass_moment():

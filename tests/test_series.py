@@ -12,13 +12,12 @@ from bifree.cumulants import (CumulantTable, MomentTable, moments_to_cumulants, 
                               verify_voiculescu_identity)
 from bifree.errors import DegreeError
 from bifree.fock import FockModel, moment_table_from_model
-from bifree.measures import moment_table, point_mass, product_measure
-from bifree.measures import SECOND
+from bifree.measures import moment_table, point_mass
 from bifree.series import _compose, _rows
 
-from conftest import (oracle_compose, oracle_multiply, oracle_reciprocal,
-                      random_commuting_model, random_line_measure, random_moment_table,
-                      random_planar_measure)
+from conftest import (SECOND, oracle_compose, oracle_multiply, oracle_reciprocal,
+                      product_measure, random_commuting_model, random_line_measure,
+                      random_moment_table, random_planar_measure)
 
 R = scalars.RATIONAL
 
