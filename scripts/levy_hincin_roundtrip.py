@@ -3,7 +3,7 @@
 
 Draws validated measure triples, runs triple -> cumulants -> operator model
 -> extracted triple, and reports the worst cumulant and atom recovery
-errors together with the gate verdicts.
+errors together with the exact gates' ranks of G_3 and G_4.
 """
 
 import argparse
@@ -38,7 +38,7 @@ def main():
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    print(f"{'trial':>5}  {'atoms':>5}  {'dim':>3}  {'witness':>8}  "
+    print(f"{'trial':>5}  {'atoms':>5}  {'dim':>3}  {'ranks':>5}  "
           f"{'cumulant err':>13}  {'atom err':>10}")
     for trial in range(args.trials):
         data = random_validated_lh(rng, rng.randint(1, args.atoms))
@@ -55,7 +55,7 @@ def main():
                        atom_error(data.rho2, recovered.rho2),
                        atom_error(data.rho, recovered.rho))
         print(f"{trial:>5}  {len(data.rho1.atoms):>5}  {model.dim:>3}  "
-              f"{bounded.witness:>8.3f}  {cum_err:>13.3e}  {atom_err:>10.3e}")
+              f"{f'{bounded.rank}/{bounded.rank_next}':>5}  {cum_err:>13.3e}  {atom_err:>10.3e}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ a false verdict, 2 for input errors.
 
 Each handler imports the modules it calls, so a call loads only what its
 command reads: `moments` never loads the Fock or Levy-Hincin layers, and
-only `check-id`, `gns` and `extract` load numpy.
+only `check-id` and `gns` on a float table load numpy. A rational table's
+gates and model come from one exact integer elimination, and `extract`
+diagonalizes in pure Python.
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ more than the Fraction arithmetic they replace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import scalars, series
 from .errors import DegreeError
@@ -85,8 +86,22 @@ class _Table:
         self.entries = {k: scalars.coerce(v, self.kind) for k, v in self.entries.items()}
         _check_entries(self.entries, self.degree, self.lowest)
 
+    @classmethod
+    def _unchecked(cls, degree: int, kind: str, entries: dict):
+        # a table that a producer in this package made: its entries are
+        # already in `kind` on table_keys(degree, lowest), and coercing and
+        # checking them again cost 12-14 % of lh_to_cumulants
+        table = cls.__new__(cls)
+        table.degree, table.kind, table.entries = degree, kind, entries
+        return table
+
     def get(self, m: int, n: int):
         return self.entries[(m, n)]
+
+    @cached_property
+    def graded(self) -> tuple:
+        """scalars.clear_graded of the entries, made once per table."""
+        return scalars.clear_graded(self.entries)
 
     def to_jsonable(self) -> dict:
         items = sorted(self.entries.items())
@@ -178,13 +193,13 @@ def check_degree(degree):
 def moments_to_cumulants(table: MomentTable) -> CumulantTable:
     """Invert the non-crossing moment-cumulant system on the word a^m b^n."""
     out = _transform(table.entries, table.degree, table.kind, to_cumulants=True)
-    return CumulantTable(table.degree, table.kind, out)
+    return CumulantTable._unchecked(table.degree, table.kind, out)
 
 
 def cumulants_to_moments(table: CumulantTable) -> MomentTable:
     """Moments as sums of cumulant products over non-crossing partitions."""
     out = _transform(table.entries, table.degree, table.kind, to_cumulants=False)
-    return MomentTable(table.degree, table.kind, out)
+    return MomentTable._unchecked(table.degree, table.kind, out)
 
 
 def moment_seq_to_cumulant_seq(seq, kind: str):

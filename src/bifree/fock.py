@@ -182,7 +182,7 @@ def moment_table_from_model(model: FockModel, degree: int) -> MomentTable:
         sum(h_a[i][0] * h_b[j][0] * chains[(m - i, n - j)]
             for i in range(m + 1) for j in range(n + 1)),
         scale_a**m * scale_b**n, model.kind) for m, n in table_keys(degree, 0)}
-    return MomentTable(degree, model.kind, entries)
+    return MomentTable._unchecked(degree, model.kind, entries)
 
 
 def vacuum_moment(model: FockModel, m: int, n: int):
@@ -252,7 +252,7 @@ def model_cumulants(model: FockModel, degree: int) -> CumulantTable:
         else:
             value = _dot(t1f[m - 1], t2g[n - 1]) if model.dim else zero
         entries[(m, n)] = value
-    return CumulantTable(degree, kind, entries)
+    return CumulantTable._unchecked(degree, kind, entries)
 
 
 def levy_marginal_model(model: FockModel, t) -> FockModel:

@@ -13,23 +13,33 @@ that CumulantTable.
 
 Inverse direction: a GNS quotient built from the cumulant Gram form gives
 a finite-dimensional operator model, and simultaneous diagonalization of
-its two gauge matrices recovers the measures. Only this float inverse
-(the Gram gates, gns_reconstruct, extract_levy_measures) uses numpy, and
-it imports numpy on first use, so the forward direction and the rest of
-the package run without loading it. The Fock layer likewise loads only in
-gns_reconstruct and extract_levy_measures, which build and read a model.
-Each table entry the Grams read is converted to float once per call; the
-window's monomials and Gram index arrays are integer data, made once per
-window and shared read-only.
+its two gauge matrices recovers the measures. A rational table's gates
+and model come from one symmetric fraction-free elimination of its
+graded-cleared Gram, on Python ints (Bareiss): a negative pivot, or a zero
+pivot with a nonzero rest of row, means not positive; the kept pivots give
+rank G_d and rank G_{d+1}, and the window certifies the table when the two
+are equal (flatness, Curto-Fialkow). A positive table that is not flat is
+"not certified at this window", never "unbounded". The model whitens the
+kept pivots: with G_BB = L D L^T, T_i = D^-1/2 L^-1 G^(shift)_BB L^-T D^-1/2
+and f = D^-1/2 L^-1 G_{B,s}, g likewise, exact until that last division,
+which is rounded to a float model. Only a float table's gates and
+gns_reconstruct use numpy, imported on first use; extract_levy_measures
+runs cyclic Jacobi rotations on Python floats, so the forward direction,
+every rational table and the rest of the package run without loading it.
+The Fock layer loads only in gns_reconstruct and extract_levy_measures,
+which build and read a model. A float table's entries go into one float
+array per call; the window's monomials and Gram index arrays are integer
+data, made once per window and shared read-only.
 
 Certification is windowed: positivity and boundedness are checked on the
 monomials of total degree <= d, which needs table entries up to degree
 2d + 2. A table can pass at one window and fail at a larger one; reports
 state the window used.
 
-Float tolerances and what each is relative to ("scale" is max(1, the
-largest |entry| of the (2,0)- and (0,2)-shifted Grams)): PSD_TOL bounds
-the smallest Gram eigenvalue (absolute); Gram eigenvalues <=
+Float tolerances and what each is relative to; the Gram tolerances govern
+float tables only, and a rational table's gates compare exactly ("scale"
+is max(1, the largest |entry| of the (2,0)- and (0,2)-shifted Grams)):
+PSD_TOL bounds the smallest Gram eigenvalue (absolute); Gram eigenvalues <=
 NULL_SPACE_TOL (absolute) are null directions; NULL_SHIFT_TOL bounds the
 shifted Grams on the null directions and LEAK_TOL what escapes the
 quotient, both times scale; DIAG_RESIDUAL_TOL bounds the off-diagonal
@@ -39,9 +49,10 @@ disagree, times max(1, |entry|) in float mode (rational mode compares
 exactly). check_cpsd treats a face as degenerate when its variance entry,
 (2,0) or (0,2), is within ZERO_VARIANCE_TOL of 0, and then requires every
 entry of order >= 2 on that face within DEGENERATE_FACE_TOL of 0 (both
-absolute). extract_levy_measures puts no atom of rho1, rho2 or rho at the
-eigenvalue pair of u_k when |<f, u_k>|, |<g, u_k>| or |<f, u_k><g, u_k>|
-respectively is at most ATOM_WEIGHT_TOL (absolute). validate_lh accepts a
+absolute, exact for rational tables). extract_levy_measures puts no atom
+of rho1, rho2 or rho at the eigenvalue pair of u_k when |<f, u_k>|,
+|<g, u_k>| or |<f, u_k><g, u_k>| respectively is at most ATOM_WEIGHT_TOL
+(absolute). validate_lh accepts a
 float triple whose relations t rho1 - s rho and s rho2 - t rho are within
 RELATION_TOL of 0 at every atom, and whose rho{(0,0)}^2 exceeds
 rho1{(0,0)} rho2{(0,0)} by at most RELATION_TOL (both absolute); every
@@ -51,6 +62,8 @@ command and r_transform_from_lh judge a triple by it.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import random
 from dataclasses import asdict, dataclass
 
@@ -70,6 +83,7 @@ ZERO_VARIANCE_TOL = 1e-12
 DEGENERATE_FACE_TOL = 1e-10
 ATOM_WEIGHT_TOL = 1e-13
 RELATION_TOL = 1e-10
+JACOBI_SWEEPS = 50
 
 
 @functools.cache
@@ -184,7 +198,8 @@ def lh_to_cumulants(data: LevyHincinData, degree: int) -> CumulantTable:
         rows.append((sums, [scale_w * scale_s**i for i in range(degree - 1)],
                      [scale_t**j for j in range(degree - 1)]))
     (sums1, left1, right1), (sums2, left2, right2), (sums, left, right) = rows
-    entries: dict = {(0, 1): data.kappa01, (1, 0): data.kappa10} if degree >= 1 else {}
+    entries: dict = {(0, 1): scalars.coerce(data.kappa01, kind),
+                     (1, 0): scalars.coerce(data.kappa10, kind)} if degree >= 1 else {}
     for total in range(2, degree + 1):
         for m in range(total + 1):
             n = total - m
@@ -207,19 +222,30 @@ def lh_to_cumulants(data: LevyHincinData, degree: int) -> CumulantTable:
                         f"{scalars.over(num, den, kind)} vs "
                         f"{scalars.over(other, other_den, kind)}")
             entries[(m, n)] = scalars.over(num, den, kind)
-    return CumulantTable(degree, kind, entries)
+    return CumulantTable._unchecked(degree, kind, entries)
+
+
+def _monomials(top: int) -> tuple:
+    """The monomials s^m t^n of degree 1..top, by degree and s-heavy first."""
+    return tuple((m, total - m) for total in range(1, top + 1) for m in range(total, -1, -1))
+
+
+@functools.lru_cache(maxsize=16)
+def _gram_keys(top: int) -> tuple:
+    # the monomials of degree 1..top and the table key of each Gram entry
+    mono = _monomials(top)
+    return mono, tuple(tuple((m1 + m2, n1 + n2) for m2, n2 in mono) for m1, n1 in mono)
 
 
 @functools.lru_cache(maxsize=16)
 def _window(d: int) -> tuple:
-    """The window's monomials (degree 1..d, s-heavy first) and its Gram's index arrays.
+    """The window's monomials and its float Gram's index arrays.
 
     These are integer data alone, so one read-only copy per window serves
     every table and every call.
     """
     import numpy as np
-    mono = tuple((m, total - m) for total in range(1, d + 1)
-                 for m in range(total, -1, -1))
+    mono = _monomials(d)
     ms, ns = np.array(mono, dtype=int).reshape(-1, 2).T
     rows, cols = np.add.outer(ms, ms), np.add.outer(ns, ns)
     rows.flags.writeable = cols.flags.writeable = False
@@ -227,33 +253,84 @@ def _window(d: int) -> tuple:
 
 
 def _gram_source(table, d: int, top: int):
-    """The window's monomials and every Gram of it, read from one float array.
+    """The window's monomials and every Gram of a float table, read from one array.
 
-    Each entry of total degree 2..top is converted to float once, into
-    values[m, n]; a rational entry as numerator / denominator, the correctly
-    rounded division float() makes.
-    The Gram of shift (a, b) pairs s^m1 t^n1 with s^m2 t^n2 through
+    Each entry of total degree 2..top goes into values[m, n]. The Gram of
+    shift (a, b) pairs s^m1 t^n1 with s^m2 t^n2 through
     values[m1 + m2 + a, n1 + n2 + b], one fancy-index; a Gram of this Hankel
     type is symmetric as built.
     """
     import numpy as np
     mono, rows, cols = _window(d)
-    exact = table.kind == scalars.RATIONAL
     values = np.zeros((top + 1, top + 1))
     for m, n in table_keys(top, 2):
-        value = table.entries[(m, n)]
-        values[m, n] = value.numerator / value.denominator if exact else value
+        values[m, n] = table.entries[(m, n)]
     return mono, lambda a=0, b=0: values[a:, b:][rows, cols]
+
+
+def _eliminate(table, top: int) -> tuple:
+    """One symmetric fraction-free elimination of a rational table's Gram on degrees 1..top.
+
+    The table's graded clearing (scalars.clear_graded, made once per
+    table) scales entry (m, n) by L^(m+n), so the Gram becomes
+    diag(L^|p|) G diag(L^|p|): a congruence, which keeps the sign and the
+    place of every pivot. Where it declines (L = 1), the entries are put
+    over one common denominator c instead, which scales the form by c.
+    Either way the elimination runs on Python ints. Pivots are taken
+    in the monomials' order, by degree, so G_d is the leading block of
+    G_{d+1}. A kept pivot divides the next step exactly (Bareiss, Math.
+    Comp. 22, 1968): the jth kept pivot is delta_j, the jth leading minor
+    of G on the kept monomials B, and pivot j's row at its step is
+    delta_{j-1} (L^-1 G)_j, with G_BB = L D L^T, valid from the pivot's
+    index on and 0 before it. A negative pivot, or a zero pivot whose rest
+    of row is nonzero, shows the form is not positive, and the elimination
+    stops there; a zero pivot with a zero rest of row is a null direction
+    and is skipped.
+
+    Returns (L, c, monomials, pivots, stop): pivots as (index, row at its
+    step, delta_j), and stop the index where it stopped, the monomial count
+    when the form is positive.
+    """
+    mono, keys = _gram_keys(top)
+    scale, cleared = table.graded
+    common = 1
+    if type(cleared[(2, 0)]) is not int:  # declined: Fractions, which // would floor
+        common, values = scalars.clear_denominators(cleared.values())
+        cleared = dict(zip(cleared, values))
+    rows = [[cleared[key] for key in row] for row in keys]
+    pivots, last = [], 1
+    for k, row in enumerate(rows):
+        pivot = row[k]
+        if pivot < 0 or (pivot == 0 and any(row[k + 1:])):
+            return scale, common, mono, pivots, k
+        if pivot:
+            # the trailing rows from the diagonal on: the rest stays symmetric
+            for i in range(k + 1, len(rows)):
+                a, target = row[i], rows[i]
+                target[i:] = [(pivot * x - a * y) // last for x, y in zip(target[i:], row[i:])]
+            pivots.append((k, row, pivot))
+            last = pivot
+    return scale, common, mono, pivots, len(rows)
 
 
 @dataclass(frozen=True)
 class CpsdReport:
+    """check_cpsd's verdict on a window.
+
+    A float table states its smallest Gram eigenvalue (rank is None); a
+    rational one the rank of G_d (min_eigenvalue is None), which is None
+    too when a pivot refused positivity first.
+    """
+
     ok: bool
-    min_eigenvalue: float
+    min_eigenvalue: float | None
     degree_window: int
+    rank: int | None = None
 
     def to_jsonable(self):
-        return asdict(self)
+        data = asdict(self)
+        del data["rank" if self.min_eigenvalue is not None else "min_eigenvalue"]
+        return data
 
 
 def _check_window(table, d: int, need: int) -> None:
@@ -264,34 +341,55 @@ def _check_window(table, d: int, need: int) -> None:
         raise DegreeError(f"need table degree >= {need}, have {table.degree}")
 
 
+def _faces_ok(table) -> bool:
+    # a vanishing (2,0) entry forces every entry of order >= 2 touching the
+    # left face to vanish (Cauchy-Schwarz), and symmetrically for (0,2)
+    kind = table.kind
+    zero = scalars.zero(kind)
+    if scalars.close(table.get(2, 0), zero, kind, ZERO_VARIANCE_TOL) and not all(
+            scalars.close(v, zero, kind, DEGENERATE_FACE_TOL)
+            for (m, n), v in table.entries.items() if m >= 1 and m + n >= 2):
+        return False
+    return not (scalars.close(table.get(0, 2), zero, kind, ZERO_VARIANCE_TOL) and not all(
+        scalars.close(v, zero, kind, DEGENERATE_FACE_TOL)
+        for (m, n), v in table.entries.items() if n >= 1 and m + n >= 2))
+
+
 def _cpsd(table, d: int, gram: np.ndarray) -> CpsdReport:
     import numpy as np
     smallest = float(np.linalg.eigvalsh(gram)[0])
-    ok = smallest >= PSD_TOL
-    kind = table.kind
-    zero = scalars.zero(kind)
-    if ok and scalars.close(table.get(2, 0), zero, kind, ZERO_VARIANCE_TOL):
-        ok = all(scalars.close(v, zero, kind, DEGENERATE_FACE_TOL)
-                 for (m, n), v in table.entries.items() if m >= 1 and m + n >= 2)
-    if ok and scalars.close(table.get(0, 2), zero, kind, ZERO_VARIANCE_TOL):
-        ok = all(scalars.close(v, zero, kind, DEGENERATE_FACE_TOL)
-                 for (m, n), v in table.entries.items() if n >= 1 and m + n >= 2)
-    return CpsdReport(ok, smallest, d)
+    return CpsdReport(smallest >= PSD_TOL and _faces_ok(table), smallest, d)
+
+
+def _rank(pivots, stop: int, size: int) -> int | None:
+    # the rank of the Gram's leading block on `size` monomials; None when a
+    # pivot inside it refused positivity
+    return sum(k < size for k, _, _ in pivots) if stop >= size else None
+
+
+def _exact_cpsd(table, d: int, pivots, stop: int) -> CpsdReport:
+    rank = _rank(pivots, stop, d * (d + 3) // 2)  # G_d: the monomials of degree 1..d
+    return CpsdReport(rank is not None and _faces_ok(table), None, d, rank)
 
 
 def check_cpsd(table: CumulantTable, d: int) -> CpsdReport:
     """Positivity of the cumulant Gram form on monomials of degree 1..d.
 
     The form pairs s^(m1) t^(n1) with s^(m2) t^(n2) through the entry at
-    (m1+m2, n1+n2). Degenerate faces are handled separately: a vanishing
+    (m1+m2, n1+n2). A rational table is decided by the pivot signs of one
+    exact elimination of G_d, a float one by its smallest eigenvalue
+    against PSD_TOL. Degenerate faces are handled separately: a vanishing
     (2,0) entry forces every entry of order >= 2 touching the left face to
-    vanish (Cauchy-Schwarz), and symmetrically for (0,2); the eigenvalue
-    window alone could miss violations beyond it. An empty window (d < 1)
-    raises DegreeError instead of passing vacuously.
+    vanish (Cauchy-Schwarz), and symmetrically for (0,2); the window alone
+    could miss violations beyond it. An empty window (d < 1) raises
+    DegreeError instead of passing vacuously.
     """
     _check_window(table, d, 2 * d)
-    _, gram_of = _gram_source(table, d, 2 * d)
-    return _cpsd(table, d, gram_of())
+    if table.kind == scalars.FLOAT:
+        _, gram_of = _gram_source(table, d, 2 * d)
+        return _cpsd(table, d, gram_of())
+    _, _, _, pivots, stop = _eliminate(table, d)
+    return _exact_cpsd(table, d, pivots, stop)
 
 
 @dataclass(frozen=True)
@@ -306,13 +404,44 @@ class BoundednessReport:
         return asdict(self)
 
 
+@dataclass(frozen=True)
+class FlatnessReport:
+    """check_cond_bounded's exact verdict on a rational table.
+
+    certified: G_{d+1} is positive and flat over G_d, rank_next == rank
+    (Curto-Fialkow, Mem. AMS 568, 1996), so the classes of the window span
+    the quotient and multiplication by s and by t map it into itself. A
+    positive table that is not flat is not shown unbounded: nothing is
+    certified at this window, and a larger one may certify it. rank (of
+    G_d) and rank_next (of G_{d+1}) are None where a pivot refused
+    positivity first.
+    """
+
+    certified: bool
+    rank: int | None
+    rank_next: int | None
+    degree_window: int
+
+    @property
+    def ok(self) -> bool:
+        return self.certified
+
+    def to_jsonable(self):
+        return asdict(self)
+
+
+def _flatness(d: int, mono, pivots, stop: int) -> FlatnessReport:
+    rank, rank_next = _rank(pivots, stop, d * (d + 3) // 2), _rank(pivots, stop, len(mono))
+    return FlatnessReport(rank is not None and rank == rank_next, rank, rank_next, d)
+
+
 def _largest(values: np.ndarray) -> float:
     # the largest |entry|; 0.0 when there is none (no null or no quotient direction)
     return float(abs(values).max(initial=0.0))
 
 
 def _quotient(gram_of, gram: np.ndarray, d: int):
-    """Boundedness report, quotient basis and compressed shifts S1, S2.
+    """Boundedness report, quotient basis and compressed shifts S1, S2 of a float table.
 
     The basis (columns) is orthonormal for the form on the eigenvalues
     above NULL_SPACE_TOL. Multiplication by s and by t are operators on
@@ -342,66 +471,175 @@ def _quotient(gram_of, gram: np.ndarray, d: int):
     return BoundednessReport(ok, witness, null_res, leak, d), basis, s1, s2
 
 
-def check_cond_bounded(table: CumulantTable, d: int) -> BoundednessReport:
+def check_cond_bounded(table: CumulantTable, d: int):
     """Whether the shifts act as bounded symmetric operators on the quotient.
 
-    Builds the quotient space of the degree-window Gram form, compresses
-    multiplication by s and by t onto it, and accepts iff null vectors stay
-    null under the shifts and the shifts genuinely map the quotient into
-    itself (no mass escapes the window). The witness is
-    max(norm(S1), norm(S2), 1); for data carried by a measure it bounds the
-    support coordinates seen by the window.
+    A rational table gets a FlatnessReport from one exact elimination of
+    G_{d+1}: the window certifies the table when G_{d+1} is positive with
+    the rank of G_d. A float table gets a BoundednessReport: the quotient
+    of the window's Gram form, with multiplication by s and by t compressed
+    onto it, is accepted iff null vectors stay null under the shifts and the
+    shifts map the quotient into itself (no mass escapes the window), both
+    within tolerance. Its witness is max(norm(S1), norm(S2), 1); for data
+    carried by a measure it bounds the support coordinates seen by the
+    window.
     """
     _check_window(table, d, 2 * d + 2)
-    _, gram_of = _gram_source(table, d, 2 * d + 2)
-    return _quotient(gram_of, gram_of(), d)[0]
+    if table.kind == scalars.FLOAT:
+        _, gram_of = _gram_source(table, d, 2 * d + 2)
+        return _quotient(gram_of, gram_of(), d)[0]
+    _, _, mono, pivots, stop = _eliminate(table, d + 1)
+    return _flatness(d, mono, pivots, stop)
+
+
+def _whitened_model(scale, common, mono, pivots) -> tuple:
+    """(f, g, T1, T2) of a flat elimination in the orthonormal basis of its kept classes.
+
+    With G_BB = L D L^T on the kept monomials B and D_j = delta_j / delta_{j-1},
+    f_j = (L^-1 G_{B,s})_j / sqrt(D_j), g likewise from t, and
+    T1 = D^-1/2 L^-1 G^(1,0)_BB L^-T D^-1/2. Column q of G^(1,0)_BB is the
+    Gram's column of s q, so row j of delta_{j-1} L^-1 G^(1,0)_BB is read
+    off pivot j's row. Replaying the pivots' steps on that row gives
+    w_ij = delta_{i-1} delta_{j-1} (L^-1 G^(1,0)_BB L^-T)_ij. Undoing the
+    clearing, whose powers of L cancel but one and whose c cancels in T, gives
+    f_j = row_j[s] / (L sqrt(c delta_{j-1} delta_j)) and
+    T1_ij = w_ij / (L sqrt(delta_{i-1} delta_i delta_{j-1} delta_j)).
+    Everything is exact integers until that last division, which is
+    rounded once to float before its square root.
+    """
+    kept = [k for k, _, _ in pivots]
+    minors = [1] + [pivot for _, _, pivot in pivots]
+    dim = len(kept)
+    products = [minors[j] * minors[j + 1] for j in range(dim)]
+    square = scale * scale
+    index = {p: i for i, p in enumerate(mono)}
+
+    def entry(j, column):  # delta_{j-1} (L^-1 G)_{j, column}
+        k, row, _ = pivots[j]
+        return row[column] if column >= k else 0
+
+    def lower(column):  # delta_{i-1} (L^-1 y)_i for an integer column y over B
+        y = list(column)
+        for k in range(dim):
+            for i in range(k + 1, dim):
+                y[i] = (minors[k + 1] * y[i] - entry(k, kept[i]) * y[k]) // minors[k]
+        return y
+
+    def to_float(value, denominator):  # value / sqrt(denominator); int / int rounds once
+        root = math.sqrt(value * value / denominator)
+        return root if value >= 0 else -root
+
+    def vector(key):
+        return [to_float(entry(j, index[key]), square * common * products[j])
+                for j in range(dim)]
+
+    def face(a, b):
+        shifted = [index[(m + a, n + b)] for m, n in (mono[k] for k in kept)]
+        w = [lower([entry(j, c) for c in shifted]) for j in range(dim)]
+        return [[to_float(w[j][i], square * products[i] * products[j]) for j in range(dim)]
+                for i in range(dim)]
+
+    return vector((1, 0)), vector((0, 1)), face(1, 0), face(0, 1)
 
 
 def gns_reconstruct(table: CumulantTable, d: int) -> FockModel:
     """Finite-dimensional model from the cumulant Gram form.
 
-    Eigen-truncates the Gram matrix of the monomials of degree 1..d to an
-    orthonormal model space, compresses the two shifts onto it as T1 and
-    T2, and reads f and g off the classes of the two coordinate monomials;
-    the scalar parts are the first-order cumulants. The model reproduces
-    the table on the window and, when the window saturates the quotient
-    (every atomic case here), on all degrees. Both gates decide on the same
-    Gram and quotient first, raising as check_cpsd and check_cond_bounded
-    do; an empty window d < 1 raises DegreeError.
+    The model space is the quotient of the monomials of degree 1..d by the
+    form's null space, with an orthonormal basis; T1 and T2 are the two
+    shifts compressed onto it, and f and g the classes of the two
+    coordinate monomials; the scalar parts are the first-order cumulants.
+    The model reproduces the table on the window and, when the window
+    saturates the quotient (every atomic case here), on all degrees.
+
+    A rational table is read off one exact elimination of G_{d+1}: it must
+    be positive on G_d and flat, and the model whitens the kept pivots
+    (_whitened_model), so its floats are exact values rounded at the end.
+    A float table eigen-truncates its Gram and compresses the shifts within
+    the gates' tolerances. Either way both gates decide first, positivity
+    on degree 2d before degree 2d + 2 is required, raising
+    RealizabilityError on a refusal; an empty window d < 1 raises
+    DegreeError.
     """
     # the Fock layer before the Gram arrays: loaded after them, it raised a
     # `bifree gns` call's peak RSS from 31.1 to 32.1 MB
     fock = _fock()
     _check_window(table, d, 2 * d)
-    mono, gram_of = _gram_source(table, d, min(table.degree, 2 * d + 2))
-    gram = gram_of()
-    cpsd = _cpsd(table, d, gram)
+    lambdas = float(table.get(1, 0)), float(table.get(0, 1))
+    if table.kind == scalars.FLOAT:
+        mono, gram_of = _gram_source(table, d, min(table.degree, 2 * d + 2))
+        gram = gram_of()
+        cpsd = _cpsd(table, d, gram)
+        if not cpsd.ok:
+            raise RealizabilityError(f"not conditionally positive: {cpsd}")
+        _check_window(table, d, 2 * d + 2)
+        bounded, basis, s1, s2 = _quotient(gram_of, gram, d)
+        if not bounded.ok:
+            raise RealizabilityError(f"not conditionally bounded: {bounded}")
+        # coordinates of the class of a monomial p: column of basis^T G e_p
+        coords = basis.T @ gram
+        f = coords[:, mono.index((1, 0))]
+        g = coords[:, mono.index((0, 1))]
+        return fock.FockModel.from_arrays(f.tolist(), g.tolist(), s1.tolist(), s2.tolist(),
+                                          *lambdas, kind=scalars.FLOAT)
+    scale, common, mono, pivots, stop = _eliminate(table, d + (table.degree >= 2 * d + 2))
+    cpsd = _exact_cpsd(table, d, pivots, stop)
     if not cpsd.ok:
         raise RealizabilityError(f"not conditionally positive: {cpsd}")
     _check_window(table, d, 2 * d + 2)
-    bounded, basis, s1, s2 = _quotient(gram_of, gram, d)
-    if not bounded.ok:
-        raise RealizabilityError(f"not conditionally bounded: {bounded}")
-    # coordinates of the class of a monomial p: column of basis^T G e_p
-    coords = basis.T @ gram
-    f = coords[:, mono.index((1, 0))]
-    g = coords[:, mono.index((0, 1))]
-    return fock.FockModel.from_arrays(
-        f.tolist(), g.tolist(), s1.tolist(), s2.tolist(),
-        float(table.get(1, 0)), float(table.get(0, 1)),
-        kind=scalars.FLOAT)
+    flat = _flatness(d, mono, pivots, stop)
+    if not flat.certified:
+        raise RealizabilityError(f"nothing certified at this window: {flat}")
+    return fock.FockModel.from_arrays(*_whitened_model(scale, common, mono, pivots), *lambdas,
+                                      kind=scalars.FLOAT)
+
+
+def _jacobi(matrix) -> list:
+    """Eigenvectors (the columns) of a symmetric float matrix by cyclic Jacobi rotations.
+
+    The rotation in the plane (p, q) zeroes entry (p, q): with
+    theta = (a_qq - a_pp) / (2 a_pq), t = sign(theta) / (|theta| + sqrt(theta^2 + 1))
+    is the smaller root of t^2 + 2 theta t = 1, c = 1 / sqrt(t^2 + 1) and
+    s = t c (Golub-Van Loan, Matrix Computations, 8.5). Sweeps over every
+    plane stop once the off-diagonal squares sum to at most 1e-30 of all
+    the squares, or after JACOBI_SWEEPS; extract_levy_measures checks the
+    result against DIAG_RESIDUAL_TOL either way.
+    """
+    n = len(matrix)
+    a = [list(row) for row in matrix]
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    total = sum(x * x for row in a for x in row)
+    for _ in range(JACOBI_SWEEPS):
+        if sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n)) <= 1e-30 * total:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if a[p][q] == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                for row in a + v:  # the columns p and q of a J and of v J
+                    x, y = row[p], row[q]
+                    row[p], row[q] = c * x - s * y, s * x + c * y
+                # the rows p and q of J^T (a J)
+                a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],
+                              [s * x + c * y for x, y in zip(a[p], a[q])])
+                a[p][q] = a[q][p] = 0.0
+    return v
 
 
 def extract_levy_measures(model: FockModel) -> LevyHincinData:
     """Levy-Hincin triple of a commuting model by joint diagonalization.
 
-    Diagonalizes T1 + gamma T2 for a gamma from random.Random(0) and checks
-    both matrices come out diagonal, retrying with a fresh gamma up to five
-    times (only finitely many gammas merge distinct eigenvalue pairs). The
-    measures put mass <f, u_k>^2, <g, u_k>^2, and <f, u_k><g, u_k> at the
-    joint eigenvalue pair of each basis vector u_k.
+    Diagonalizes T1 + gamma T2 by Jacobi rotations for a gamma from
+    random.Random(0) and checks both matrices come out diagonal, retrying
+    with a fresh gamma up to five times (only finitely many gammas merge
+    distinct eigenvalue pairs). The measures put mass <f, u_k>^2,
+    <g, u_k>^2, and <f, u_k><g, u_k> at the joint eigenvalue pair of each
+    basis vector u_k. Pure Python floats: numpy does not load.
     """
-    import numpy as np
     report = _fock().check_commutation(model)
     if not report.ok:
         raise CommutationError(f"faces do not commute: {report}")
@@ -412,35 +650,38 @@ def extract_levy_measures(model: FockModel) -> LevyHincinData:
         empty = DiscretePlanarMeasure.from_atoms([], kind=scalars.FLOAT)
         empty_signed = DiscretePlanarMeasure.from_atoms([], signed=True, kind=scalars.FLOAT)
         return LevyHincinData(lam1, lam2, empty, empty, empty_signed, scalars.FLOAT)
-    t1, t2, fvec, gvec = (np.array(x, dtype=float)
-                          for x in (model.t1, model.t2, model.f, model.g))
-    scale = max(1.0, _largest(t1), _largest(t2))
+    t1, t2 = ([[float(x) for x in row] for row in t] for t in (model.t1, model.t2))
+    scale = max(1.0, *(abs(x) for t in (t1, t2) for row in t for x in row))
+    span = range(dim)
+
+    def congruence(columns, t):  # V^T t V, V's columns given
+        tv = list(zip(*([sum(map(operator.mul, row, col)) for col in columns] for row in t)))
+        return [[sum(map(operator.mul, u, w)) for w in tv] for u in columns]
+
     rng = random.Random(0)
-    basis = None
     for _ in range(5):
         gamma = rng.uniform(0.25, 1.75)
-        _, vecs = np.linalg.eigh(t1 + gamma * t2)
-        d1 = vecs.T @ t1 @ vecs
-        d2 = vecs.T @ t2 @ vecs
-        off = max(_largest(d1 - np.diag(np.diag(d1))), _largest(d2 - np.diag(np.diag(d2))))
+        columns = list(zip(*_jacobi([[x + gamma * y for x, y in zip(r1, r2)]
+                                     for r1, r2 in zip(t1, t2)])))
+        d1, d2 = congruence(columns, t1), congruence(columns, t2)
+        off = max((abs(d[i][j]) for d in (d1, d2) for i in span for j in span if i != j),
+                  default=0.0)
         if off <= DIAG_RESIDUAL_TOL * scale:
-            basis = vecs
-            svals, tvals = np.diag(d1), np.diag(d2)
             break
-    if basis is None:
+    else:
         raise CommutationError(
             f"simultaneous diagonalization residual above {DIAG_RESIDUAL_TOL}")
-    fh = basis.T @ fvec
-    gh = basis.T @ gvec
+    fh, gh = ([sum(map(operator.mul, u, map(float, x))) for u in columns]
+              for x in (model.f, model.g))
     atoms1, atoms2, atoms = [], [], []
-    for k in range(dim):
-        s, t = float(svals[k]), float(tvals[k])
+    for k in span:
+        s, t = d1[k][k], d2[k][k]
         if abs(fh[k]) > ATOM_WEIGHT_TOL:
-            atoms1.append((s, t, float(fh[k] ** 2)))
+            atoms1.append((s, t, fh[k] ** 2))
         if abs(gh[k]) > ATOM_WEIGHT_TOL:
-            atoms2.append((s, t, float(gh[k] ** 2)))
+            atoms2.append((s, t, gh[k] ** 2))
         if abs(fh[k] * gh[k]) > ATOM_WEIGHT_TOL:
-            atoms.append((s, t, float(fh[k] * gh[k])))
+            atoms.append((s, t, fh[k] * gh[k]))
     return LevyHincinData(
         lam1, lam2,
         DiscretePlanarMeasure.from_atoms(atoms1, kind=scalars.FLOAT),

@@ -103,7 +103,8 @@ def clear_graded(entries: dict) -> tuple:
     common = math.lcm(*denominators)
     if top * common.bit_length() > GRADED_MAX_BITS:
         return 1, entries
-    return common, {(m, n): v.numerator * common ** (m + n) // v.denominator
+    powers = [common**k for k in range(top + 1)]
+    return common, {(m, n): v.numerator * powers[m + n] // v.denominator
                     for (m, n), v in entries.items()}
 
 

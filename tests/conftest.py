@@ -198,6 +198,72 @@ def random_validated_lh(rng, natoms=3) -> LevyHincinData:
         DiscretePlanarMeasure.from_atoms(atoms, signed=True))
 
 
+def float_copy(table):
+    """The table with every entry converted by float(), as a float table."""
+    return type(table)(table.degree, scalars.FLOAT,
+                       {key: float(value) for key, value in table.entries.items()})
+
+
+def numpy_extract_levy_measures(model):
+    """extract_levy_measures as numpy.linalg.eigh computed it: the Jacobi sweep's oracle.
+
+    The same gamma draws from random.Random(0), the same DIAG_RESIDUAL_TOL
+    check and the same ATOM_WEIGHT_TOL cuts; the model must commute.
+    """
+    from bifree.levy_hincin import ATOM_WEIGHT_TOL, DIAG_RESIDUAL_TOL
+    t1, t2, fvec, gvec = (np.array(x, dtype=float) for x in (model.t1, model.t2, model.f, model.g))
+    scale = max(1.0, abs(t1).max(), abs(t2).max())
+    rng = random.Random(0)
+    for _ in range(5):
+        _, vecs = np.linalg.eigh(t1 + rng.uniform(0.25, 1.75) * t2)
+        d1, d2 = vecs.T @ t1 @ vecs, vecs.T @ t2 @ vecs
+        off = max(abs(d1 - np.diag(np.diag(d1))).max(), abs(d2 - np.diag(np.diag(d2))).max())
+        if off <= DIAG_RESIDUAL_TOL * scale:
+            break
+    else:
+        raise AssertionError("numpy found no joint diagonalization")
+    fh, gh = vecs.T @ fvec, vecs.T @ gvec
+    atoms1, atoms2, atoms = [], [], []
+    for k, (s, t) in enumerate(zip(np.diag(d1), np.diag(d2))):
+        s, t = float(s), float(t)
+        if abs(fh[k]) > ATOM_WEIGHT_TOL:
+            atoms1.append((s, t, float(fh[k] ** 2)))
+        if abs(gh[k]) > ATOM_WEIGHT_TOL:
+            atoms2.append((s, t, float(gh[k] ** 2)))
+        if abs(fh[k] * gh[k]) > ATOM_WEIGHT_TOL:
+            atoms.append((s, t, float(fh[k] * gh[k])))
+    measure = lambda atoms, signed=False: DiscretePlanarMeasure.from_atoms(
+        atoms, signed, scalars.FLOAT)
+    return LevyHincinData(float(model.lambda1), float(model.lambda2), measure(atoms1),
+                          measure(atoms2), measure(atoms, True), scalars.FLOAT)
+
+
+def random_float_commuting_model(rng, dim):
+    """A commuting float model and its source triple's atoms, from a seeded rng.
+
+    Joint eigenvalue pairs (s_k, t_k) sit at least 0.05 apart in s, with
+    |s_k| >= 0.25, and g_k = t_k f_k / s_k makes the faces commute; a
+    random orthogonal Q (QR of a Gaussian matrix) mixes the eigenbasis.
+    Returns (model, (rho1, rho2, rho) atoms as lists of (s, t, w)).
+    """
+    svals = sorted(rng.sample(range(5, 41), dim))
+    svals = [(k / 20.0) * rng.choice((-1.0, 1.0)) for k in svals]
+    tvals = [rng.uniform(-2.0, 2.0) for _ in range(dim)]
+    fhat = [rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0)) for _ in range(dim)]
+    ghat = [t * f / s for s, t, f in zip(svals, tvals, fhat)]
+    q, _ = np.linalg.qr(np.array([[rng.gauss(0.0, 1.0) for _ in range(dim)]
+                                  for _ in range(dim)]))
+    conj = lambda diag: (q * diag) @ q.T
+    sym = lambda mat: ((mat + mat.T) / 2.0).tolist()
+    model = FockModel.from_arrays((q @ fhat).tolist(), (q @ ghat).tolist(),
+                                  sym(conj(np.array(svals))), sym(conj(np.array(tvals))),
+                                  kind=scalars.FLOAT)
+    atoms = ([(s, t, f * f) for s, t, f in zip(svals, tvals, fhat)],
+             [(s, t, g * g) for s, t, g in zip(svals, tvals, ghat)],
+             [(s, t, f * g) for s, t, f, g in zip(svals, tvals, fhat, ghat)])
+    return model, atoms
+
+
 # -- the per-atom loops, oracles for the integer kernels ----------------------
 
 def oracle_measure_moment(mu, m, n):

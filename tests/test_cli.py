@@ -294,6 +294,43 @@ def test_empty_gram_window_is_an_input_error(tmp_path, capsys):
         assert "window" in capsys.readouterr().err
 
 
+def _cumulant_file(path, table):
+    return _write(path, table.to_jsonable())
+
+
+def test_rational_gates_refuse_the_cauchy_schwarz_breaker(tmp_path, capsys):
+    # kappa11 = 1 + 10^-10 against kappa20 = kappa02 = 1: the float gates let
+    # it through within PSD_TOL, the exact pivots do not
+    from test_levy_hincin import cauchy_schwarz_breaker
+    table = _cumulant_file(tmp_path / "breaker.json", cauchy_schwarz_breaker())
+    code, out = invoke(["check-id", table])
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False and payload["cpsd"]["ok"] is False
+    code, out = invoke(["gns", table])
+    assert (code, out) == (2, "")
+    assert "not conditionally positive" in capsys.readouterr().err
+
+
+def test_twelve_atoms_are_not_certified_at_degree_8(tmp_path, capsys):
+    # d = 3 holds 9 monomials for 12 atoms: positive, not flat, nothing
+    # certified, and nothing says unbounded; degree 10 (d = 4) certifies it
+    from test_levy_hincin import twelve_atom_poisson
+    table = _cumulant_file(tmp_path / "twelve8.json", twelve_atom_poisson(8)[1])
+    code, out = invoke(["check-id", table])
+    assert code == 1 and "unbounded" not in out
+    assert json.loads(out) == {
+        "bounded": {"certified": False, "degree_window": 3, "rank": 9, "rank_next": 12},
+        "cpsd": {"degree_window": 3, "ok": True, "rank": 9}, "degree_window": 3, "ok": False}
+    code, out = invoke(["gns", table])
+    assert (code, out) == (2, "")
+    assert "nothing certified at this window" in capsys.readouterr().err
+    table = _cumulant_file(tmp_path / "twelve10.json", twelve_atom_poisson(10)[1])
+    code, out = invoke(["check-id", table])
+    assert code == 0 and json.loads(out)["bounded"]["certified"] is True
+    code, out = invoke(["gns", table])
+    assert code == 0 and json.loads(out)["dim"] == 12
+
+
 def test_non_finite_entries_are_rejected(tmp_path, capsys):
     for bad in ("NaN", "Infinity", "-Infinity"):
         entries = [[m, t - m, 1.0] for t in range(1, 3) for m in range(t + 1)]
@@ -640,8 +677,8 @@ print(json.dumps({"import": before, "code": code, "stdout": out.getvalue(), "loa
 """
 # The bifree modules (and numpy) each golden command loads, beyond the cli,
 # scalars and errors modules that `import bifree.cli` loads. fock, levy_hincin,
-# limits and partitions load only where the command calls them, and numpy
-# only for the float inverse (Gram gates, GNS quotient, joint diagonalization).
+# limits and partitions load only where the command calls them. No golden
+# command loads numpy: only check-id and gns on a float table do.
 TABLES = {"cumulants", "series"}
 LEVY_HINCIN = TABLES | {"levy_hincin", "measures"}
 LIMITS = TABLES | {"convolution", "limits", "measures"}
@@ -657,9 +694,9 @@ COMMAND_LOADS = {
     "make_compound": LIMITS,
     "lh_cumulants": LEVY_HINCIN,
     "lh_validate": LEVY_HINCIN,
-    "check_id": LEVY_HINCIN | {"numpy"},
-    "gns": LEVY_HINCIN | {"fock", "numpy"},
-    "extract": LEVY_HINCIN | {"fock", "numpy"},
+    "check_id": LEVY_HINCIN,
+    "gns": LEVY_HINCIN | {"fock"},
+    "extract": LEVY_HINCIN | {"fock"},
     "fock_moments": TABLES | {"fock"},
     "fock_moment_single": TABLES | {"fock"},
     "verify_voiculescu": TABLES | {"fock"},
@@ -670,16 +707,24 @@ COMMAND_LOADS = {
 }
 
 
-def test_each_command_loads_only_the_modules_it_calls():
-    # one new interpreter per command, two at a time
+def test_each_command_loads_only_the_modules_it_calls(tmp_path):
+    # one new interpreter per command, two at a time; the float copy of the
+    # check_id case's table is the one run that loads numpy
+    doc = json.loads((DATA / "poisson8.json").read_text())
+    doc["kind"] = "float"
+    float_table = _write(tmp_path / "poisson8_float.json", doc)
+    runs = CASES + [("check_id_float", ["check-id", float_table, "--gram-degree", "3"])]
     with ThreadPoolExecutor(2) as pool:
-        reports = list(pool.map(lambda case: _fresh_python(LOADS, json.dumps(case[1])), CASES))
+        reports = list(pool.map(lambda case: _fresh_python(LOADS, json.dumps(case[1])), runs))
     assert sorted(COMMAND_LOADS) == sorted(name for name, _ in CASES)
     for (name, _), report in zip(CASES, reports):
         assert report["import"] == [], name  # `import bifree` loads no layer module
         assert report["code"] == 0, name
         assert report["stdout"].encode() == (GOLDEN / f"{name}.json").read_bytes(), name
         assert set(report["loaded"]) == {"cli", "scalars", "errors"} | COMMAND_LOADS[name], name
+    report = reports[-1]
+    assert report["code"] == 0 and json.loads(report["stdout"])["bounded"]["witness"] == 1.0
+    assert set(report["loaded"]) == {"cli", "scalars", "errors", "numpy"} | LEVY_HINCIN
 
 
 SURFACE = """
@@ -771,7 +816,7 @@ def test_model_document_states_its_kind(tmp_path):
 # reciprocals were removed.
 PUBLIC_NAMES = {
     "BifreeError", "BoundednessReport", "ChiMap", "CommutationError", "CpsdReport",
-    "CumulantTable", "DegreeError", "DiscretePlanarMeasure", "FockModel",
+    "CumulantTable", "DegreeError", "DiscretePlanarMeasure", "FlatnessReport", "FockModel",
     "InconsistentDataError", "LevyHincinData", "LhValidation", "MomentTable", "OrderError",
     "Partition", "RealizabilityError", "ShapeError", "SizeLimitError",
     "UncertifiedScaleWarning", "UnsupportedMeasureError", "bifree_convolve",

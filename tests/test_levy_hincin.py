@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifree import levy_hincin, scalars
-from bifree.cumulants import CumulantTable
-from bifree.errors import (DegreeError, InconsistentDataError,
+from bifree.cumulants import CumulantTable, table_keys
+from bifree.errors import (CommutationError, DegreeError, InconsistentDataError,
                            RealizabilityError)
 from bifree.fock import FockModel, model_cumulants
 from bifree.levy_hincin import (LevyHincinData, check_cond_bounded, check_cpsd,
@@ -23,9 +23,10 @@ from bifree.limits import (bifree_gaussian, bifree_poisson,
                            compound_bifree_poisson)
 from bifree.measures import DiscretePlanarMeasure
 
-from conftest import (SECOND, gram_entry_by_entry, no_fraction_arithmetic,
-                      oracle_lh_to_cumulants, product_measure, random_commuting_model,
-                      random_cumulant_table, random_line_measure, random_validated_lh,
+from conftest import (SECOND, float_copy, gram_entry_by_entry, no_fraction_arithmetic,
+                      numpy_extract_levy_measures, oracle_lh_to_cumulants, product_measure,
+                      random_commuting_model, random_cumulant_table,
+                      random_float_commuting_model, random_line_measure, random_validated_lh,
                       window_monomials)
 
 R = scalars.RATIONAL
@@ -263,7 +264,7 @@ SHIFTS = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
 
 def test_gram_source_equals_entry_by_entry_grams(rng):
     for _ in range(4):
-        table = random_cumulant_table(rng, 8)
+        table = float_copy(random_cumulant_table(rng, 8))
         for d in range(4):
             mono, gram_of = levy_hincin._gram_source(table, d, 2 * d + 2)
             assert mono == tuple(window_monomials(d))
@@ -274,7 +275,8 @@ def test_gram_source_equals_entry_by_entry_grams(rng):
 
 def test_gram_window_is_shared_read_only_and_converts_like_float():
     # the monomials and index arrays are made once per window and cannot be
-    # written; entries far past the float grid convert as float()
+    # written; entries far past the float grid, converted by float(), fill
+    # the float Gram as they are
     first, second = levy_hincin._window(3), levy_hincin._window(3)
     assert first is second and isinstance(first[0], tuple)
     for array in first[1:]:
@@ -283,37 +285,56 @@ def test_gram_window_is_shared_read_only_and_converts_like_float():
     rng = random.Random(11)
     entries = {(m, t - m): Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**35))
                for t in range(1, 9) for m in range(t + 1)}
-    table = CumulantTable(8, R, entries)
+    table = float_copy(CumulantTable(8, R, entries))
     mono, gram_of = levy_hincin._gram_source(table, 3, 8)
     for shift in SHIFTS:
         assert np.array_equal(gram_of(*shift), gram_entry_by_entry(table.get, mono, shift))
 
 
+def spy_on(monkeypatch, calls, name):
+    real = getattr(levy_hincin, name)
+    monkeypatch.setattr(levy_hincin, name,
+                        lambda *args, **kw: calls.append(name) or real(*args, **kw))
+
+
 def test_gns_builds_one_gram_source_and_one_quotient(rng, monkeypatch):
     calls = []
-
-    def spy(name):
-        real = getattr(levy_hincin, name)
-        monkeypatch.setattr(levy_hincin, name,
-                            lambda *args, **kw: calls.append(name) or real(*args, **kw))
-
-    spy("_gram_source")
-    spy("_quotient")
-    gns_reconstruct(lh_to_cumulants(random_validated_lh(rng, 3), 8), 3)
+    spy_on(monkeypatch, calls, "_gram_source")
+    spy_on(monkeypatch, calls, "_quotient")
+    gns_reconstruct(float_copy(lh_to_cumulants(random_validated_lh(rng, 3), 8)), 3)
     assert calls == ["_gram_source", "_quotient"]
+
+
+def test_each_exact_gate_call_eliminates_once(rng, monkeypatch):
+    # check_cpsd eliminates G_d, check_cond_bounded and gns_reconstruct G_{d+1},
+    # and none of them builds a float Gram
+    table = lh_to_cumulants(random_validated_lh(rng, 3), 8)
+    tops = []
+    real = levy_hincin._eliminate
+    monkeypatch.setattr(levy_hincin, "_eliminate",
+                        lambda table, top: tops.append(top) or real(table, top))
+    spy_on(monkeypatch, tops, "_gram_source")
+    assert check_cpsd(table, 3).rank == 3
+    assert check_cond_bounded(table, 3).rank_next == 3
+    assert gns_reconstruct(table, 3).dim == 3
+    assert tops == [3, 4, 4]
 
 
 def test_cpsd_gaussian_verdicts():
     good = bifree_gaussian(1, 1, Fraction(1, 2), 8)
-    report = check_cpsd(good, 3)
+    report = check_cpsd(float_copy(good), 3)
     assert report.ok and report.min_eigenvalue >= -1e-12
+    assert check_cpsd(good, 3) == levy_hincin.CpsdReport(True, None, 3, 2)
 
     bad_entries = dict(bifree_gaussian(1, 1, 0, 8).entries)
     bad_entries[(1, 1)] = Fraction(2)
     bad = CumulantTable(8, R, bad_entries)
-    assert not check_cpsd(bad, 3).ok
+    assert not check_cpsd(float_copy(bad), 3).ok
     # eigenvalue of [[1, 2], [2, 1]] is -1 on the difference direction
-    assert check_cpsd(bad, 1).min_eigenvalue == pytest.approx(-1.0)
+    assert check_cpsd(float_copy(bad), 1).min_eigenvalue == pytest.approx(-1.0)
+    # its second pivot, 1 * 1 - 2 * 2, is negative: no rank
+    for d in (1, 3):
+        assert check_cpsd(bad, d) == levy_hincin.CpsdReport(False, None, d, None)
 
 
 def test_cpsd_zero_table():
@@ -348,41 +369,58 @@ def test_empty_window_certifies_nothing():
     assert not check_cpsd(table, 1).ok
 
 
+def flat(rank):
+    return levy_hincin.FlatnessReport(True, rank, rank, 3)
+
+
 def test_bounded_poisson_unit_witness():
-    report = check_cond_bounded(bifree_poisson(1, 1, 1, 8), 3)
+    table = bifree_poisson(1, 1, 1, 8)
+    report = check_cond_bounded(float_copy(table), 3)
     assert report.ok
     assert report.witness == pytest.approx(1.0)
+    assert check_cond_bounded(table, 3) == flat(1)
 
 
 def test_bounded_gaussian_nilpotent_shifts():
-    report = check_cond_bounded(bifree_gaussian(2, 1, Fraction(1, 2), 8), 3)
+    table = bifree_gaussian(2, 1, Fraction(1, 2), 8)
+    report = check_cond_bounded(float_copy(table), 3)
     assert report.ok
     assert report.witness == 1.0  # clamped; the shifts vanish on the quotient
+    assert check_cond_bounded(table, 3) == flat(2)
 
 
 def test_bounded_factorial_growth_fails():
-    report = check_cond_bounded(factorial_table(), 3)
+    report = check_cond_bounded(float_copy(factorial_table()), 3)
     assert not report.ok
     assert report.invariance_residual > 1.0
+    # (m+n)! integrates x^(m+n) e^-x on the diagonal s = t: positive, and
+    # each degree adds a rank, so no window is flat and none certifies it
+    exact = check_cond_bounded(factorial_table(), 3)
+    assert exact == levy_hincin.FlatnessReport(False, 3, 4, 3)
+    assert check_cpsd(factorial_table(), 3).ok
 
 
 def test_bounded_witness_dominates_support():
     for lam, a, b in [(Fraction(1), Fraction(2), Fraction(1)),
                       (Fraction(1, 2), Fraction(-3), Fraction(1, 2))]:
         cum = lh_to_cumulants(poisson_lh(lam, a, b), 8)
-        report = check_cond_bounded(cum, 3)
+        report = check_cond_bounded(float_copy(cum), 3)
         assert report.ok
         assert report.witness >= max(abs(a), abs(b)) - 1e-9
+        assert check_cond_bounded(cum, 3) == flat(1)
 
 
 def test_bounded_witness_dominates_support_multi_atom(rng):
     for _ in range(4):
         data = random_validated_lh(rng, rng.randint(2, 4))
-        report = check_cond_bounded(lh_to_cumulants(data, 8), 3)
+        cum = lh_to_cumulants(data, 8)
+        report = check_cond_bounded(float_copy(cum), 3)
         assert report.ok
         coords = [abs(float(x)) for s, t, _ in data.rho1.atoms for x in (s, t)]
         coords += [abs(float(x)) for s, t, _ in data.rho2.atoms for x in (s, t)]
         assert report.witness >= max(coords) - 1e-8
+        # random_validated_lh's atoms are off the axes: each is one rank
+        assert check_cond_bounded(cum, 3) == flat(len(data.rho1.atoms))
 
 
 def test_bounded_needs_degree():
@@ -505,7 +543,6 @@ def test_extract_zero_vectors_empty_measures():
 
 def test_extract_requires_commutation():
     bad = FockModel.from_arrays([1, 0], [1, 0], [[1, 0], [0, 0]], [[0, 0], [0, 0]])
-    from bifree.errors import CommutationError
     with pytest.raises(CommutationError):
         extract_levy_measures(bad)
 
@@ -588,6 +625,116 @@ def test_gates_report_window():
     assert check_cond_bounded(cum, 3).degree_window == 3
 
 
+def cauchy_schwarz_breaker(degree=8):
+    """kappa20 = kappa02 = 1, kappa11 = 1 + 10^-10 and every other entry 0.
+
+    kappa11^2 exceeds kappa20 kappa02 by 2e-10, so the Gram's smallest
+    eigenvalue is -1e-10: inside the float gate's PSD_TOL.
+    """
+    entries = {key: Fraction(0) for key in table_keys(degree, 1)}
+    entries[(2, 0)] = entries[(0, 2)] = Fraction(1)
+    entries[(1, 1)] = 1 + Fraction(1, 10**10)
+    return CumulantTable(degree, R, entries)
+
+
+def test_exact_gates_refuse_the_cauchy_schwarz_breaker():
+    table = cauchy_schwarz_breaker()
+    # the float gates, within their tolerances, let it through
+    assert check_cpsd(float_copy(table), 3).ok and check_cond_bounded(float_copy(table), 3).ok
+    assert check_cpsd(table, 3) == levy_hincin.CpsdReport(False, None, 3, None)
+    assert check_cond_bounded(table, 3) == levy_hincin.FlatnessReport(False, None, None, 3)
+    with pytest.raises(RealizabilityError, match="not conditionally positive"):
+        gns_reconstruct(table, 3)
+
+
+# twelve distinct points off the origin, in general position for degree 4
+TWELVE = [(1, 1), (2, -1), (-1, 2), (3, 1), (1, -3), (-2, -1), (1, 2), (-1, -1), (2, 3),
+          (-3, 1), (1, 0), (0, 2)]
+
+
+def twelve_atom_poisson(degree):
+    jump = DiscretePlanarMeasure.from_atoms(
+        [(Fraction(s), Fraction(t, 2), Fraction(1, 12)) for s, t in TWELVE])
+    return jump, compound_bifree_poisson(Fraction(3, 2), jump, degree)
+
+
+def test_twelve_atoms_are_certified_at_the_first_window_that_holds_them():
+    # 9 monomials of degree <= 3 cannot span the 12 atoms' quotient: the
+    # window d = 3 certifies nothing, and d = 4 (14 monomials) is flat
+    _, table = twelve_atom_poisson(8)
+    assert check_cpsd(table, 3) == levy_hincin.CpsdReport(True, None, 3, 9)
+    assert check_cond_bounded(table, 3) == levy_hincin.FlatnessReport(False, 9, 12, 3)
+    with pytest.raises(RealizabilityError, match="nothing certified at this window"):
+        gns_reconstruct(table, 3)
+    jump, table = twelve_atom_poisson(10)
+    assert check_cond_bounded(table, 4) == levy_hincin.FlatnessReport(True, 12, 12, 4)
+    model = gns_reconstruct(table, 4)
+    assert model.dim == 12
+    out = extract_levy_measures(model)
+    lam = Fraction(3, 2)
+    for source, found in ((lambda s, t: s * s, out.rho1), (lambda s, t: t * t, out.rho2),
+                          (lambda s, t: s * t, out.rho)):
+        want = DiscretePlanarMeasure.from_atoms(
+            [(s, t, lam * w * source(s, t)) for s, t, w in jump.atoms], signed=True)
+        assert_same_atoms(want, found)
+
+
+def dilated(table, c):
+    """Entry (m, n) times c^(m+n): the table of the measures dilated by c."""
+    return CumulantTable(table.degree, R, {(m, n): v * c ** (m + n)
+                                           for (m, n), v in table.entries.items()})
+
+
+def test_declined_clearing_gives_the_cleared_twins_verdicts(rng):
+    # dilating by 1 / (10^100 + 7) puts denominators near 10^(100 (m+n)) on
+    # the entries, so L^8 would need more than 8 * 664 bits and clear_graded
+    # declines; the elimination then runs on Fractions and must divide them
+    # exactly
+    c = Fraction(1, 10**100 + 7)
+    twins = [lh_to_cumulants(random_validated_lh(rng, 3), 8), cauchy_schwarz_breaker(),
+             factorial_table(), twelve_atom_poisson(8)[1]]
+    for twin in twins:
+        table = dilated(twin, c)
+        assert scalars.clear_graded(table.entries) == (1, table.entries)
+        assert check_cpsd(table, 3) == check_cpsd(twin, 3)
+        assert check_cond_bounded(table, 3) == check_cond_bounded(twin, 3)
+    # the model of the dilated table is the twin's, dilated
+    model, twin = gns_reconstruct(dilated(twins[0], c), 3), gns_reconstruct(twins[0], 3)
+    scaled = [x * float(c) for x in twin.f + twin.g + sum(twin.t1 + twin.t2, ())]
+    assert list(model.f + model.g + sum(model.t1 + model.t2, ())) == pytest.approx(
+        scaled, rel=1e-12)
+
+
+def test_exact_model_reproduces_the_table(rng):
+    # the whitened model's cumulants are the table's to float rounding
+    for _ in range(6):
+        table = lh_to_cumulants(random_validated_lh(rng, rng.randint(1, 4)), 8)
+        rebuilt = model_cumulants(gns_reconstruct(table, 3), 8)
+        for key, value in table.entries.items():
+            assert rebuilt.entries[key] == pytest.approx(float(value), rel=1e-12, abs=1e-12)
+
+
+def test_jacobi_extract_matches_the_source_and_numpy():
+    # seeded commuting float models of dims 1-12: the Jacobi extract against
+    # the source atoms and against the numpy.linalg.eigh extract, atom by atom
+    # in order; worst gaps seen: 1.3e-12 to the source, 1.4e-12 to numpy,
+    # both at dim 10 on weights up to about 10^2
+    worst_source = worst_numpy = 0.0
+    for dim in range(1, 13):
+        for seed in range(4):
+            model, source = random_float_commuting_model(random.Random(100 * dim + seed), dim)
+            found = extract_levy_measures(model)
+            oracle = numpy_extract_levy_measures(model)
+            for atoms, mine, theirs in zip(source, (found.rho1, found.rho2, found.rho),
+                                           (oracle.rho1, oracle.rho2, oracle.rho)):
+                want = DiscretePlanarMeasure.from_atoms(atoms, True, scalars.FLOAT).atoms
+                assert len(mine.atoms) == len(theirs.atoms) == len(want) == dim
+                for a, b, w in zip(mine.atoms, theirs.atoms, want):
+                    worst_source = max(worst_source, *(abs(x - y) for x, y in zip(a, w)))
+                    worst_numpy = max(worst_numpy, *(abs(x - y) for x, y in zip(a, b)))
+    assert worst_source <= 1e-8 and worst_numpy <= 1e-8
+
+
 def test_measures_in_a_triple_read_in_the_triple_kind():
     doc = {"kappa10": "2", "kappa01": "1", "kind": "rational",
            "rho1": {"atoms": [["1", "1/2", "2"]], "kind": "float"},
@@ -600,41 +747,53 @@ def test_measures_in_a_triple_read_in_the_triple_kind():
 
 
 def float_inverse_outputs():
-    """float.hex of every float the inverse direction gives on 12 seeded triples.
+    """float.hex of every float the inverse direction gives on float copies of 12 seeded tables.
 
-    Per triple: the check_cpsd and check_cond_bounded reports, the
-    gns_reconstruct model, the extracted triple and its float
-    lh_to_cumulants table.
+    Returns (model lines, extract lines). Per table, the model lines hold the
+    check_cpsd and check_cond_bounded reports and the gns_reconstruct model,
+    and the extract lines the extracted triple and its float lh_to_cumulants
+    table.
     """
-    lines = []
+    model_lines, extract_lines = [], []
     for seed in range(12):
         rng = random.Random(seed)
         data = random_validated_lh(rng, 1 + seed % 4)
-        table = lh_to_cumulants(data, 8)
+        table = float_copy(lh_to_cumulants(data, 8))
         cpsd, bounded = check_cpsd(table, 3), check_cond_bounded(table, 3)
         model = gns_reconstruct(table, 3)
         recovered = extract_levy_measures(model)
         rebuilt = lh_to_cumulants(recovered, 8)
-        lines.append(f"{cpsd.ok} {bounded.ok} {model.dim}")
-        for values in ([cpsd.min_eigenvalue],
-                       [bounded.witness, bounded.null_shift_residual, bounded.invariance_residual],
-                       model.f, model.g, [x for row in model.t1 for x in row],
-                       [x for row in model.t2 for x in row], [model.lambda1, model.lambda2],
-                       [recovered.kappa10, recovered.kappa01],
-                       [x for mu in (recovered.rho1, recovered.rho2, recovered.rho)
-                        for atom in mu.atoms for x in atom],
-                       rebuilt.entries.values()):
+        model_lines.append(f"{cpsd.ok} {bounded.ok} {model.dim}")
+        for lines, values in (
+                (model_lines, [cpsd.min_eigenvalue]),
+                (model_lines, [bounded.witness, bounded.null_shift_residual,
+                               bounded.invariance_residual]),
+                (model_lines, model.f), (model_lines, model.g),
+                (model_lines, [x for row in model.t1 for x in row]),
+                (model_lines, [x for row in model.t2 for x in row]),
+                (model_lines, [model.lambda1, model.lambda2]),
+                (extract_lines, [recovered.kappa10, recovered.kappa01]),
+                (extract_lines, [x for mu in (recovered.rho1, recovered.rho2, recovered.rho)
+                                 for atom in mu.atoms for x in atom]),
+                (extract_lines, rebuilt.entries.values())):
             lines.append(" ".join(float.hex(v) for v in values))
-    return lines
+    return model_lines, extract_lines
 
 
-# SHA-256 of float_inverse_outputs() before the float Gram pipeline was
-# trimmed, with extract's gamma drawn from random.Random(0) on every triple,
-# and without the moment-problem gate's report once that gate was deleted;
-# every change there keeps each operation, so not one bit may move
-FLOAT_INVERSE_SHA256 = "0f827817be9eb7074d7c921dd1c9ec1feb32d71220c3f8a8b958de9d2aecbcd3"
+def sha256_of(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# SHA-256 of the model lines: the float gates and gns_reconstruct keep every
+# operation of the numpy pipeline, so these equal the digest of the same
+# lines computed with the numpy extract before it, bit for bit
+FLOAT_MODEL_SHA256 = "6c4fb0ec80911a3d9875a50e077251cd45b75d8a87ecbfaa2a84dce0b86b83d7"
+# SHA-256 of the extract lines, recorded once the Jacobi extract passed
+# test_jacobi_extract_matches_the_source_and_numpy
+FLOAT_EXTRACT_SHA256 = "d61313f260c045106015407132e8408132e98ba61c89beeec1a9aa79802bd8fa"
 
 
 def test_float_inverse_outputs_are_unchanged_bit_for_bit():
-    digest = hashlib.sha256("\n".join(float_inverse_outputs()).encode()).hexdigest()
-    assert digest == FLOAT_INVERSE_SHA256
+    model_lines, extract_lines = float_inverse_outputs()
+    assert sha256_of(model_lines) == FLOAT_MODEL_SHA256
+    assert sha256_of(extract_lines) == FLOAT_EXTRACT_SHA256
