@@ -81,19 +81,30 @@ class _Table:
 
     def __post_init__(self):
         scalars.check_kind(self.kind)
-        if self.degree < self.lowest:
-            raise ValueError(f"degree {self.degree} < {self.lowest} leaves the table empty")
+        self._check_degree()
         self.entries = {k: scalars.coerce(v, self.kind) for k, v in self.entries.items()}
         _check_entries(self.entries, self.degree, self.lowest)
+        self._check_values()
 
     @classmethod
     def _unchecked(cls, degree: int, kind: str, entries: dict):
         # a table that a producer in this package made: its entries are
         # already in `kind` on table_keys(degree, lowest), and coercing and
-        # checking them again cost 12-14 % of lh_to_cumulants
+        # checking them again cost 12-14 % of lh_to_cumulants. The cheap
+        # checks stay: a float product may overflow to inf on its way here.
         table = cls.__new__(cls)
         table.degree, table.kind, table.entries = degree, kind, entries
+        table._check_degree()
+        scalars.check_finite(entries.values(), kind)
+        table._check_values()
         return table
+
+    def _check_degree(self):
+        if self.degree < self.lowest:
+            raise ValueError(f"degree {self.degree} < {self.lowest} leaves the table empty")
+
+    def _check_values(self):
+        pass
 
     def get(self, m: int, n: int):
         return self.entries[(m, n)]
@@ -121,8 +132,7 @@ class _Table:
 class MomentTable(_Table):
     """Joint moments phi(a^m b^n) for 0 <= m+n <= degree; entry (0,0) is 1."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_values(self):
         if not scalars.close(self.entries[(0, 0)], scalars.one(self.kind), self.kind,
                              UNIT_MASS_TOL):
             raise ValueError("entry (0, 0) must equal 1")

@@ -50,6 +50,13 @@ def coerce(value, kind: str):
     return Fraction(number) if kind == RATIONAL else number
 
 
+def check_finite(values, kind: str) -> None:
+    """Raise ValueError, as coerce does, when a float value is NaN or infinite."""
+    if kind == FLOAT and not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"value {bad!r} is not a finite number")
+
+
 def zero(kind: str):
     return Fraction(0) if kind == RATIONAL else 0.0
 

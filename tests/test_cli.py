@@ -343,6 +343,24 @@ def test_non_finite_entries_are_rejected(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
+def test_float_overflow_in_a_transform_is_rejected(tmp_path, capsys):
+    # every entry is finite, but kappa20^2 = 1e400 overflows in moment (4, 0)
+    entries = [[m, t - m, 1e200 if (m, t - m) == (2, 0) else 0.0]
+               for t in range(1, 5) for m in range(t + 1)]
+    table = _write(tmp_path / "big.json", {"degree": 4, "kind": "float", "entries": entries})
+    code, out = invoke(["moments", table])
+    assert (code, out) == (2, "")
+    assert "finite" in capsys.readouterr().err
+
+
+def test_cumulants_of_a_degree_0_moment_table_are_refused(tmp_path, capsys):
+    table = _write(tmp_path / "deg0.json",
+                   {"degree": 0, "kind": "rational", "entries": [[0, 0, "1"]]})
+    code, out = invoke(["cumulants", table])
+    assert (code, out) == (2, "")
+    assert "leaves the table empty" in capsys.readouterr().err
+
+
 def test_entries_outside_the_degree_bound_are_rejected(tmp_path, capsys):
     base = [[m, t - m, "1"] for t in range(1, 3) for m in range(t + 1)]
     for extra in ([5, 0, "6"], [-1, 3, "1"], [0, 0, "1"]):
