@@ -27,8 +27,8 @@ _EXPORTS = {
                "UnsupportedMeasureError"),
     "fock": ("FockModel", "check_commutation", "levy_marginal_model", "model_cumulants",
              "moment_table_from_model", "vacuum_moment"),
-    "levy_hincin": ("BoundednessReport", "CpsdReport", "FlatnessReport", "LevyHincinData",
-                    "LhValidation", "check_cond_bounded", "check_cpsd", "extract_levy_measures",
+    "levy_hincin": ("CpsdReport", "FlatnessReport", "LevyHincinData", "LhValidation",
+                    "check_cond_bounded", "check_cpsd", "extract_levy_measures",
                     "gns_reconstruct", "lh_to_cumulants", "r_transform_from_lh", "validate_lh"),
     "limits": ("bifree_gaussian", "bifree_poisson", "compound_bifree_poisson",
                "compound_family", "poisson_family", "row_sum_moments",

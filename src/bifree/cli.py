@@ -6,10 +6,9 @@ fixed inputs and flags. Exit codes: 0 for success or a true verdict, 1 for
 a false verdict, 2 for input errors.
 
 Each handler imports the modules it calls, so a call loads only what its
-command reads: `moments` never loads the Fock or Levy-Hincin layers, and
-only `check-id` and `gns` on a float table load numpy. A rational table's
-gates and model come from one exact integer elimination, and `extract`
-diagonalizes in pure Python.
+command reads: `moments` never loads the Fock or Levy-Hincin layers. No
+command loads numpy: a table's gates and model, rational or float, come
+from one integer elimination, and `extract` diagonalizes in pure Python.
 """
 
 from __future__ import annotations

@@ -13,50 +13,46 @@ that CumulantTable.
 
 Inverse direction: a GNS quotient built from the cumulant Gram form gives
 a finite-dimensional operator model, and simultaneous diagonalization of
-its two gauge matrices recovers the measures. A rational table's gates
-and model come from one symmetric fraction-free elimination of its
-graded-cleared Gram, on Python ints (Bareiss): a negative pivot, or a zero
-pivot with a nonzero rest of row, means not positive; the kept pivots give
-rank G_d and rank G_{d+1}, and the window certifies the table when the two
-are equal (flatness, Curto-Fialkow). A positive table that is not flat is
-"not certified at this window", never "unbounded". The model whitens the
-kept pivots: with G_BB = L D L^T, T_i = D^-1/2 L^-1 G^(shift)_BB L^-T D^-1/2
-and f = D^-1/2 L^-1 G_{B,s}, g likewise, exact until that last division,
-which is rounded to a float model. Only a float table's gates and
-gns_reconstruct use numpy, imported on first use; extract_levy_measures
-runs cyclic Jacobi rotations on Python floats, so the forward direction,
-every rational table and the rest of the package run without loading it.
-The Fock layer loads only in gns_reconstruct and extract_levy_measures,
-which build and read a model. A float table's entries go into one float
-array per call; the window's monomials and Gram index arrays are integer
-data, made once per window and shared read-only.
+its two gauge matrices recovers the measures. A table's gates and model
+come from one symmetric fraction-free elimination of its Gram, on Python
+ints (Bareiss): a rational table's Gram graded-cleared, a float table's
+read exactly, since every float is a dyadic rational. A negative pivot, or
+a zero pivot with a nonzero rest of row, means not positive; the kept
+pivots give rank G_d and rank G_{d+1}, and the window certifies the table
+when the two are equal (flatness, Curto-Fialkow). A positive table that is
+not flat is "not certified at this window", never "unbounded". The model
+whitens the kept pivots: with G_BB = L D L^T,
+T_i = D^-1/2 L^-1 G^(shift)_BB L^-T D^-1/2 and f = D^-1/2 L^-1 G_{B,s},
+g likewise, exact until that last division, which is rounded to a float
+model. extract_levy_measures runs cyclic Jacobi rotations on Python
+floats, so nothing here loads numpy. The Fock layer loads only in
+gns_reconstruct and extract_levy_measures, which build and read a model.
 
 Certification is windowed: positivity and boundedness are checked on the
 monomials of total degree <= d, which needs table entries up to degree
 2d + 2. A table can pass at one window and fail at a larger one; reports
 state the window used.
 
-Float tolerances and what each is relative to; the Gram tolerances govern
-float tables only, and a rational table's gates compare exactly ("scale"
-is max(1, the largest |entry| of the (2,0)- and (0,2)-shifted Grams)):
-PSD_TOL bounds the smallest Gram eigenvalue (absolute); Gram eigenvalues <=
-NULL_SPACE_TOL (absolute) are null directions; NULL_SHIFT_TOL bounds the
-shifted Grams on the null directions and LEAK_TOL what escapes the
-quotient, both times scale; DIAG_RESIDUAL_TOL bounds the off-diagonal
-residual of the joint diagonalization times max(1, |T1|, |T2|);
-FORMULA_TOL bounds how far lh_to_cumulants' formulas for one entry
-disagree, times max(1, |entry|) in float mode (rational mode compares
-exactly). check_cpsd treats a face as degenerate when its variance entry,
-(2,0) or (0,2), is within ZERO_VARIANCE_TOL of 0, and then requires every
-entry of order >= 2 on that face within DEGENERATE_FACE_TOL of 0 (both
-absolute, exact for rational tables). extract_levy_measures puts no atom
-of rho1, rho2 or rho at the eigenvalue pair of u_k when |<f, u_k>|,
-|<g, u_k>| or |<f, u_k><g, u_k>| respectively is at most ATOM_WEIGHT_TOL
-(absolute). validate_lh accepts a
-float triple whose relations t rho1 - s rho and s rho2 - t rho are within
-RELATION_TOL of 0 at every atom, and whose rho{(0,0)}^2 exceeds
-rho1{(0,0)} rho2{(0,0)} by at most RELATION_TOL (both absolute); every
-command and r_transform_from_lh judge a triple by it.
+Float tolerances and what each is relative to (rational data compares
+exactly everywhere). PIVOT_TOL is the one Gram tolerance: in a float
+table's elimination a Schur pivot within PIVOT_TOL G_kk of 0 reads as 0,
+and so does an entry of its row within PIVOT_TOL sqrt(G_kk G_ii), G_kk and
+G_ii being diagonal entries of the Gram itself; each test compares with
+its own diagonal entries, so a congruence (a scaling of the form, or a
+dilation of the measures) leaves the verdict alone. DIAG_RESIDUAL_TOL
+bounds the off-diagonal residual of the joint diagonalization times
+max(1, |T1|, |T2|); FORMULA_TOL bounds how far lh_to_cumulants' formulas
+for one entry disagree, times max(1, |entry|). check_cpsd treats a face as
+degenerate when its variance entry, (2,0) or (0,2), is within
+ZERO_VARIANCE_TOL of 0, and then requires every entry of order >= 2 on
+that face within DEGENERATE_FACE_TOL of 0 (both absolute).
+extract_levy_measures puts no atom of rho1, rho2 or rho at the eigenvalue
+pair of u_k when |<f, u_k>|, |<g, u_k>| or |<f, u_k><g, u_k>| respectively
+is at most ATOM_WEIGHT_TOL (absolute). validate_lh accepts a float triple
+whose relations t rho1 - s rho and s rho2 - t rho are within RELATION_TOL
+of 0 at every atom, and whose rho{(0,0)}^2 exceeds rho1{(0,0)} rho2{(0,0)}
+by at most RELATION_TOL (both absolute); every command and
+r_transform_from_lh judge a triple by it.
 """
 
 from __future__ import annotations
@@ -66,17 +62,15 @@ import math
 import operator
 import random
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 from . import scalars
-from .cumulants import CumulantTable, table_keys
+from .cumulants import CumulantTable
 from .errors import (CommutationError, DegreeError, InconsistentDataError,
                      RealizabilityError)
 from .measures import DiscretePlanarMeasure
 
-PSD_TOL = -1e-9
-NULL_SPACE_TOL = 1e-10
-NULL_SHIFT_TOL = 1e-8
-LEAK_TOL = 1e-8
+PIVOT_TOL = 1e-9
 DIAG_RESIDUAL_TOL = 1e-8
 FORMULA_TOL = 1e-10
 ZERO_VARIANCE_TOL = 1e-12
@@ -84,6 +78,8 @@ DEGENERATE_FACE_TOL = 1e-10
 ATOM_WEIGHT_TOL = 1e-13
 RELATION_TOL = 1e-10
 JACOBI_SWEEPS = 50
+# PIVOT_TOL as the exact ratio of two ints, for _snap's integer comparisons
+_TOL_NUM, _TOL_DEN = PIVOT_TOL.as_integer_ratio()
 
 
 @functools.cache
@@ -237,55 +233,37 @@ def _gram_keys(top: int) -> tuple:
     return mono, tuple(tuple((m1 + m2, n1 + n2) for m2, n2 in mono) for m1, n1 in mono)
 
 
-@functools.lru_cache(maxsize=16)
-def _window(d: int) -> tuple:
-    """The window's monomials and its float Gram's index arrays.
-
-    These are integer data alone, so one read-only copy per window serves
-    every table and every call.
-    """
-    import numpy as np
-    mono = _monomials(d)
-    ms, ns = np.array(mono, dtype=int).reshape(-1, 2).T
-    rows, cols = np.add.outer(ms, ms), np.add.outer(ns, ns)
-    rows.flags.writeable = cols.flags.writeable = False
-    return mono, rows, cols
-
-
-def _gram_source(table, d: int, top: int):
-    """The window's monomials and every Gram of a float table, read from one array.
-
-    Each entry of total degree 2..top goes into values[m, n]. The Gram of
-    shift (a, b) pairs s^m1 t^n1 with s^m2 t^n2 through
-    values[m1 + m2 + a, n1 + n2 + b], one fancy-index; a Gram of this Hankel
-    type is symmetric as built.
-    """
-    import numpy as np
-    mono, rows, cols = _window(d)
-    values = np.zeros((top + 1, top + 1))
-    for m, n in table_keys(top, 2):
-        values[m, n] = table.entries[(m, n)]
-    return mono, lambda a=0, b=0: values[a:, b:][rows, cols]
+def _snap(row: list, k: int, diagonal: list, last: int) -> None:
+    # a float table's rounding: a Schur pivot row[k] / last within PIVOT_TOL
+    # G_kk reads as 0, and then so does each Schur entry row[i] / last within
+    # PIVOT_TOL sqrt(G_kk G_ii); cross-multiplied, on ints
+    if abs(row[k]) * _TOL_DEN <= _TOL_NUM * diagonal[k] * last:
+        bound = (_TOL_NUM * last) ** 2 * diagonal[k]
+        row[k:] = [0 if (x * _TOL_DEN) ** 2 <= bound * g else x
+                   for x, g in zip(row[k:], diagonal[k:])]
 
 
 def _eliminate(table, top: int) -> tuple:
-    """One symmetric fraction-free elimination of a rational table's Gram on degrees 1..top.
+    """One symmetric fraction-free elimination of a table's Gram on degrees 1..top.
 
-    The table's graded clearing (scalars.clear_graded, made once per
-    table) scales entry (m, n) by L^(m+n), so the Gram becomes
+    A rational table's graded clearing (scalars.clear_graded, made once
+    per table) scales entry (m, n) by L^(m+n), so the Gram becomes
     diag(L^|p|) G diag(L^|p|): a congruence, which keeps the sign and the
-    place of every pivot. Where it declines (L = 1), the entries are put
-    over one common denominator c instead, which scales the form by c.
-    Either way the elimination runs on Python ints. Pivots are taken
-    in the monomials' order, by degree, so G_d is the leading block of
-    G_{d+1}. A kept pivot divides the next step exactly (Bareiss, Math.
-    Comp. 22, 1968): the jth kept pivot is delta_j, the jth leading minor
-    of G on the kept monomials B, and pivot j's row at its step is
+    place of every pivot. Where it declines (L = 1), and for a float
+    table, whose every entry is a dyadic rational read exactly, the
+    entries are put over one common denominator c instead, which scales
+    the form by c. Either way the elimination runs on Python ints. Pivots
+    are taken in the monomials' order, by degree, so G_d is the leading
+    block of G_{d+1}. A kept pivot divides the next step exactly (Bareiss,
+    Math. Comp. 22, 1968): the jth kept pivot is delta_j, the jth leading
+    minor of G on the kept monomials B, and pivot j's row at its step is
     delta_{j-1} (L^-1 G)_j, with G_BB = L D L^T, valid from the pivot's
     index on and 0 before it. A negative pivot, or a zero pivot whose rest
     of row is nonzero, shows the form is not positive, and the elimination
     stops there; a zero pivot with a zero rest of row is a null direction
-    and is skipped.
+    and is skipped. A float table's pivot and row are first snapped to 0
+    within PIVOT_TOL of their own diagonal entries (_snap), so a
+    congruence leaves its verdict alone too.
 
     Returns (L, c, monomials, pivots, stop): pivots as (index, row at its
     step, delta_j), and stop the index where it stopped, the monomial count
@@ -294,12 +272,15 @@ def _eliminate(table, top: int) -> tuple:
     mono, keys = _gram_keys(top)
     scale, cleared = table.graded
     common = 1
-    if type(cleared[(2, 0)]) is not int:  # declined: Fractions, which // would floor
-        common, values = scalars.clear_denominators(cleared.values())
+    if type(cleared[(2, 0)]) is not int:  # declined or float: Fractions, which // would floor
+        common, values = scalars.clear_denominators(map(Fraction, cleared.values()))
         cleared = dict(zip(cleared, values))
     rows = [[cleared[key] for key in row] for row in keys]
+    diagonal = [row[k] for k, row in enumerate(rows)] if table.kind == scalars.FLOAT else None
     pivots, last = [], 1
     for k, row in enumerate(rows):
+        if diagonal:
+            _snap(row, k, diagonal, last)
         pivot = row[k]
         if pivot < 0 or (pivot == 0 and any(row[k + 1:])):
             return scale, common, mono, pivots, k
@@ -315,22 +296,14 @@ def _eliminate(table, top: int) -> tuple:
 
 @dataclass(frozen=True)
 class CpsdReport:
-    """check_cpsd's verdict on a window.
-
-    A float table states its smallest Gram eigenvalue (rank is None); a
-    rational one the rank of G_d (min_eigenvalue is None), which is None
-    too when a pivot refused positivity first.
-    """
+    """check_cpsd's verdict on a window; rank (of G_d) is None where a pivot refused positivity."""
 
     ok: bool
-    min_eigenvalue: float | None
     degree_window: int
-    rank: int | None = None
+    rank: int | None
 
     def to_jsonable(self):
-        data = asdict(self)
-        del data["rank" if self.min_eigenvalue is not None else "min_eigenvalue"]
-        return data
+        return asdict(self)
 
 
 def _check_window(table, d: int, need: int) -> None:
@@ -355,58 +328,36 @@ def _faces_ok(table) -> bool:
         for (m, n), v in table.entries.items() if n >= 1 and m + n >= 2))
 
 
-def _cpsd(table, d: int, gram: np.ndarray) -> CpsdReport:
-    import numpy as np
-    smallest = float(np.linalg.eigvalsh(gram)[0])
-    return CpsdReport(smallest >= PSD_TOL and _faces_ok(table), smallest, d)
-
-
 def _rank(pivots, stop: int, size: int) -> int | None:
     # the rank of the Gram's leading block on `size` monomials; None when a
     # pivot inside it refused positivity
     return sum(k < size for k, _, _ in pivots) if stop >= size else None
 
 
-def _exact_cpsd(table, d: int, pivots, stop: int) -> CpsdReport:
+def _cpsd(table, d: int, pivots, stop: int) -> CpsdReport:
     rank = _rank(pivots, stop, d * (d + 3) // 2)  # G_d: the monomials of degree 1..d
-    return CpsdReport(rank is not None and _faces_ok(table), None, d, rank)
+    return CpsdReport(rank is not None and _faces_ok(table), d, rank)
 
 
 def check_cpsd(table: CumulantTable, d: int) -> CpsdReport:
     """Positivity of the cumulant Gram form on monomials of degree 1..d.
 
     The form pairs s^(m1) t^(n1) with s^(m2) t^(n2) through the entry at
-    (m1+m2, n1+n2). A rational table is decided by the pivot signs of one
-    exact elimination of G_d, a float one by its smallest eigenvalue
-    against PSD_TOL. Degenerate faces are handled separately: a vanishing
+    (m1+m2, n1+n2). The table is decided by the pivot signs of one
+    elimination of G_d (_eliminate). Degenerate faces are handled separately: a vanishing
     (2,0) entry forces every entry of order >= 2 touching the left face to
     vanish (Cauchy-Schwarz), and symmetrically for (0,2); the window alone
     could miss violations beyond it. An empty window (d < 1) raises
     DegreeError instead of passing vacuously.
     """
     _check_window(table, d, 2 * d)
-    if table.kind == scalars.FLOAT:
-        _, gram_of = _gram_source(table, d, 2 * d)
-        return _cpsd(table, d, gram_of())
     _, _, _, pivots, stop = _eliminate(table, d)
-    return _exact_cpsd(table, d, pivots, stop)
-
-
-@dataclass(frozen=True)
-class BoundednessReport:
-    ok: bool
-    witness: float
-    null_shift_residual: float
-    invariance_residual: float
-    degree_window: int
-
-    def to_jsonable(self):
-        return asdict(self)
+    return _cpsd(table, d, pivots, stop)
 
 
 @dataclass(frozen=True)
 class FlatnessReport:
-    """check_cond_bounded's exact verdict on a rational table.
+    """check_cond_bounded's verdict on a window.
 
     certified: G_{d+1} is positive and flat over G_d, rank_next == rank
     (Curto-Fialkow, Mem. AMS 568, 1996), so the classes of the window span
@@ -435,59 +386,13 @@ def _flatness(d: int, mono, pivots, stop: int) -> FlatnessReport:
     return FlatnessReport(rank is not None and rank == rank_next, rank, rank_next, d)
 
 
-def _largest(values: np.ndarray) -> float:
-    # the largest |entry|; 0.0 when there is none (no null or no quotient direction)
-    return float(abs(values).max(initial=0.0))
-
-
-def _quotient(gram_of, gram: np.ndarray, d: int):
-    """Boundedness report, quotient basis and compressed shifts S1, S2 of a float table.
-
-    The basis (columns) is orthonormal for the form on the eigenvalues
-    above NULL_SPACE_TOL. Multiplication by s and by t are operators on
-    the quotient only if they send null vectors to null vectors and map
-    the quotient span into itself; the second condition is measured by
-    comparing the true degree-two Gram against the square of the
-    compressed shift (the difference is the squared norm of what escapes
-    the span).
-    """
-    import numpy as np
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    keep = eigvals > NULL_SPACE_TOL
-    basis = eigvecs[:, keep] / np.sqrt(eigvals[keep])
-    null = eigvecs[:, ~keep]
-    g20, g02 = gram_of(2, 0), gram_of(0, 2)
-    null_res = max(_largest(null.T @ g20 @ null), _largest(null.T @ g02 @ null))
-    s1 = basis.T @ gram_of(1, 0) @ basis
-    s2 = basis.T @ gram_of(0, 1) @ basis
-    s1 = (s1 + s1.T) / 2.0
-    s2 = (s2 + s2.T) / 2.0
-    scale = max(1.0, _largest(g20), _largest(g02))
-    leak = max(_largest(basis.T @ g20 @ basis - s1 @ s1),
-               _largest(basis.T @ g02 @ basis - s2 @ s2),
-               _largest(basis.T @ gram_of(1, 1) @ basis - (s1 @ s2 + s2 @ s1) / 2.0))
-    witness = max(_largest(np.linalg.eigvalsh(s1)), _largest(np.linalg.eigvalsh(s2)), 1.0)
-    ok = null_res <= NULL_SHIFT_TOL * scale and leak <= LEAK_TOL * scale
-    return BoundednessReport(ok, witness, null_res, leak, d), basis, s1, s2
-
-
-def check_cond_bounded(table: CumulantTable, d: int):
+def check_cond_bounded(table: CumulantTable, d: int) -> FlatnessReport:
     """Whether the shifts act as bounded symmetric operators on the quotient.
 
-    A rational table gets a FlatnessReport from one exact elimination of
-    G_{d+1}: the window certifies the table when G_{d+1} is positive with
-    the rank of G_d. A float table gets a BoundednessReport: the quotient
-    of the window's Gram form, with multiplication by s and by t compressed
-    onto it, is accepted iff null vectors stay null under the shifts and the
-    shifts map the quotient into itself (no mass escapes the window), both
-    within tolerance. Its witness is max(norm(S1), norm(S2), 1); for data
-    carried by a measure it bounds the support coordinates seen by the
-    window.
+    One elimination of G_{d+1} (_eliminate) decides it: the window
+    certifies the table when G_{d+1} is positive with the rank of G_d.
     """
     _check_window(table, d, 2 * d + 2)
-    if table.kind == scalars.FLOAT:
-        _, gram_of = _gram_source(table, d, 2 * d + 2)
-        return _quotient(gram_of, gram_of(), d)[0]
     _, _, mono, pivots, stop = _eliminate(table, d + 1)
     return _flatness(d, mono, pivots, stop)
 
@@ -552,46 +457,25 @@ def gns_reconstruct(table: CumulantTable, d: int) -> FockModel:
     The model reproduces the table on the window and, when the window
     saturates the quotient (every atomic case here), on all degrees.
 
-    A rational table is read off one exact elimination of G_{d+1}: it must
-    be positive on G_d and flat, and the model whitens the kept pivots
-    (_whitened_model), so its floats are exact values rounded at the end.
-    A float table eigen-truncates its Gram and compresses the shifts within
-    the gates' tolerances. Either way both gates decide first, positivity
-    on degree 2d before degree 2d + 2 is required, raising
-    RealizabilityError on a refusal; an empty window d < 1 raises
-    DegreeError.
+    The model is read off one elimination of G_{d+1} (_eliminate): the
+    table must be positive on G_d and flat, and the model whitens the kept
+    pivots (_whitened_model), so its floats are exact values rounded at the
+    end. Both gates decide first, positivity on degree 2d before degree
+    2d + 2 is required, raising RealizabilityError on a refusal; an empty
+    window d < 1 raises DegreeError.
     """
-    # the Fock layer before the Gram arrays: loaded after them, it raised a
-    # `bifree gns` call's peak RSS from 31.1 to 32.1 MB
-    fock = _fock()
     _check_window(table, d, 2 * d)
-    lambdas = float(table.get(1, 0)), float(table.get(0, 1))
-    if table.kind == scalars.FLOAT:
-        mono, gram_of = _gram_source(table, d, min(table.degree, 2 * d + 2))
-        gram = gram_of()
-        cpsd = _cpsd(table, d, gram)
-        if not cpsd.ok:
-            raise RealizabilityError(f"not conditionally positive: {cpsd}")
-        _check_window(table, d, 2 * d + 2)
-        bounded, basis, s1, s2 = _quotient(gram_of, gram, d)
-        if not bounded.ok:
-            raise RealizabilityError(f"not conditionally bounded: {bounded}")
-        # coordinates of the class of a monomial p: column of basis^T G e_p
-        coords = basis.T @ gram
-        f = coords[:, mono.index((1, 0))]
-        g = coords[:, mono.index((0, 1))]
-        return fock.FockModel.from_arrays(f.tolist(), g.tolist(), s1.tolist(), s2.tolist(),
-                                          *lambdas, kind=scalars.FLOAT)
     scale, common, mono, pivots, stop = _eliminate(table, d + (table.degree >= 2 * d + 2))
-    cpsd = _exact_cpsd(table, d, pivots, stop)
+    cpsd = _cpsd(table, d, pivots, stop)
     if not cpsd.ok:
         raise RealizabilityError(f"not conditionally positive: {cpsd}")
     _check_window(table, d, 2 * d + 2)
     flat = _flatness(d, mono, pivots, stop)
     if not flat.certified:
         raise RealizabilityError(f"nothing certified at this window: {flat}")
-    return fock.FockModel.from_arrays(*_whitened_model(scale, common, mono, pivots), *lambdas,
-                                      kind=scalars.FLOAT)
+    return _fock().FockModel.from_arrays(*_whitened_model(scale, common, mono, pivots),
+                                         float(table.get(1, 0)), float(table.get(0, 1)),
+                                         kind=scalars.FLOAT)
 
 
 def _jacobi(matrix) -> list:

@@ -2,7 +2,7 @@
 
 Every table, series, measure, and model carries a single kind; kinds are
 never mixed inside one value. Rational mode keeps all arithmetic exact,
-float mode is for the eigendecomposition pipelines.
+float mode carries inexact data, which the Gram gates read exactly.
 """
 
 from __future__ import annotations

@@ -48,21 +48,6 @@ def block_side_counts(block, left_count):
     return a, len(block) - a
 
 
-def window_monomials(d):
-    """s^m t^n of total degree 1..d, s-heavy first."""
-    return [(m, total - m) for total in range(1, d + 1) for m in range(total, -1, -1)]
-
-
-def gram_entry_by_entry(get, monomials, shift=(0, 0)):
-    """The Gram of a window built one entry at a time, then symmetrized."""
-    size = len(monomials)
-    out = np.empty((size, size))
-    for i, (m1, n1) in enumerate(monomials):
-        for j, (m2, n2) in enumerate(monomials):
-            out[i, j] = float(get(m1 + m2 + shift[0], n1 + n2 + shift[1]))
-    return (out + out.T) / 2.0
-
-
 def random_moment_table(rng, degree):
     entries = {(0, 0): Fraction(1)}
     for total in range(1, degree + 1):

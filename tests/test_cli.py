@@ -299,8 +299,8 @@ def _cumulant_file(path, table):
 
 
 def test_rational_gates_refuse_the_cauchy_schwarz_breaker(tmp_path, capsys):
-    # kappa11 = 1 + 10^-10 against kappa20 = kappa02 = 1: the float gates let
-    # it through within PSD_TOL, the exact pivots do not
+    # kappa11 = 1 + 10^-10 against kappa20 = kappa02 = 1: a float copy's
+    # gates let it through within PIVOT_TOL, the exact pivots do not
     from test_levy_hincin import cauchy_schwarz_breaker
     table = _cumulant_file(tmp_path / "breaker.json", cauchy_schwarz_breaker())
     code, out = invoke(["check-id", table])
@@ -695,8 +695,8 @@ print(json.dumps({"import": before, "code": code, "stdout": out.getvalue(), "loa
 """
 # The bifree modules (and numpy) each golden command loads, beyond the cli,
 # scalars and errors modules that `import bifree.cli` loads. fock, levy_hincin,
-# limits and partitions load only where the command calls them. No golden
-# command loads numpy: only check-id and gns on a float table do.
+# limits and partitions load only where the command calls them. No command
+# loads numpy, check-id and gns on a float table included.
 TABLES = {"cumulants", "series"}
 LEVY_HINCIN = TABLES | {"levy_hincin", "measures"}
 LIMITS = TABLES | {"convolution", "limits", "measures"}
@@ -726,23 +726,24 @@ COMMAND_LOADS = {
 
 
 def test_each_command_loads_only_the_modules_it_calls(tmp_path):
-    # one new interpreter per command, two at a time; the float copy of the
-    # check_id case's table is the one run that loads numpy
+    # one new interpreter per command, two at a time; check-id and gns run the
+    # check_id case's table as a float table too: its entries are exact in
+    # float, so they print the goldens and, like every command, load no numpy
     doc = json.loads((DATA / "poisson8.json").read_text())
     doc["kind"] = "float"
     float_table = _write(tmp_path / "poisson8_float.json", doc)
-    runs = CASES + [("check_id_float", ["check-id", float_table, "--gram-degree", "3"])]
+    floats = [(name, [argv[0], float_table, *argv[2:]])
+              for name, argv in CASES if name in ("check_id", "gns")]
+    assert len(floats) == 2
     with ThreadPoolExecutor(2) as pool:
-        reports = list(pool.map(lambda case: _fresh_python(LOADS, json.dumps(case[1])), runs))
+        reports = list(pool.map(lambda case: _fresh_python(LOADS, json.dumps(case[1])),
+                                CASES + floats))
     assert sorted(COMMAND_LOADS) == sorted(name for name, _ in CASES)
-    for (name, _), report in zip(CASES, reports):
+    for (name, _), report in zip(CASES + floats, reports):
         assert report["import"] == [], name  # `import bifree` loads no layer module
         assert report["code"] == 0, name
         assert report["stdout"].encode() == (GOLDEN / f"{name}.json").read_bytes(), name
         assert set(report["loaded"]) == {"cli", "scalars", "errors"} | COMMAND_LOADS[name], name
-    report = reports[-1]
-    assert report["code"] == 0 and json.loads(report["stdout"])["bounded"]["witness"] == 1.0
-    assert set(report["loaded"]) == {"cli", "scalars", "errors", "numpy"} | LEVY_HINCIN
 
 
 SURFACE = """
@@ -833,7 +834,7 @@ def test_model_document_states_its_kind(tmp_path):
 # SingularSeriesError is gone: no series step divides since the identity's
 # reciprocals were removed.
 PUBLIC_NAMES = {
-    "BifreeError", "BoundednessReport", "ChiMap", "CommutationError", "CpsdReport",
+    "BifreeError", "ChiMap", "CommutationError", "CpsdReport",
     "CumulantTable", "DegreeError", "DiscretePlanarMeasure", "FlatnessReport", "FockModel",
     "InconsistentDataError", "LevyHincinData", "LhValidation", "MomentTable", "OrderError",
     "Partition", "RealizabilityError", "ShapeError", "SizeLimitError",

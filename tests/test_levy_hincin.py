@@ -6,7 +6,6 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,11 +22,9 @@ from bifree.limits import (bifree_gaussian, bifree_poisson,
                            compound_bifree_poisson)
 from bifree.measures import DiscretePlanarMeasure
 
-from conftest import (SECOND, float_copy, gram_entry_by_entry, no_fraction_arithmetic,
-                      numpy_extract_levy_measures, oracle_lh_to_cumulants, product_measure,
-                      random_commuting_model, random_cumulant_table,
-                      random_float_commuting_model, random_line_measure, random_validated_lh,
-                      window_monomials)
+from conftest import (SECOND, float_copy, no_fraction_arithmetic, numpy_extract_levy_measures,
+                      oracle_lh_to_cumulants, product_measure, random_commuting_model,
+                      random_float_commuting_model, random_line_measure, random_validated_lh)
 
 R = scalars.RATIONAL
 
@@ -259,82 +256,33 @@ def test_round_trip_four_atom_triple_with_entries_in_the_hundreds():
         assert rebuilt.entries[key] == pytest.approx(float(value), rel=1e-9, abs=1e-8)
 
 
-SHIFTS = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
-
-
-def test_gram_source_equals_entry_by_entry_grams(rng):
-    for _ in range(4):
-        table = float_copy(random_cumulant_table(rng, 8))
-        for d in range(4):
-            mono, gram_of = levy_hincin._gram_source(table, d, 2 * d + 2)
-            assert mono == tuple(window_monomials(d))
-            for shift in SHIFTS:
-                want = gram_entry_by_entry(table.get, mono, shift)
-                assert np.array_equal(gram_of(*shift), want), (d, shift)
-
-
-def test_gram_window_is_shared_read_only_and_converts_like_float():
-    # the monomials and index arrays are made once per window and cannot be
-    # written; entries far past the float grid, converted by float(), fill
-    # the float Gram as they are
-    first, second = levy_hincin._window(3), levy_hincin._window(3)
-    assert first is second and isinstance(first[0], tuple)
-    for array in first[1:]:
-        with pytest.raises(ValueError):
-            array[0, 0] = 1
-    rng = random.Random(11)
-    entries = {(m, t - m): Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**35))
-               for t in range(1, 9) for m in range(t + 1)}
-    table = float_copy(CumulantTable(8, R, entries))
-    mono, gram_of = levy_hincin._gram_source(table, 3, 8)
-    for shift in SHIFTS:
-        assert np.array_equal(gram_of(*shift), gram_entry_by_entry(table.get, mono, shift))
-
-
-def spy_on(monkeypatch, calls, name):
-    real = getattr(levy_hincin, name)
-    monkeypatch.setattr(levy_hincin, name,
-                        lambda *args, **kw: calls.append(name) or real(*args, **kw))
-
-
-def test_gns_builds_one_gram_source_and_one_quotient(rng, monkeypatch):
-    calls = []
-    spy_on(monkeypatch, calls, "_gram_source")
-    spy_on(monkeypatch, calls, "_quotient")
-    gns_reconstruct(float_copy(lh_to_cumulants(random_validated_lh(rng, 3), 8)), 3)
-    assert calls == ["_gram_source", "_quotient"]
-
-
 def test_each_exact_gate_call_eliminates_once(rng, monkeypatch):
-    # check_cpsd eliminates G_d, check_cond_bounded and gns_reconstruct G_{d+1},
-    # and none of them builds a float Gram
+    # check_cpsd eliminates G_d, check_cond_bounded and gns_reconstruct
+    # G_{d+1}, for a rational table and for its float copy alike
     table = lh_to_cumulants(random_validated_lh(rng, 3), 8)
-    tops = []
     real = levy_hincin._eliminate
-    monkeypatch.setattr(levy_hincin, "_eliminate",
-                        lambda table, top: tops.append(top) or real(table, top))
-    spy_on(monkeypatch, tops, "_gram_source")
-    assert check_cpsd(table, 3).rank == 3
-    assert check_cond_bounded(table, 3).rank_next == 3
-    assert gns_reconstruct(table, 3).dim == 3
-    assert tops == [3, 4, 4]
+    for copy in (table, float_copy(table)):
+        tops = []
+        monkeypatch.setattr(levy_hincin, "_eliminate",
+                            lambda table, top: tops.append(top) or real(table, top))
+        assert check_cpsd(copy, 3).rank == 3
+        assert check_cond_bounded(copy, 3).rank_next == 3
+        assert gns_reconstruct(copy, 3).dim == 3
+        assert tops == [3, 4, 4]
 
 
 def test_cpsd_gaussian_verdicts():
     good = bifree_gaussian(1, 1, Fraction(1, 2), 8)
-    report = check_cpsd(float_copy(good), 3)
-    assert report.ok and report.min_eigenvalue >= -1e-12
-    assert check_cpsd(good, 3) == levy_hincin.CpsdReport(True, None, 3, 2)
+    assert check_cpsd(good, 3) == levy_hincin.CpsdReport(True, 3, 2)
 
     bad_entries = dict(bifree_gaussian(1, 1, 0, 8).entries)
     bad_entries[(1, 1)] = Fraction(2)
     bad = CumulantTable(8, R, bad_entries)
-    assert not check_cpsd(float_copy(bad), 3).ok
-    # eigenvalue of [[1, 2], [2, 1]] is -1 on the difference direction
-    assert check_cpsd(float_copy(bad), 1).min_eigenvalue == pytest.approx(-1.0)
     # its second pivot, 1 * 1 - 2 * 2, is negative: no rank
     for d in (1, 3):
-        assert check_cpsd(bad, d) == levy_hincin.CpsdReport(False, None, d, None)
+        assert check_cpsd(bad, d) == levy_hincin.CpsdReport(False, d, None)
+    for table in (good, bad):
+        assert check_cpsd(float_copy(table), 3) == check_cpsd(table, 3)
 
 
 def test_cpsd_zero_table():
@@ -369,58 +317,34 @@ def test_empty_window_certifies_nothing():
     assert not check_cpsd(table, 1).ok
 
 
-def flat(rank):
-    return levy_hincin.FlatnessReport(True, rank, rank, 3)
+def flat(rank, d=3):
+    return levy_hincin.FlatnessReport(True, rank, rank, d)
 
 
 def test_bounded_poisson_unit_witness():
+    # one atom at (1, 1): rank 1, and the model's shifts are that unit atom
     table = bifree_poisson(1, 1, 1, 8)
-    report = check_cond_bounded(float_copy(table), 3)
-    assert report.ok
-    assert report.witness == pytest.approx(1.0)
     assert check_cond_bounded(table, 3) == flat(1)
+    assert check_cond_bounded(float_copy(table), 3) == flat(1)
+    model = gns_reconstruct(float_copy(table), 3)
+    assert model.t1 == model.t2 == ((1.0,),)
 
 
 def test_bounded_gaussian_nilpotent_shifts():
     table = bifree_gaussian(2, 1, Fraction(1, 2), 8)
-    report = check_cond_bounded(float_copy(table), 3)
-    assert report.ok
-    assert report.witness == 1.0  # clamped; the shifts vanish on the quotient
     assert check_cond_bounded(table, 3) == flat(2)
+    assert check_cond_bounded(float_copy(table), 3) == flat(2)
+    model = gns_reconstruct(float_copy(table), 3)  # the shifts vanish on the quotient
+    assert all(x == 0.0 for t in (model.t1, model.t2) for row in t for x in row)
 
 
 def test_bounded_factorial_growth_fails():
-    report = check_cond_bounded(float_copy(factorial_table()), 3)
-    assert not report.ok
-    assert report.invariance_residual > 1.0
     # (m+n)! integrates x^(m+n) e^-x on the diagonal s = t: positive, and
     # each degree adds a rank, so no window is flat and none certifies it
     exact = check_cond_bounded(factorial_table(), 3)
     assert exact == levy_hincin.FlatnessReport(False, 3, 4, 3)
+    assert check_cond_bounded(float_copy(factorial_table()), 3) == exact
     assert check_cpsd(factorial_table(), 3).ok
-
-
-def test_bounded_witness_dominates_support():
-    for lam, a, b in [(Fraction(1), Fraction(2), Fraction(1)),
-                      (Fraction(1, 2), Fraction(-3), Fraction(1, 2))]:
-        cum = lh_to_cumulants(poisson_lh(lam, a, b), 8)
-        report = check_cond_bounded(float_copy(cum), 3)
-        assert report.ok
-        assert report.witness >= max(abs(a), abs(b)) - 1e-9
-        assert check_cond_bounded(cum, 3) == flat(1)
-
-
-def test_bounded_witness_dominates_support_multi_atom(rng):
-    for _ in range(4):
-        data = random_validated_lh(rng, rng.randint(2, 4))
-        cum = lh_to_cumulants(data, 8)
-        report = check_cond_bounded(float_copy(cum), 3)
-        assert report.ok
-        coords = [abs(float(x)) for s, t, _ in data.rho1.atoms for x in (s, t)]
-        coords += [abs(float(x)) for s, t, _ in data.rho2.atoms for x in (s, t)]
-        assert report.witness >= max(coords) - 1e-8
-        # random_validated_lh's atoms are off the axes: each is one rank
-        assert check_cond_bounded(cum, 3) == flat(len(data.rho1.atoms))
 
 
 def test_bounded_needs_degree():
@@ -625,23 +549,24 @@ def test_gates_report_window():
     assert check_cond_bounded(cum, 3).degree_window == 3
 
 
-def cauchy_schwarz_breaker(degree=8):
-    """kappa20 = kappa02 = 1, kappa11 = 1 + 10^-10 and every other entry 0.
+def cauchy_schwarz_breaker(degree=8, excess=Fraction(1, 10**10)):
+    """kappa20 = kappa02 = 1, kappa11 = 1 + excess and every other entry 0.
 
-    kappa11^2 exceeds kappa20 kappa02 by 2e-10, so the Gram's smallest
-    eigenvalue is -1e-10: inside the float gate's PSD_TOL.
+    kappa11^2 exceeds kappa20 kappa02 by about 2 excess, so the second
+    Schur pivot is about -2 excess: by default -2e-10, inside a float
+    table's PIVOT_TOL.
     """
     entries = {key: Fraction(0) for key in table_keys(degree, 1)}
     entries[(2, 0)] = entries[(0, 2)] = Fraction(1)
-    entries[(1, 1)] = 1 + Fraction(1, 10**10)
+    entries[(1, 1)] = 1 + excess
     return CumulantTable(degree, R, entries)
 
 
 def test_exact_gates_refuse_the_cauchy_schwarz_breaker():
     table = cauchy_schwarz_breaker()
-    # the float gates, within their tolerances, let it through
+    # the float gates, within PIVOT_TOL, let it through
     assert check_cpsd(float_copy(table), 3).ok and check_cond_bounded(float_copy(table), 3).ok
-    assert check_cpsd(table, 3) == levy_hincin.CpsdReport(False, None, 3, None)
+    assert check_cpsd(table, 3) == levy_hincin.CpsdReport(False, 3, None)
     assert check_cond_bounded(table, 3) == levy_hincin.FlatnessReport(False, None, None, 3)
     with pytest.raises(RealizabilityError, match="not conditionally positive"):
         gns_reconstruct(table, 3)
@@ -662,7 +587,7 @@ def test_twelve_atoms_are_certified_at_the_first_window_that_holds_them():
     # 9 monomials of degree <= 3 cannot span the 12 atoms' quotient: the
     # window d = 3 certifies nothing, and d = 4 (14 monomials) is flat
     _, table = twelve_atom_poisson(8)
-    assert check_cpsd(table, 3) == levy_hincin.CpsdReport(True, None, 3, 9)
+    assert check_cpsd(table, 3) == levy_hincin.CpsdReport(True, 3, 9)
     assert check_cond_bounded(table, 3) == levy_hincin.FlatnessReport(False, 9, 12, 3)
     with pytest.raises(RealizabilityError, match="nothing certified at this window"):
         gns_reconstruct(table, 3)
@@ -714,6 +639,66 @@ def test_exact_model_reproduces_the_table(rng):
             assert rebuilt.entries[key] == pytest.approx(float(value), rel=1e-12, abs=1e-12)
 
 
+def test_float_gates_compare_each_pivot_with_its_own_diagonal_entry():
+    # a Poisson dilated by 10^50 has Gram entries from about 10^100 to 10^300;
+    # each pivot is judged against its own diagonal entry, so the float copy
+    # gets the rational table's reports at every window its degree allows
+    poisson = lh_to_cumulants(poisson_lh(Fraction(3, 2), Fraction(1, 2), Fraction(-2, 3)), 6)
+    for d in (1, 2):
+        table = dilated(poisson, 10**50)
+        copy = float_copy(table)
+        assert check_cpsd(copy, d) == check_cpsd(table, d) == levy_hincin.CpsdReport(True, d, 1)
+        assert check_cond_bounded(copy, d) == check_cond_bounded(table, d) == flat(1, d)
+
+
+def test_scaled_float_breakers_are_refused():
+    # kappa11 = 1 + 10^-8 puts the second Schur pivot at -2e-8, twenty times
+    # PIVOT_TOL; dilated by 10^80 and 10^100 the variance entries read 10^160
+    # and 10^200, where a float elimination would overflow, and the exact read
+    # refuses the float copy at every scale
+    for c in (1, 10**80, 10**100):
+        copy = float_copy(dilated(cauchy_schwarz_breaker(excess=Fraction(1, 10**8)), c))
+        assert check_cpsd(copy, 3) == levy_hincin.CpsdReport(False, 3, None)
+        assert check_cond_bounded(copy, 3) == levy_hincin.FlatnessReport(False, None, None, 3)
+        with pytest.raises(RealizabilityError, match="not conditionally positive"):
+            gns_reconstruct(copy, 3)
+        # at 1 + 10^-10 the pivot is within PIVOT_TOL at every scale too
+        copy = float_copy(dilated(cauchy_schwarz_breaker(), c))
+        assert check_cpsd(copy, 3).ok and check_cond_bounded(copy, 3).ok
+
+
+def test_a_snapped_pivot_with_a_row_above_tolerance_refuses_positivity():
+    # the second Schur pivot, kappa02 - kappa11^2 / kappa20 = 10^-10, is within
+    # PIVOT_TOL and reads as 0, but its row keeps kappa21 = 10^-8, ten times
+    # PIVOT_TOL: a zero pivot with a nonzero row is not positive. The rational
+    # twin keeps the pivot and is positive definite on all five monomials.
+    entries = {key: Fraction(0) for key in table_keys(4, 1)}
+    entries.update({(2, 0): Fraction(1), (1, 1): Fraction(1), (0, 2): 1 + Fraction(1, 10**10),
+                    (2, 1): Fraction(1, 10**8), (4, 0): Fraction(2), (2, 2): Fraction(1),
+                    (0, 4): Fraction(2)})
+    table = CumulantTable(4, R, entries)
+    assert check_cpsd(table, 2) == levy_hincin.CpsdReport(True, 2, 5)
+    assert check_cpsd(float_copy(table), 2) == levy_hincin.CpsdReport(False, 2, None)
+
+
+def model_entries(model):
+    return [*model.f, *model.g, *(x for t in (model.t1, model.t2) for row in t for x in row),
+            model.lambda1, model.lambda2]
+
+
+def test_float_copy_models_match_the_rational_models():
+    # the float copy keeps the rational table's pivots, so its model whitens
+    # the same monomials; worst relative gap seen 1.3e-12
+    tables = [(lh_to_cumulants(random_validated_lh(random.Random(seed), 1 + seed % 4), 8), 3)
+              for seed in range(24)]
+    tables.append((twelve_atom_poisson(10)[1], 4))
+    for table, d in tables:
+        want = gns_reconstruct(table, d)
+        got = gns_reconstruct(float_copy(table), d)
+        assert got.dim == want.dim
+        assert model_entries(got) == pytest.approx(model_entries(want), rel=1e-11, abs=1e-11)
+
+
 def test_jacobi_extract_matches_the_source_and_numpy():
     # seeded commuting float models of dims 1-12: the Jacobi extract against
     # the source atoms and against the numpy.linalg.eigh extract, atom by atom
@@ -763,11 +748,8 @@ def float_inverse_outputs():
         model = gns_reconstruct(table, 3)
         recovered = extract_levy_measures(model)
         rebuilt = lh_to_cumulants(recovered, 8)
-        model_lines.append(f"{cpsd.ok} {bounded.ok} {model.dim}")
+        model_lines.append(f"{cpsd} {bounded} {model.dim}")
         for lines, values in (
-                (model_lines, [cpsd.min_eigenvalue]),
-                (model_lines, [bounded.witness, bounded.null_shift_residual,
-                               bounded.invariance_residual]),
                 (model_lines, model.f), (model_lines, model.g),
                 (model_lines, [x for row in model.t1 for x in row]),
                 (model_lines, [x for row in model.t2 for x in row]),
@@ -784,13 +766,12 @@ def sha256_of(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-# SHA-256 of the model lines: the float gates and gns_reconstruct keep every
-# operation of the numpy pipeline, so these equal the digest of the same
-# lines computed with the numpy extract before it, bit for bit
-FLOAT_MODEL_SHA256 = "6c4fb0ec80911a3d9875a50e077251cd45b75d8a87ecbfaa2a84dce0b86b83d7"
-# SHA-256 of the extract lines, recorded once the Jacobi extract passed
-# test_jacobi_extract_matches_the_source_and_numpy
-FLOAT_EXTRACT_SHA256 = "d61313f260c045106015407132e8408132e98ba61c89beeec1a9aa79802bd8fa"
+# SHA-256 of the model lines, recorded once the float copies' gates took the
+# rational path and test_float_copy_models_match_the_rational_models passed
+FLOAT_MODEL_SHA256 = "05ebb131a6dbe2b920ea01563041aa1bba48e5cd762f92d90040ebf1c2dc7f11"
+# SHA-256 of the extract lines, which read those models, recorded with them;
+# the Jacobi extract passed test_jacobi_extract_matches_the_source_and_numpy
+FLOAT_EXTRACT_SHA256 = "6ea8e3a2eabf39ad68dd94c8f8f2fe1e7cf70926fe710742019848725056e777"
 
 
 def test_float_inverse_outputs_are_unchanged_bit_for_bit():
