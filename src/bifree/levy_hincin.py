@@ -344,10 +344,10 @@ def check_cpsd(table: CumulantTable, d: int) -> CpsdReport:
 
     The form pairs s^(m1) t^(n1) with s^(m2) t^(n2) through the entry at
     (m1+m2, n1+n2). The table is decided by the pivot signs of one
-    elimination of G_d (_eliminate). Degenerate faces are handled separately: a vanishing
-    (2,0) entry forces every entry of order >= 2 touching the left face to
-    vanish (Cauchy-Schwarz), and symmetrically for (0,2); the window alone
-    could miss violations beyond it. An empty window (d < 1) raises
+    elimination of G_d (_eliminate). Degenerate faces are handled
+    separately: a vanishing (2,0) entry forces every entry of order >= 2
+    touching the left face to vanish (Cauchy-Schwarz), and symmetrically
+    for (0,2); the window alone could miss violations beyond it. An empty window (d < 1) raises
     DegreeError instead of passing vacuously.
     """
     _check_window(table, d, 2 * d)

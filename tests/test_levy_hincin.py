@@ -282,7 +282,8 @@ def test_cpsd_gaussian_verdicts():
     for d in (1, 3):
         assert check_cpsd(bad, d) == levy_hincin.CpsdReport(False, d, None)
     for table in (good, bad):
-        assert check_cpsd(float_copy(table), 3) == check_cpsd(table, 3)
+        for d in (1, 3):
+            assert check_cpsd(float_copy(table), d) == check_cpsd(table, d)
 
 
 def test_cpsd_zero_table():
