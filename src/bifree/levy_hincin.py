@@ -410,7 +410,10 @@ def _whitened_model(scale, common, mono, pivots) -> tuple:
     f_j = row_j[s] / (L sqrt(c delta_{j-1} delta_j)) and
     T1_ij = w_ij / (L sqrt(delta_{i-1} delta_i delta_{j-1} delta_j)).
     Everything is exact integers until that last division, which is
-    rounded once to float before its square root.
+    rounded once to float before its square root. w is symmetric for a
+    rational table; a float table's null columns are read as 0 only within
+    PIVOT_TOL, so T1 takes the mean (w_ij + w_ji) / 2, which is w_ij
+    bit for bit when the two are equal.
     """
     kept = [k for k, _, _ in pivots]
     minors = [1] + [pivot for _, _, pivot in pivots]
@@ -441,8 +444,8 @@ def _whitened_model(scale, common, mono, pivots) -> tuple:
     def face(a, b):
         shifted = [index[(m + a, n + b)] for m, n in (mono[k] for k in kept)]
         w = [lower([entry(j, c) for c in shifted]) for j in range(dim)]
-        return [[to_float(w[j][i], square * products[i] * products[j]) for j in range(dim)]
-                for i in range(dim)]
+        return [[to_float(w[i][j] + w[j][i], 4 * square * products[i] * products[j])
+                 for j in range(dim)] for i in range(dim)]
 
     return vector((1, 0)), vector((0, 1)), face(1, 0), face(0, 1)
 

@@ -313,22 +313,25 @@ def test_rational_gates_refuse_the_cauchy_schwarz_breaker(tmp_path, capsys):
 
 def test_twelve_atoms_are_not_certified_at_degree_8(tmp_path, capsys):
     # d = 3 holds 9 monomials for 12 atoms: positive, not flat, nothing
-    # certified, and nothing says unbounded; degree 10 (d = 4) certifies it
+    # certified, and nothing says unbounded; degree 10 (d = 4) certifies it.
+    # The float copies get the same reports.
+    from conftest import float_copy
     from test_levy_hincin import twelve_atom_poisson
-    table = _cumulant_file(tmp_path / "twelve8.json", twelve_atom_poisson(8)[1])
-    code, out = invoke(["check-id", table])
-    assert code == 1 and "unbounded" not in out
-    assert json.loads(out) == {
-        "bounded": {"certified": False, "degree_window": 3, "rank": 9, "rank_next": 12},
-        "cpsd": {"degree_window": 3, "ok": True, "rank": 9}, "degree_window": 3, "ok": False}
-    code, out = invoke(["gns", table])
-    assert (code, out) == (2, "")
-    assert "nothing certified at this window" in capsys.readouterr().err
-    table = _cumulant_file(tmp_path / "twelve10.json", twelve_atom_poisson(10)[1])
-    code, out = invoke(["check-id", table])
-    assert code == 0 and json.loads(out)["bounded"]["certified"] is True
-    code, out = invoke(["gns", table])
-    assert code == 0 and json.loads(out)["dim"] == 12
+    for copy in (lambda table: table, float_copy):
+        table = _cumulant_file(tmp_path / "twelve8.json", copy(twelve_atom_poisson(8)[1]))
+        code, out = invoke(["check-id", table])
+        assert code == 1 and "unbounded" not in out
+        assert json.loads(out) == {
+            "bounded": {"certified": False, "degree_window": 3, "rank": 9, "rank_next": 12},
+            "cpsd": {"degree_window": 3, "ok": True, "rank": 9}, "degree_window": 3, "ok": False}
+        code, out = invoke(["gns", table])
+        assert (code, out) == (2, "")
+        assert "nothing certified at this window" in capsys.readouterr().err
+        table = _cumulant_file(tmp_path / "twelve10.json", copy(twelve_atom_poisson(10)[1]))
+        code, out = invoke(["check-id", table])
+        assert code == 0 and json.loads(out)["bounded"]["certified"] is True
+        code, out = invoke(["gns", table])
+        assert code == 0 and json.loads(out)["dim"] == 12
 
 
 def test_non_finite_entries_are_rejected(tmp_path, capsys):
