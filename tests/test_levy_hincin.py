@@ -645,9 +645,9 @@ def test_float_gates_compare_each_pivot_with_its_own_diagonal_entry():
     # each pivot is judged against its own diagonal entry, so the float copy
     # gets the rational table's reports at every window its degree allows
     poisson = lh_to_cumulants(poisson_lh(Fraction(3, 2), Fraction(1, 2), Fraction(-2, 3)), 6)
+    table = dilated(poisson, 10**50)
+    copy = float_copy(table)
     for d in (1, 2):
-        table = dilated(poisson, 10**50)
-        copy = float_copy(table)
         assert check_cpsd(copy, d) == check_cpsd(table, d) == levy_hincin.CpsdReport(True, d, 1)
         assert check_cond_bounded(copy, d) == check_cond_bounded(table, d) == flat(1, d)
 
