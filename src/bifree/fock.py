@@ -53,7 +53,7 @@ from .cumulants import CumulantTable, MomentTable, check_degree, table_keys
 from .errors import CommutationError, ShapeError
 
 MAX_MODEL_DIM = 12
-COMMUTATION_TOL = 1e-10  # largest float residual of check_commutation that passes
+COMMUTATION_TOL = 1e-10  # check_commutation's float residuals, relative to the model's scale
 SYMMETRY_TOL = 1e-12  # how far a float T[i][j] may sit from T[j][i]
 
 
@@ -206,7 +206,11 @@ def check_commutation(model: FockModel) -> CommutationReport:
 
     Over the reals the remaining condition (the mixed inner product being
     real) is automatic. Residuals are max-abs; in rational mode they are
-    exact, so ok means residual zero.
+    exact, so ok means residual zero. A float model passes when the gauge
+    residual is at most COMMUTATION_TOL (|T1| |g| + |T2| |f|) and the
+    commutator residual at most COMMUTATION_TOL dim |T1| |T2|, each |x| the
+    largest absolute entry: the scale of the products they difference, so a
+    dilation of the model leaves the verdict alone.
     """
     diff_vec = [a - b for a, b in zip(_matvec(model.t1, model.g), _matvec(model.t2, model.f))]
     p12 = _mat_mul(model.t1, model.t2)
@@ -217,7 +221,11 @@ def check_commutation(model: FockModel) -> CommutationReport:
     if model.kind == scalars.RATIONAL:
         ok = all(x == 0 for x in diff_vec) and all(x == 0 for x in diff_mat)
     else:
-        ok = gauge_res <= COMMUTATION_TOL and comm_res <= COMMUTATION_TOL
+        largest = lambda xs: max((abs(float(x)) for x in xs), default=0.0)
+        t1, t2 = (largest(x for row in t for x in row) for t in (model.t1, model.t2))
+        f, g = largest(model.f), largest(model.g)
+        ok = (gauge_res <= COMMUTATION_TOL * (t1 * g + t2 * f)
+              and comm_res <= COMMUTATION_TOL * model.dim * t1 * t2)
     return CommutationReport(ok, gauge_res, comm_res)
 
 

@@ -243,14 +243,15 @@ def _snap(row: list, k: int, diagonal: list, last: int) -> None:
                    for x, g in zip(row[k:], diagonal[k:])]
 
 
-def _eliminate(table, top: int) -> tuple:
-    """One symmetric fraction-free elimination of a table's Gram on degrees 1..top.
+def _eliminate(table, d: int) -> tuple:
+    """One symmetric fraction-free elimination of a table's Gram for window d.
 
-    A rational table's graded clearing (scalars.clear_graded, made once
-    per table) scales entry (m, n) by L^(m+n), so the Gram becomes
-    diag(L^|p|) G diag(L^|p|): a congruence, which keeps the sign and the
-    place of every pivot. Where it declines (L = 1), and for a float
-    table, whose every entry is a dyadic rational read exactly, the
+    It eliminates G_{d+1} when the table's degree reaches 2d + 2, and G_d
+    otherwise. A rational table's graded clearing (scalars.clear_graded,
+    made once per table) scales entry (m, n) by L^(m+n), so the Gram
+    becomes diag(L^|p|) G diag(L^|p|): a congruence, which keeps the sign
+    and the place of every pivot. Where it declines (L = 1), and for a
+    float table, whose every entry is a dyadic rational read exactly, the
     entries are put over one common denominator c instead, which scales
     the form by c. Either way the elimination runs on Python ints. Pivots
     are taken in the monomials' order, by degree, so G_d is the leading
@@ -265,11 +266,17 @@ def _eliminate(table, top: int) -> tuple:
     within PIVOT_TOL of their own diagonal entries (_snap), so a
     congruence leaves its verdict alone too.
 
-    Returns (L, c, monomials, pivots, stop): pivots as (index, row at its
-    step, delta_j), and stop the index where it stopped, the monomial count
-    when the form is positive.
+    Two stops are kept: the full stop, where the whole pass stops, and the
+    leading stop, where G_d's own pass would, seeing only the row within
+    G_d. A zero pivot inside G_d whose row is nonzero only beyond G_d sets
+    the full stop; G_d's pass skips it as a null direction and goes on to
+    its end. A stop is the monomial count of its Gram when that is positive.
+
+    Returns (L, c, monomials, pivots, leading stop, full stop): pivots as
+    (index, row at its step, delta_j).
     """
-    mono, keys = _gram_keys(top)
+    mono, keys = _gram_keys(d + (table.degree >= 2 * d + 2))
+    size = d * (d + 3) // 2  # G_d: the monomials of degree 1..d
     scale, cleared = table.graded
     common = 1
     if type(cleared[(2, 0)]) is not int:  # declined or float: Fractions, which // would floor
@@ -277,21 +284,37 @@ def _eliminate(table, top: int) -> tuple:
         cleared = dict(zip(cleared, values))
     rows = [[cleared[key] for key in row] for row in keys]
     diagonal = [row[k] for k, row in enumerate(rows)] if table.kind == scalars.FLOAT else None
-    pivots, last = [], 1
+    pivots, last, leading, full = [], 1, size, len(rows)
     for k, row in enumerate(rows):
+        if full < k >= size:  # the whole pass has stopped and G_d's has ended
+            break
         if diagonal:
             _snap(row, k, diagonal, last)
         pivot = row[k]
-        if pivot < 0 or (pivot == 0 and any(row[k + 1:])):
-            return scale, common, mono, pivots, k
-        if pivot:
+        if pivot < 0 or (pivot == 0 and any(row[k + 1:size])):
+            leading, full = min(k, size), min(k, full)
+            break
+        # a row holds stale values before its diagonal, so beyond G_d starts at k + 1
+        if pivot == 0 and any(row[max(k + 1, size):]):
+            full = min(k, full)
+        elif pivot:
             # the trailing rows from the diagonal on: the rest stays symmetric
             for i in range(k + 1, len(rows)):
                 a, target = row[i], rows[i]
                 target[i:] = [(pivot * x - a * y) // last for x, y in zip(target[i:], row[i:])]
             pivots.append((k, row, pivot))
             last = pivot
-    return scale, common, mono, pivots, len(rows)
+    return scale, common, mono, pivots, leading, full
+
+
+def _elimination(table, d: int) -> tuple:
+    # _eliminate(table, d), made once per table and window and kept on the
+    # table, where check_cpsd, check_cond_bounded and gns_reconstruct share it;
+    # its pivot rows are read, never written
+    memo = vars(table).setdefault("_eliminations", {})
+    if d not in memo:
+        memo[d] = _eliminate(table, d)
+    return memo[d]
 
 
 @dataclass(frozen=True)
@@ -334,8 +357,8 @@ def _rank(pivots, stop: int, size: int) -> int | None:
     return sum(k < size for k, _, _ in pivots) if stop >= size else None
 
 
-def _cpsd(table, d: int, pivots, stop: int) -> CpsdReport:
-    rank = _rank(pivots, stop, d * (d + 3) // 2)  # G_d: the monomials of degree 1..d
+def _cpsd(table, d: int, pivots, leading: int) -> CpsdReport:
+    rank = _rank(pivots, leading, d * (d + 3) // 2)  # G_d: the monomials of degree 1..d
     return CpsdReport(rank is not None and _faces_ok(table), d, rank)
 
 
@@ -343,16 +366,18 @@ def check_cpsd(table: CumulantTable, d: int) -> CpsdReport:
     """Positivity of the cumulant Gram form on monomials of degree 1..d.
 
     The form pairs s^(m1) t^(n1) with s^(m2) t^(n2) through the entry at
-    (m1+m2, n1+n2). The table is decided by the pivot signs of one
-    elimination of G_d (_eliminate). Degenerate faces are handled
+    (m1+m2, n1+n2). The table is decided by the pivot signs of G_d, read
+    to the leading stop of the one elimination per table and window, kept
+    on the table and shared by the three calls (_eliminate, which takes
+    G_{d+1} when the table's degree allows). Degenerate faces are handled
     separately: a vanishing (2,0) entry forces every entry of order >= 2
     touching the left face to vanish (Cauchy-Schwarz), and symmetrically
     for (0,2); the window alone could miss violations beyond it. An empty window (d < 1) raises
     DegreeError instead of passing vacuously.
     """
     _check_window(table, d, 2 * d)
-    _, _, _, pivots, stop = _eliminate(table, d)
-    return _cpsd(table, d, pivots, stop)
+    _, _, _, pivots, leading, _ = _elimination(table, d)
+    return _cpsd(table, d, pivots, leading)
 
 
 @dataclass(frozen=True)
@@ -381,20 +406,22 @@ class FlatnessReport:
         return asdict(self)
 
 
-def _flatness(d: int, mono, pivots, stop: int) -> FlatnessReport:
-    rank, rank_next = _rank(pivots, stop, d * (d + 3) // 2), _rank(pivots, stop, len(mono))
+def _flatness(d: int, mono, pivots, full: int) -> FlatnessReport:
+    rank, rank_next = _rank(pivots, full, d * (d + 3) // 2), _rank(pivots, full, len(mono))
     return FlatnessReport(rank is not None and rank == rank_next, rank, rank_next, d)
 
 
 def check_cond_bounded(table: CumulantTable, d: int) -> FlatnessReport:
     """Whether the shifts act as bounded symmetric operators on the quotient.
 
-    One elimination of G_{d+1} (_eliminate) decides it: the window
-    certifies the table when G_{d+1} is positive with the rank of G_d.
+    The elimination of G_{d+1} decides it, read to its full stop: the
+    window certifies the table when G_{d+1} is positive with the rank of
+    G_d. It is the one elimination per table and window, kept on the table
+    and shared by the three calls (_eliminate).
     """
     _check_window(table, d, 2 * d + 2)
-    _, _, mono, pivots, stop = _eliminate(table, d + 1)
-    return _flatness(d, mono, pivots, stop)
+    _, _, mono, pivots, _, full = _elimination(table, d)
+    return _flatness(d, mono, pivots, full)
 
 
 def _whitened_model(scale, common, mono, pivots) -> tuple:
@@ -460,22 +487,25 @@ def gns_reconstruct(table: CumulantTable, d: int) -> FockModel:
     The model reproduces the table on the window and, when the window
     saturates the quotient (every atomic case here), on all degrees.
 
-    The model is read off one elimination of G_{d+1} (_eliminate): the
-    table must be positive on G_d and flat, and the model whitens the kept
-    pivots (_whitened_model), so its floats are exact values rounded at the
-    end. Both gates decide first, positivity on degree 2d before degree
-    2d + 2 is required, raising RealizabilityError on a refusal; an empty
-    window d < 1 raises DegreeError.
+    The model is read off the elimination of G_{d+1}, the one elimination
+    per table and window, kept on the table and shared by the three calls
+    (_eliminate): the table must be positive on G_d and flat, and the model
+    whitens the kept pivots (_whitened_model), so its floats are exact
+    values rounded at the end. Both gates decide first, as check_cpsd and
+    check_cond_bounded would, positivity on degree 2d before degree 2d + 2
+    is required, raising RealizabilityError on a refusal; an empty window
+    d < 1 raises DegreeError.
     """
     _check_window(table, d, 2 * d)
-    scale, common, mono, pivots, stop = _eliminate(table, d + (table.degree >= 2 * d + 2))
-    cpsd = _cpsd(table, d, pivots, stop)
+    scale, common, mono, pivots, leading, full = _elimination(table, d)
+    cpsd = _cpsd(table, d, pivots, leading)
     if not cpsd.ok:
         raise RealizabilityError(f"not conditionally positive: {cpsd}")
     _check_window(table, d, 2 * d + 2)
-    flat = _flatness(d, mono, pivots, stop)
+    flat = _flatness(d, mono, pivots, full)
     if not flat.certified:
-        raise RealizabilityError(f"nothing certified at this window: {flat}")
+        refused = f"positivity refused on degree {2 * d + 2}: " if flat.rank_next is None else ""
+        raise RealizabilityError(f"nothing certified at this window: {refused}{flat}")
     return _fock().FockModel.from_arrays(*_whitened_model(scale, common, mono, pivots),
                                          float(table.get(1, 0)), float(table.get(0, 1)),
                                          kind=scalars.FLOAT)

@@ -311,6 +311,19 @@ def test_rational_gates_refuse_the_cauchy_schwarz_breaker(tmp_path, capsys):
     assert "not conditionally positive" in capsys.readouterr().err
 
 
+def test_gns_names_the_degree_that_refused_positivity(tmp_path, capsys):
+    # positive on G_1, refused on G_2 by a row nonzero only beyond G_1:
+    # check-id's cpsd passes, and gns exits 2 with the flatness report
+    from test_levy_hincin import positive_only_on_g1
+    table = _cumulant_file(tmp_path / "g1.json", positive_only_on_g1())
+    code, out = invoke(["check-id", table, "--gram-degree", "1"])
+    assert code == 1 and json.loads(out)["cpsd"] == {"degree_window": 1, "ok": True, "rank": 1}
+    code, out = invoke(["gns", table, "--gram-degree", "1"])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert "positivity refused on degree 4" in err and "not conditionally positive" not in err
+
+
 def test_twelve_atoms_are_not_certified_at_degree_8(tmp_path, capsys):
     # d = 3 holds 9 monomials for 12 atoms: positive, not flat, nothing
     # certified, and nothing says unbounded; degree 10 (d = 4) certifies it.

@@ -107,6 +107,20 @@ def test_commutation_examples():
     assert report.gauge_residual == 1.0
 
 
+def test_float_commutation_is_relative_to_the_model_scale():
+    # f = (c, 0), g = (0, c), T1 = [[c, 0], [0, 0]], T2 = [[0, c], [c, 0]]:
+    # both residuals are c^2, which an absolute COMMUTATION_TOL let through at
+    # c = 1e-8; a commuting model dilated by c passes at every c
+    for c in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        bad = FockModel.from_arrays([c, 0], [0, c], [[c, 0], [0, 0]], [[0, c], [c, 0]],
+                                    kind=scalars.FLOAT)
+        report = check_commutation(bad)
+        assert not report.ok and report.gauge_residual == report.commutator_residual == c * c
+        good = FockModel.from_arrays([c, 0], [0, c], [[c, 0], [0, 0]], [[0, 0], [0, c]],
+                                     kind=scalars.FLOAT)
+        assert check_commutation(good).ok
+
+
 def test_commutation_as_operators(rng):
     # when the gauge conditions hold, the two faces commute on the whole
     # space, not just in distribution

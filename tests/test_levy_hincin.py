@@ -257,18 +257,61 @@ def test_round_trip_four_atom_triple_with_entries_in_the_hundreds():
 
 
 def test_each_exact_gate_call_eliminates_once(rng, monkeypatch):
-    # check_cpsd eliminates G_d, check_cond_bounded and gns_reconstruct
-    # G_{d+1}, for a rational table and for its float copy alike
-    table = lh_to_cumulants(random_validated_lh(rng, 3), 8)
+    # check_cpsd, check_cond_bounded and gns_reconstruct share one
+    # elimination per table and window, whichever call comes first, for a
+    # rational table and for its float copy alike; another window is another
+    data = random_validated_lh(rng, 3)
     real = levy_hincin._eliminate
-    for copy in (table, float_copy(table)):
-        tops = []
-        monkeypatch.setattr(levy_hincin, "_eliminate",
-                            lambda table, top: tops.append(top) or real(table, top))
-        assert check_cpsd(copy, 3).rank == 3
-        assert check_cond_bounded(copy, 3).rank_next == 3
-        assert gns_reconstruct(copy, 3).dim == 3
-        assert tops == [3, 4, 4]
+    windows = []
+    monkeypatch.setattr(levy_hincin, "_eliminate",
+                        lambda table, d: windows.append(d) or real(table, d))
+    for order in ((check_cpsd, check_cond_bounded, gns_reconstruct),
+                  (gns_reconstruct, check_cpsd, check_cond_bounded),
+                  (check_cond_bounded, gns_reconstruct, check_cpsd)):
+        for copy in (lambda table: table, float_copy):
+            table = copy(lh_to_cumulants(data, 8))
+            windows.clear()
+            got = {gate: gate(table, 3) for gate in order}
+            assert got[check_cpsd].rank == got[check_cond_bounded].rank_next == 3
+            assert gns_reconstruct(table, 3) == got[gns_reconstruct]
+            assert got[gns_reconstruct].dim == 3 and windows == [3]
+            assert check_cpsd(table, 2).rank == 3 and windows == [3, 2]
+
+
+def positive_only_on_g1():
+    """kappa20 = kappa11 = kappa02 = kappa30 = 1, every other entry 0, to degree 4.
+
+    G_1 = [[1, 1], [1, 1]] is positive with rank 1. In G_2 the zero pivot of
+    s - t has a row that is nonzero only beyond G_1: s - t pairs with s^2
+    through kappa30 - kappa21 = 1.
+    """
+    entries = {key: Fraction(0) for key in table_keys(4, 1)}
+    entries.update({(2, 0): Fraction(1), (1, 1): Fraction(1), (0, 2): Fraction(1),
+                    (3, 0): Fraction(1)})
+    return CumulantTable(4, R, entries)
+
+
+def test_the_leading_stop_reads_only_the_row_within_g_d():
+    # the elimination of G_2 sets its full stop at the pivot of s - t and
+    # goes on to the end of G_1, as G_1's own pass would, in either call order
+    cpsd = levy_hincin.CpsdReport(True, 1, 1)
+    flatness = levy_hincin.FlatnessReport(False, None, None, 1)
+    for copy in (lambda table: table, float_copy):
+        table = copy(positive_only_on_g1())
+        assert (check_cpsd(table, 1), check_cond_bounded(table, 1)) == (cpsd, flatness)
+        table = copy(positive_only_on_g1())
+        assert (check_cond_bounded(table, 1), check_cpsd(table, 1)) == (flatness, cpsd)
+
+
+def test_gns_refuses_positivity_on_degree_2d_plus_2_with_the_flatness_report():
+    # check_cpsd passes the window, so gns_reconstruct does not say "not
+    # conditionally positive"; it names the degree that refused positivity
+    for copy in (lambda table: table, float_copy):
+        with pytest.raises(RealizabilityError) as refusal:
+            gns_reconstruct(copy(positive_only_on_g1()), 1)
+        assert str(refusal.value) == (
+            "nothing certified at this window: positivity refused on degree 4: "
+            "FlatnessReport(certified=False, rank=None, rank_next=None, degree_window=1)")
 
 
 def test_cpsd_gaussian_verdicts():
@@ -711,6 +754,25 @@ def test_float_models_follow_a_dilation():
             got = model_entries(gns_reconstruct(float_copy(dilated(table, c)), 3))
             scale = float(c) * max(map(abs, want))
             assert max(abs(x - float(c) * y) for x, y in zip(got, want)) <= 1e-11 * scale
+
+
+def test_dilated_float_models_commute_and_extract_the_dilated_atoms():
+    # dilating the measures by c scales the model's residuals with its
+    # entries; at c = 10^4 they read 6.0e-8 and 4.3e-7, which an absolute
+    # COMMUTATION_TOL refused. Worst gap seen 6.1e-15 of the largest atom
+    # entry. At c = 10^-8 rho's weights <f, u_k><g, u_k> are about 10^-16,
+    # under the absolute ATOM_WEIGHT_TOL, so only rho1 and rho2 are compared.
+    data = random_validated_lh(random.Random(7), 4)
+    table = lh_to_cumulants(data, 8)
+    for c in (Fraction(1, 10**8), Fraction(1, 10**4), 1, 10**4, 10**8):
+        out = extract_levy_measures(gns_reconstruct(float_copy(dilated(table, c)), 3))
+        pairs = [(data.rho1, out.rho1), (data.rho2, out.rho2), (data.rho, out.rho)]
+        for source, found in pairs[:2] if c < Fraction(1, 10**4) else pairs:
+            want = [(float(s * c), float(t * c), float(w * c * c)) for s, t, w in source.atoms]
+            scale = max(abs(x) for atom in want for x in atom)
+            assert len(found.atoms) == len(want)
+            assert all(abs(x - y) <= 1e-12 * scale
+                       for a, b in zip(found.atoms, want) for x, y in zip(a, b))
 
 
 def test_jacobi_extract_matches_the_source_and_numpy():
