@@ -41,7 +41,10 @@ Fraction on the way, and entry (m, n) is divided back once by
 L_a^m L_b^n. Float data is not scaled (L = 1).
 
 Real scalars only: over the reals the mixed-inner-product condition for
-commutation is automatic and all cumulants stay real.
+commutation is automatic and all cumulants stay real. check_commutation
+compares a float model's residuals with COMMUTATION_TOL times the scale of
+the products they difference: |T1| |g| + |T2| |f| for T1 g - T2 f, and
+dim |T1| |T2| for T1 T2 - T2 T1, each |x| the largest absolute entry.
 """
 
 from __future__ import annotations
@@ -206,11 +209,9 @@ def check_commutation(model: FockModel) -> CommutationReport:
 
     Over the reals the remaining condition (the mixed inner product being
     real) is automatic. Residuals are max-abs; in rational mode they are
-    exact, so ok means residual zero. A float model passes when the gauge
-    residual is at most COMMUTATION_TOL (|T1| |g| + |T2| |f|) and the
-    commutator residual at most COMMUTATION_TOL dim |T1| |T2|, each |x| the
-    largest absolute entry: the scale of the products they difference, so a
-    dilation of the model leaves the verdict alone.
+    exact, so ok means residual zero. A float model's are held to
+    COMMUTATION_TOL times the scale of the products they difference (module
+    docstring), so a dilation of the model leaves the verdict alone.
     """
     diff_vec = [a - b for a, b in zip(_matvec(model.t1, model.g), _matvec(model.t2, model.f))]
     p12 = _mat_mul(model.t1, model.t2)

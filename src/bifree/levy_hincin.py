@@ -16,10 +16,12 @@ a finite-dimensional operator model, and simultaneous diagonalization of
 its two gauge matrices recovers the measures. A table's gates and model
 come from one symmetric fraction-free elimination of its Gram, on Python
 ints (Bareiss): a rational table's Gram graded-cleared, a float table's
-read exactly, since every float is a dyadic rational. A negative pivot, or
-a zero pivot with a nonzero rest of row, means not positive; the kept
-pivots give rank G_d and rank G_{d+1}, and the window certifies the table
-when the two are equal (flatness, Curto-Fialkow). A positive table that is
+read exactly, since every float is a dyadic rational. It is one
+elimination per table and window, kept on the table and shared by the
+three calls check_cpsd, check_cond_bounded and gns_reconstruct. A negative
+pivot, or a zero pivot with a nonzero rest of row, means not positive; the
+kept pivots give rank G_d and rank G_{d+1}, and the window certifies the
+table when the two are equal (flatness, Curto-Fialkow). A positive table that is
 not flat is "not certified at this window", never "unbounded". The model
 whitens the kept pivots: with G_BB = L D L^T,
 T_i = D^-1/2 L^-1 G^(shift)_BB L^-T D^-1/2 and f = D^-1/2 L^-1 G_{B,s},
