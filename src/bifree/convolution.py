@@ -25,7 +25,7 @@ def bifree_convolve(k1: CumulantTable, k2: CumulantTable) -> CumulantTable:
     if k1.degree != k2.degree or k1.kind != k2.kind:
         raise DegreeError("tables must share degree and kind")
     entries = {key: k1.entries[key] + k2.entries[key] for key in k1.entries}
-    return CumulantTable(k1.degree, k1.kind, entries)
+    return CumulantTable._unchecked(k1.degree, k1.kind, entries)
 
 
 def semigroup_scale(table: CumulantTable, t, assume_divisible: bool = False) -> CumulantTable:
@@ -46,7 +46,7 @@ def semigroup_scale(table: CumulantTable, t, assume_divisible: bool = False) -> 
             "conditionally positive semi-definite", UncertifiedScaleWarning,
             stacklevel=2)
     entries = {key: t * v for key, v in table.entries.items()}
-    return CumulantTable(table.degree, table.kind, entries)
+    return CumulantTable._unchecked(table.degree, table.kind, entries)
 
 
 def free_convolve_marginal(seq1, seq2, degree: int, kind: str = scalars.RATIONAL):

@@ -27,7 +27,9 @@ moment phi(a^i b^j):
 Every term but V = [m+n] has lower degree, so it fills the table degree
 by degree. Walking V left to right with the state (last position, a-count,
 b-count) costs O((m+n)^4) multiply-adds per entry and O(D^5) per table,
-against Catalan(m+n) products per entry for the literal sum.
+against Catalan(m+n) products per entry for the literal sum. The identity
+certifies total degree <= D - 1 only, so both of its sides, the recursion
+and the closed form, run on that window of the moments.
 
 The one-variable transforms are the n = 0 column of the two-variable
 ones. Both directions are graded: entry (m, n) is an integer combination
@@ -38,7 +40,8 @@ form and the recursion run on Python ints with one Fraction(x, L^(m+n))
 per result (scalars.clear_graded). Clearing is declined, and the same
 code runs on the values as they are with L = 1, for float data and when
 L^D would exceed scalars.GRADED_MAX_BITS bits, where ints that large cost
-more than the Fraction arithmetic they replace.
+more than the Fraction arithmetic they replace. A table's clearing is made
+once and kept on it (_Table.graded).
 """
 
 from __future__ import annotations
@@ -74,6 +77,9 @@ def _check_entries(entries, degree, lowest):
 @dataclass
 class _Table:
     # The body shared by both tables: entries on table_keys(degree, lowest).
+    # A table is a value: its entries are not changed after construction,
+    # so its graded clearing is made once, kept on it, and read by the
+    # transforms, the identity and levy_hincin's Gram elimination.
     degree: int
     kind: str
     entries: dict = field(repr=False)
@@ -187,9 +193,10 @@ def _solve(given, to_cumulants):
     return out
 
 
-def _transform(entries, degree, kind, to_cumulants):
+def _transform(graded, degree, kind, to_cumulants):
+    # graded is scalars.clear_graded of the given entries
     check_degree(degree)
-    scale, given = scalars.clear_graded(entries)
+    scale, given = graded
     out = series.transform(given, degree, to_cumulants)
     powers = [scale ** k for k in range(degree + 1)]
     return {(m, n): scalars.over(v, powers[m + n], kind) for (m, n), v in out.items()}
@@ -202,13 +209,13 @@ def check_degree(degree):
 
 def moments_to_cumulants(table: MomentTable) -> CumulantTable:
     """Invert the non-crossing moment-cumulant system on the word a^m b^n."""
-    out = _transform(table.entries, table.degree, table.kind, to_cumulants=True)
+    out = _transform(table.graded, table.degree, table.kind, to_cumulants=True)
     return CumulantTable._unchecked(table.degree, table.kind, out)
 
 
 def cumulants_to_moments(table: CumulantTable) -> MomentTable:
     """Moments as sums of cumulant products over non-crossing partitions."""
-    out = _transform(table.entries, table.degree, table.kind, to_cumulants=False)
+    out = _transform(table.graded, table.degree, table.kind, to_cumulants=False)
     return MomentTable._unchecked(table.degree, table.kind, out)
 
 
@@ -221,7 +228,7 @@ def moment_seq_to_cumulant_seq(seq, kind: str):
     degree = len(seq) - 1
     given = {(j, 0): scalars.coerce(v, kind) for j, v in enumerate(seq)}
     given[(0, 0)] = scalars.one(kind)
-    out = _transform(given, degree, kind, to_cumulants=True)
+    out = _transform(scalars.clear_graded(given), degree, kind, to_cumulants=True)
     return [out[(j, 0)] for j in range(1, degree + 1)]
 
 
@@ -229,7 +236,7 @@ def cumulant_seq_to_moment_seq(kappa, kind: str):
     """Inverse of :func:`moment_seq_to_cumulant_seq`; returns [1, m_1, ...]."""
     degree = len(kappa)
     given = {(j, 0): scalars.coerce(v, kind) for j, v in enumerate(kappa, 1)}
-    out = _transform(given, degree, kind, to_cumulants=False)
+    out = _transform(scalars.clear_graded(given), degree, kind, to_cumulants=False)
     return [out[(j, 0)] for j in range(degree + 1)]
 
 
@@ -271,16 +278,19 @@ def verify_voiculescu_identity(table: MomentTable):
     with the first-block recursion, which shares no code with it. Returns
     the largest |recursion - closed form| over total degree <= D - 1, the
     window the identity's series side certifies: at degree D its
-    reciprocal of G loses one degree.
+    reciprocal of G loses one degree. Both sides run on the moments of
+    total degree <= D - 1 only; no entry there reads a moment of degree D.
     """
     if table.degree < 2:
         raise DegreeError("need degree >= 2")
     check_degree(table.degree)
-    scale, moments = scalars.clear_graded(table.entries)
-    recursion = _solve(moments, to_cumulants=True)
-    closed = series.transform(moments, table.degree, to_cumulants=True)
+    top = table.degree - 1
+    scale, moments = table.graded
+    window = {key: v for key, v in moments.items() if sum(key) <= top}
+    recursion = _solve(window, to_cumulants=True)
+    closed = series.transform(window, top, to_cumulants=True)
     worst = scalars.zero(table.kind)
-    for m, n in table_keys(table.degree - 1, 1):
+    for m, n in table_keys(top, 1):
         worst = max(worst, scalars.over(abs(recursion[(m, n)] - closed[(m, n)]),
                                         scale ** (m + n), table.kind))
     return worst

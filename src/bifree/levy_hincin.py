@@ -48,9 +48,10 @@ for one entry disagree, times max(1, |entry|). check_cpsd treats a face as
 degenerate when its variance entry, (2,0) or (0,2), is within
 ZERO_VARIANCE_TOL of 0, and then requires every entry of order >= 2 on
 that face within DEGENERATE_FACE_TOL of 0 (both absolute).
-extract_levy_measures puts no atom of rho1, rho2 or rho at the eigenvalue
-pair of u_k when |<f, u_k>|, |<g, u_k>| or |<f, u_k><g, u_k>| respectively
-is at most ATOM_WEIGHT_TOL (absolute). validate_lh accepts a float triple
+extract_levy_measures puts an atom of rho1 at the eigenvalue pair of u_k
+when |<f, u_k>| exceeds ATOM_WEIGHT_TOL (absolute), one of rho2 when
+|<g, u_k>| does, and one of rho exactly when both do, so the three keep
+the relations t rho1 = s rho and s rho2 = t rho at any scale. validate_lh accepts a float triple
 whose relations t rho1 - s rho and s rho2 - t rho are within RELATION_TOL
 of 0 at every atom, and whose rho{(0,0)}^2 exceeds rho1{(0,0)} rho2{(0,0)}
 by at most RELATION_TOL (both absolute); every command and
@@ -595,11 +596,12 @@ def extract_levy_measures(model: FockModel) -> LevyHincinData:
     atoms1, atoms2, atoms = [], [], []
     for k in span:
         s, t = d1[k][k], d2[k][k]
-        if abs(fh[k]) > ATOM_WEIGHT_TOL:
+        has_f, has_g = abs(fh[k]) > ATOM_WEIGHT_TOL, abs(gh[k]) > ATOM_WEIGHT_TOL
+        if has_f:
             atoms1.append((s, t, fh[k] ** 2))
-        if abs(gh[k]) > ATOM_WEIGHT_TOL:
+        if has_g:
             atoms2.append((s, t, gh[k] ** 2))
-        if abs(fh[k] * gh[k]) > ATOM_WEIGHT_TOL:
+        if has_f and has_g:  # t rho1 = s rho and s rho2 = t rho
             atoms.append((s, t, fh[k] * gh[k]))
     return LevyHincinData(
         lam1, lam2,

@@ -369,6 +369,17 @@ def test_float_overflow_in_a_transform_is_rejected(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_float_overflow_in_a_convolution_or_scaling_is_rejected(tmp_path, capsys):
+    # kappa20 = 1.5e308 is finite, but kappa20 + kappa20 and 2 kappa20 are inf
+    entries = [[m, t - m, 1.5e308 if (m, t - m) == (2, 0) else 0.0]
+               for t in range(1, 3) for m in range(t + 1)]
+    table = _write(tmp_path / "big.json", {"degree": 2, "kind": "float", "entries": entries})
+    for argv in (["convolve", table, table], ["semigroup", table, "--t", "2"]):
+        code, out = invoke(argv)
+        assert (code, out) == (2, ""), argv
+        assert "finite" in capsys.readouterr().err
+
+
 def test_cumulants_of_a_degree_0_moment_table_are_refused(tmp_path, capsys):
     table = _write(tmp_path / "deg0.json",
                    {"degree": 0, "kind": "rational", "entries": [[0, 0, "1"]]})

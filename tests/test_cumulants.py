@@ -201,14 +201,48 @@ def test_identity_checks_the_first_block_recursion(monkeypatch):
 
 @pytest.mark.parametrize("degree", [3, 6, 12])
 def test_identity_window_is_total_degree_below_d(monkeypatch, degree):
-    # the recursion off at one key of degree D - 1 moves the residual, off at
-    # one of degree D leaves it 0: the identity certifies total degree <= D - 1
+    # the recursion off at one key of degree D - 1 moves the residual, and
+    # neither side computes degree D: the identity certifies total degree
+    # <= D - 1, and no entry there reads a moment of degree D
     table = moment_table(random_planar_measure(random.Random(5), 3), degree)
-    exact = cumulants._non_top_sum
-    for key, moved in (((1, degree - 2), True), ((1, degree - 1), False)):
-        monkeypatch.setattr(cumulants, "_non_top_sum", lambda m, n, moment, kappa, key=key:
-                            exact(m, n, moment, kappa) + ((m, n) == key))
-        assert (verify_voiculescu_identity(table) != 0) == moved, key
+    floats = MomentTable(degree, scalars.FLOAT, {k: float(v) for k, v in table.entries.items()})
+    exact, closed_form = cumulants._non_top_sum, series.transform
+    asked, closed_degrees = [], []
+
+    def recursion(m, n, moment, kappa):
+        asked.append((m, n))
+        return exact(m, n, moment, kappa)
+
+    def closed(given, top, to_cumulants):
+        closed_degrees.append(top)
+        return closed_form(given, top, to_cumulants)
+
+    monkeypatch.setattr(cumulants, "_non_top_sum", recursion)
+    monkeypatch.setattr(series, "transform", closed)
+    for t in (table, floats):
+        asked.clear()
+        closed_degrees.clear()
+        verify_voiculescu_identity(t)
+        assert sorted(asked) == sorted(table_keys(degree - 1, 1)), t.kind
+        assert closed_degrees == [degree - 1], t.kind
+    monkeypatch.setattr(cumulants, "_non_top_sum", lambda m, n, moment, kappa:
+                        exact(m, n, moment, kappa) + ((m, n) == (1, degree - 2)))
+    assert verify_voiculescu_identity(table) != 0
+
+
+def test_a_table_is_cleared_once_for_its_transform_and_identity(monkeypatch):
+    # the transform and the identity share the table's graded clearing
+    table = moment_table(random_planar_measure(random.Random(5), 3), 6)
+    clear_graded, cleared = scalars.clear_graded, []
+
+    def spy(entries):
+        cleared.append(entries)
+        return clear_graded(entries)
+
+    monkeypatch.setattr(scalars, "clear_graded", spy)
+    moments_to_cumulants(table)
+    assert verify_voiculescu_identity(table) == 0
+    assert cleared == [table.entries]
 
 
 # Worst relative error, |float - exact| / max(1, |exact|), that a float
