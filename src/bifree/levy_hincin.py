@@ -50,12 +50,13 @@ ZERO_VARIANCE_TOL of 0, and then requires every entry of order >= 2 on
 that face within DEGENERATE_FACE_TOL of 0 (both absolute).
 extract_levy_measures puts an atom of rho1 at the eigenvalue pair of u_k
 when |<f, u_k>| exceeds ATOM_WEIGHT_TOL (absolute), one of rho2 when
-|<g, u_k>| does, and one of rho exactly when both do, so the three keep
-the relations t rho1 = s rho and s rho2 = t rho at any scale. validate_lh accepts a float triple
-whose relations t rho1 - s rho and s rho2 - t rho are within RELATION_TOL
-of 0 at every atom, and whose rho{(0,0)}^2 exceeds rho1{(0,0)} rho2{(0,0)}
-by at most RELATION_TOL (both absolute); every command and
-r_transform_from_lh judge a triple by it.
+|<g, u_k>| does, and one of rho exactly when both do: rho keeps every
+atom that rho1 and rho2 both keep, however small its weight
+<f, u_k><g, u_k>, as t rho1 = s rho and s rho2 = t rho ask. validate_lh
+accepts a float triple whose relations t rho1 - s rho and s rho2 - t rho
+are within RELATION_TOL of 0 at every atom, and whose rho{(0,0)}^2
+exceeds rho1{(0,0)} rho2{(0,0)} by at most RELATION_TOL (both absolute);
+every command and r_transform_from_lh judge a triple by it.
 """
 
 from __future__ import annotations
