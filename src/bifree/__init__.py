@@ -22,14 +22,13 @@ _EXPORTS = {
     "cumulants": ("CumulantTable", "MomentTable", "cumulant_seq_to_moment_seq",
                   "cumulants_to_moments", "mobius_cumulant", "moment_seq_to_cumulant_seq",
                   "moments_to_cumulants", "verify_voiculescu_identity"),
-    "errors": ("BifreeError", "CommutationError", "DegreeError", "InconsistentDataError",
-               "OrderError", "RealizabilityError", "ShapeError", "SizeLimitError",
-               "UnsupportedMeasureError"),
+    "errors": ("BifreeError", "CommutationError", "DegreeError", "OrderError",
+               "RealizabilityError", "ShapeError", "SizeLimitError", "UnsupportedMeasureError"),
     "fock": ("FockModel", "check_commutation", "levy_marginal_model", "model_cumulants",
              "moment_table_from_model", "vacuum_moment"),
     "levy_hincin": ("CpsdReport", "FlatnessReport", "LevyHincinData", "LhValidation",
                     "check_cond_bounded", "check_cpsd", "extract_levy_measures",
-                    "gns_reconstruct", "lh_to_cumulants", "r_transform_from_lh", "validate_lh"),
+                    "gns_reconstruct", "lh_to_cumulants", "validate_lh"),
     "limits": ("bifree_gaussian", "bifree_poisson", "compound_bifree_poisson",
                "compound_family", "poisson_family", "row_sum_moments",
                "triangular_limit_estimate"),

@@ -133,9 +133,9 @@ def cmd_make(args) -> int:
 
 
 def cmd_lh_cumulants(args) -> int:
-    from .levy_hincin import LevyHincinData, r_transform_from_lh
+    from .levy_hincin import LevyHincinData, lh_to_cumulants
     data = LevyHincinData.from_jsonable(_load(args.data))
-    _emit(r_transform_from_lh(data, args.degree).to_jsonable())
+    _emit(lh_to_cumulants(data, args.degree).to_jsonable())
     return 0
 
 

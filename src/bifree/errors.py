@@ -25,10 +25,6 @@ class CommutationError(BifreeError):
     """The two faces of a model fail to commute."""
 
 
-class InconsistentDataError(BifreeError):
-    """Levy-Hincin measures disagree on an overlapping cumulant index."""
-
-
 class UnsupportedMeasureError(BifreeError):
     """Operation requires a positive (unsigned) probability measure."""
 

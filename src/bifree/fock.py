@@ -57,7 +57,7 @@ from .errors import CommutationError, ShapeError
 
 MAX_MODEL_DIM = 12
 COMMUTATION_TOL = 1e-10  # check_commutation's float residuals, relative to the model's scale
-SYMMETRY_TOL = 1e-12  # how far a float T[i][j] may sit from T[j][i]
+SYMMETRY_TOL = 1e-12  # how far a float T[i][j] may sit from T[j][i], relative to max|T|
 
 
 def _dot(x, y):
@@ -103,9 +103,11 @@ class FockModel:
         for name, t in (("T1", t1), ("T2", t2)):
             if len(t) != dim or any(len(row) != dim for row in t):
                 raise ShapeError(f"{name} must be {dim}x{dim}")
+            bound = SYMMETRY_TOL * max((abs(x) for row in t for x in row), default=0.0) \
+                if kind == scalars.FLOAT else 0.0
             for i in range(dim):
                 for j in range(i + 1, dim):
-                    if not scalars.close(t[i][j], t[j][i], kind, SYMMETRY_TOL):
+                    if not scalars.close(t[i][j], t[j][i], kind, bound):
                         raise ShapeError(f"{name} is not symmetric")
         return cls(dim, f, g, t1, t2, scalars.coerce(lambda1, kind),
                    scalars.coerce(lambda2, kind), kind)

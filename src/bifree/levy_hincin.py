@@ -1,15 +1,16 @@
 """The bi-free Levy-Hincin correspondence on atomic data.
 
 Forward direction: a triple (rho1, rho2, rho) of atomic planar measures
-with t d(rho1) = s d(rho) and s d(rho2) = t d(rho) determines every
-cumulant of order >= 2 by integration; first-order cumulants ride along
-separately. Validation is evaluated atom by atom. lh_to_cumulants reads
-the three measures' unreduced moment rows
-(`DiscretePlanarMeasure.moment_rows`) and compares the formulas for each
-entry on them: exactly, num1 * den2 == num2 * den1, in rational mode, so
-only the entry it keeps becomes a Fraction. The coefficients of the
-two-variable R-transform are the cumulants, so r_transform_from_lh returns
-that CumulantTable.
+with t d(rho1) = s d(rho) and s d(rho2) = t d(rho) and, at the origin,
+rho{0}^2 <= rho1{0} rho2{0} is a Gaussian part sigma = (rho1{0}, rho{0},
+rho2{0}) and one jump measure nu off the origin, with rho1 = s^2 nu,
+rho2 = t^2 nu and rho = st nu: its Levy form (Huang-Wang, JFA 2016). Each
+triple converts once to that form, atom by atom, and keeps it; the same
+pass gives validate_lh's report. lh_to_cumulants refuses a triple that
+fails it and otherwise runs the one kernel measures.levy_cumulants: nu's
+moments, sigma at degree 2 and the first-order cumulants at degree 1, one
+Fraction per entry. Those are the coefficients of the two-variable
+R-transform.
 
 Inverse direction: a GNS quotient built from the cumulant Gram form gives
 a finite-dimensional operator model, and simultaneous diagonalization of
@@ -36,27 +37,21 @@ monomials of total degree <= d, which needs table entries up to degree
 state the window used.
 
 Float tolerances and what each is relative to (rational data compares
-exactly everywhere). PIVOT_TOL is the one Gram tolerance: in a float
-table's elimination a Schur pivot within PIVOT_TOL G_kk of 0 reads as 0,
-and so does an entry of its row within PIVOT_TOL sqrt(G_kk G_ii), G_kk and
-G_ii being diagonal entries of the Gram itself; each test compares with
-its own diagonal entries, so a congruence (a scaling of the form, or a
-dilation of the measures) leaves the verdict alone. DIAG_RESIDUAL_TOL
-bounds the off-diagonal residual of the joint diagonalization times
-max(1, |T1|, |T2|); FORMULA_TOL bounds how far lh_to_cumulants' formulas
-for one entry disagree, times max(1, |entry|). check_cpsd treats a face as
-degenerate when its variance entry, (2,0) or (0,2), is within
-ZERO_VARIANCE_TOL of 0, and then requires every entry of order >= 2 on
-that face within DEGENERATE_FACE_TOL of 0 (both absolute).
-extract_levy_measures puts an atom of rho1 at the eigenvalue pair of u_k
-when |<f, u_k>| exceeds ATOM_WEIGHT_TOL (absolute), one of rho2 when
-|<g, u_k>| does, and one of rho exactly when both do: rho keeps every
-atom that rho1 and rho2 both keep, however small its weight
-<f, u_k><g, u_k>, as t rho1 = s rho and s rho2 = t rho ask. validate_lh
-accepts a float triple whose relations t rho1 - s rho and s rho2 - t rho
-are within RELATION_TOL of 0 at every atom, and whose rho{(0,0)}^2
-exceeds rho1{(0,0)} rho2{(0,0)} by at most RELATION_TOL (both absolute);
-every command and r_transform_from_lh judge a triple by it.
+exactly everywhere, and check_cpsd's face check compares float data
+exactly too). PIVOT_TOL is the one Gram tolerance: in a float table's
+elimination a Schur pivot within PIVOT_TOL G_kk of 0 reads as 0, and so
+does an entry of its row within PIVOT_TOL sqrt(G_kk G_ii), G_kk and G_ii
+being diagonal entries of the Gram itself, so a congruence (a scaling of
+the form, or a dilation of the measures) leaves the verdict alone.
+validate_lh holds each relation a = b of a float triple, t rho1 = s rho
+and s rho2 = t rho at each point and rho{0}^2 <= rho1{0} rho2{0}, to
+RELATION_TOL times the terms it differences, |a| + |b|; a float point
+within MERGE_TOL of the origin is the origin. DIAG_RESIDUAL_TOL bounds the
+off-diagonal residual of the joint diagonalization times max(1, |T1|,
+|T2|), |T| the largest absolute entry. extract_levy_measures reads an
+eigen-coordinate within DIAG_RESIDUAL_TOL |T_i| of 0 as 0, and <f, u_k> or
+<g, u_k> within ATOM_WEIGHT_TOL (absolute) as 0; a pair at the origin goes
+to sigma, any other to nu.
 """
 
 from __future__ import annotations
@@ -70,15 +65,11 @@ from fractions import Fraction
 
 from . import scalars
 from .cumulants import CumulantTable
-from .errors import (CommutationError, DegreeError, InconsistentDataError,
-                     RealizabilityError)
-from .measures import DiscretePlanarMeasure
+from .errors import CommutationError, DegreeError, RealizabilityError
+from .measures import MERGE_TOL, DiscretePlanarMeasure, levy_cumulants
 
 PIVOT_TOL = 1e-9
 DIAG_RESIDUAL_TOL = 1e-8
-FORMULA_TOL = 1e-10
-ZERO_VARIANCE_TOL = 1e-12
-DEGENERATE_FACE_TOL = 1e-10
 ATOM_WEIGHT_TOL = 1e-13
 RELATION_TOL = 1e-10
 JACOBI_SWEEPS = 50
@@ -130,6 +121,59 @@ class LevyHincinData:
             DiscretePlanarMeasure.from_jsonable({**rho, "signed": True}, kind),
             kind)
 
+    @functools.cached_property
+    def _levy(self) -> tuple:
+        """(report, sigma, nu): validate_lh's report and, for a valid triple, its Levy form.
+
+        One pass over the weights gathered per point, a float point within
+        MERGE_TOL of the origin being the origin. sigma = (rho1{0}, rho{0},
+        rho2{0}), and nu{x} = rho1{x} / s^2 where |s| >= |t| and rho2{x} / t^2
+        elsewhere; an invalid triple has neither. Made once and kept.
+        """
+        kind = self.kind
+        zero = scalars.zero(kind)
+        weights: dict = {}  # point -> [rho1, rho2, rho] weights
+        for index, mu in enumerate((self.rho1, self.rho2, self.rho)):
+            for s, t, w in mu.atoms:
+                if all(scalars.close(x, zero, kind, MERGE_TOL) for x in (s, t)):
+                    s = t = zero
+                weights.setdefault((s, t), [zero, zero, zero])[index] += w
+        points = weights.items()
+        first = [(t * w1, s * w) for (s, t), (w1, _, w) in points]  # t rho1 = s rho
+        second = [(s * w2, t * w) for (s, t), (_, w2, w) in points]  # s rho2 = t rho
+        w1, w2, w = weights.get((zero, zero), (zero, zero, zero))
+        report = LhValidation(
+            all(_agree(a, b, kind) for a, b in first),
+            all(_agree(a, b, kind) for a, b in second),
+            w * w <= w1 * w2 or _agree(w * w, w1 * w2, kind),
+            all(v > 0 for mu in (self.rho1, self.rho2) for _, _, v in mu.atoms),
+            max((abs(float(a - b)) for a, b in first + second if a != b), default=0.0))
+        if not report.ok:
+            return report, None, None
+        jumps = [(s, t, v1 / (s * s) if abs(s) >= abs(t) else v2 / (t * t))
+                 for (s, t), (v1, v2, _) in points if s or t]
+        return report, (w1, w, w2), DiscretePlanarMeasure.from_atoms(jumps, kind=kind)
+
+    @classmethod
+    def _from_levy(cls, kappa10, kappa01, sigma, nu) -> "LevyHincinData":
+        # rho1, rho and rho2 are sigma's entries at the origin and s^2 nu, st nu
+        # and t^2 nu off it: they hold the relations by construction, so the
+        # triple carries its form and is not validated again
+        zero = scalars.zero(nu.kind)
+        weighted = [(s, t, (s * s * w, s * t * w, t * t * w)) for s, t, w in nu.atoms]
+        rho1, rho, rho2 = (DiscretePlanarMeasure.from_atoms(
+            [(zero, zero, sigma[i]), *((s, t, w[i]) for s, t, w in weighted)], i == 1, nu.kind)
+            for i in range(3))
+        data = cls(kappa10, kappa01, rho1, rho2, rho, nu.kind)
+        vars(data)["_levy"] = (LhValidation(True, True, True, True, 0.0), sigma, nu)
+        return data
+
+
+def _agree(a, b, kind) -> bool:
+    # a relation a = b: exactly for rational data, and for float data within
+    # RELATION_TOL times the terms it differences, |a| + |b|
+    return a == b if kind == scalars.RATIONAL else abs(a - b) <= RELATION_TOL * (abs(a) + abs(b))
+
 
 @dataclass(frozen=True)
 class LhValidation:
@@ -155,74 +199,21 @@ def validate_lh(data: LevyHincinData) -> LhValidation:
     s * rho2{(s,t)} = t * rho{(s,t)}; at the origin
     rho{(0,0)}^2 <= rho1{(0,0)} * rho2{(0,0)}; rho1, rho2 must be positive.
     """
-    kind = data.kind
-    zero = scalars.zero(kind)
-    support = {(s, t) for mu in (data.rho1, data.rho2, data.rho) for s, t, _ in mu.atoms}
-    rel1_ok = rel2_ok = True
-    worst = 0.0
-    for s, t in sorted(support):
-        w1 = data.rho1.weight_at(s, t)
-        w2 = data.rho2.weight_at(s, t)
-        w = data.rho.weight_at(s, t)
-        r1 = t * w1 - s * w
-        r2 = s * w2 - t * w
-        if not scalars.close(r1, zero, kind, RELATION_TOL):
-            rel1_ok = False
-        if not scalars.close(r2, zero, kind, RELATION_TOL):
-            rel2_ok = False
-        worst = max(worst, abs(float(r1)), abs(float(r2)))
-    w0 = data.rho.weight_at(zero, zero)
-    bound = data.rho1.weight_at(zero, zero) * data.rho2.weight_at(zero, zero)
-    atom_ok = w0 * w0 <= bound or scalars.close(w0 * w0, bound, kind, RELATION_TOL)
-    positive = all(w > 0 for _, _, w in data.rho1.atoms) \
-        and all(w > 0 for _, _, w in data.rho2.atoms)
-    return LhValidation(rel1_ok, rel2_ok, atom_ok, positive, worst)
+    return data._levy[0]
 
 
 def lh_to_cumulants(data: LevyHincinData, degree: int) -> CumulantTable:
-    """Cumulants from the Levy-Hincin triple.
+    """Cumulants from the Levy-Hincin triple: its R-transform's coefficients.
 
-    kappa_{m,n} integrates s^(m-2) t^n against rho1 when m >= 2,
-    s^m t^(n-2) against rho2 when n >= 2, and s^(m-1) t^(n-1) against rho
-    when m, n >= 1. Where several formulas apply they must agree; the
-    measure relations guarantee it, and a disagreement raises naming the
-    index. Float mode allows FORMULA_TOL times max(1, |entry|).
+    kappa_{m,n} integrates s^(m-2) t^n against rho1 when m >= 2, s^m t^(n-2)
+    against rho2 when n >= 2, and s^(m-1) t^(n-1) against rho when m, n >= 1;
+    for a valid triple these are one number, measures.levy_cumulants of its
+    Levy form. A triple validate_lh refuses raises RealizabilityError.
     """
-    kind = data.kind
-    exact = kind == scalars.RATIONAL
-    # per measure: its unreduced rows, and L_w L_s^i and L_t^j, whose product
-    # is the denominator of row entry (i, j) (1 in float mode)
-    rows = []
-    for mu in (data.rho1, data.rho2, data.rho):
-        scale_s, scale_t, scale_w, sums = mu.moment_rows(degree - 2)
-        rows.append((sums, [scale_w * scale_s**i for i in range(degree - 1)],
-                     [scale_t**j for j in range(degree - 1)]))
-    (sums1, left1, right1), (sums2, left2, right2), (sums, left, right) = rows
-    entries: dict = {(0, 1): scalars.coerce(data.kappa01, kind),
-                     (1, 0): scalars.coerce(data.kappa10, kind)} if degree >= 1 else {}
-    for total in range(2, degree + 1):
-        for m in range(total + 1):
-            n = total - m
-            candidates = []  # (numerator, denominator) of each formula's value
-            if m >= 2:
-                candidates.append((sums1[m - 2][n], left1[m - 2] * right1[n]))
-            if n >= 2:
-                candidates.append((sums2[m][n - 2], left2[m] * right2[n - 2]))
-            if m and n:
-                candidates.append((sums[m - 1][n - 1], left[m - 1] * right[n - 1]))
-            num, den = candidates[0]
-            # rationals compare exactly, num / den = other / other_den across
-            # positive denominators; float entries reach the hundreds, so the
-            # float bound scales with them
-            bound = None if exact else FORMULA_TOL * max(1.0, abs(num))
-            for other, other_den in candidates[1:]:
-                if not (other * den == num * other_den if exact else abs(other - num) <= bound):
-                    raise InconsistentDataError(
-                        f"measure formulas disagree at index ({m}, {n}): "
-                        f"{scalars.over(num, den, kind)} vs "
-                        f"{scalars.over(other, other_den, kind)}")
-            entries[(m, n)] = scalars.over(num, den, kind)
-    return CumulantTable._unchecked(degree, kind, entries)
+    report, sigma, nu = data._levy
+    if not report.ok:
+        raise RealizabilityError(f"triple fails validation: {report}")
+    return levy_cumulants((data.kappa10, data.kappa01), sigma, nu, degree)
 
 
 def _monomials(top: int) -> tuple:
@@ -343,16 +334,11 @@ def _check_window(table, d: int, need: int) -> None:
 
 def _faces_ok(table) -> bool:
     # a vanishing (2,0) entry forces every entry of order >= 2 touching the
-    # left face to vanish (Cauchy-Schwarz), and symmetrically for (0,2)
-    kind = table.kind
-    zero = scalars.zero(kind)
-    if scalars.close(table.get(2, 0), zero, kind, ZERO_VARIANCE_TOL) and not all(
-            scalars.close(v, zero, kind, DEGENERATE_FACE_TOL)
-            for (m, n), v in table.entries.items() if m >= 1 and m + n >= 2):
-        return False
-    return not (scalars.close(table.get(0, 2), zero, kind, ZERO_VARIANCE_TOL) and not all(
-        scalars.close(v, zero, kind, DEGENERATE_FACE_TOL)
-        for (m, n), v in table.entries.items() if n >= 1 and m + n >= 2))
+    # left face to vanish (Cauchy-Schwarz), and symmetrically for (0,2);
+    # exact in both kinds, a float entry being a dyadic rational
+    return not any(table.get(*variance) == 0 and any(
+        v for key, v in table.entries.items() if key[side] and sum(key) >= 2)
+        for side, variance in ((0, (2, 0)), (1, (0, 2))))
 
 
 def _rank(pivots, stop: int, size: int) -> int | None:
@@ -557,23 +543,19 @@ def extract_levy_measures(model: FockModel) -> LevyHincinData:
     Diagonalizes T1 + gamma T2 by Jacobi rotations for a gamma from
     random.Random(0) and checks both matrices come out diagonal, retrying
     with a fresh gamma up to five times (only finitely many gammas merge
-    distinct eigenvalue pairs). The measures put mass <f, u_k>^2,
-    <g, u_k>^2, and <f, u_k><g, u_k> at the joint eigenvalue pair of each
-    basis vector u_k. Pure Python floats: numpy does not load.
+    distinct eigenvalue pairs). Each basis vector u_k gives an eigenvalue
+    pair (s_k, t_k), f_k = <f, u_k> and g_k = <g, u_k>; a pair at the
+    origin adds [[f_k^2, f_k g_k], [f_k g_k, g_k^2]] to sigma, any other the
+    atom (f_k / s_k)^2 or (g_k / t_k)^2 to nu, dividing by the larger
+    coordinate, and the triple derives from (sigma, nu) and carries it.
+    Pure Python floats: numpy does not load.
     """
     report = _fock().check_commutation(model)
     if not report.ok:
         raise CommutationError(f"faces do not commute: {report}")
-    dim = model.dim
-    lam1 = float(model.lambda1)
-    lam2 = float(model.lambda2)
-    if dim == 0:
-        empty = DiscretePlanarMeasure.from_atoms([], kind=scalars.FLOAT)
-        empty_signed = DiscretePlanarMeasure.from_atoms([], signed=True, kind=scalars.FLOAT)
-        return LevyHincinData(lam1, lam2, empty, empty, empty_signed, scalars.FLOAT)
     t1, t2 = ([[float(x) for x in row] for row in t] for t in (model.t1, model.t2))
-    scale = max(1.0, *(abs(x) for t in (t1, t2) for row in t for x in row))
-    span = range(dim)
+    sizes = [max((abs(x) for row in t for x in row), default=0.0) for t in (t1, t2)]
+    span = range(model.dim)
 
     def congruence(columns, t):  # V^T t V, V's columns given
         tv = list(zip(*([sum(map(operator.mul, row, col)) for col in columns] for row in t)))
@@ -587,41 +569,21 @@ def extract_levy_measures(model: FockModel) -> LevyHincinData:
         d1, d2 = congruence(columns, t1), congruence(columns, t2)
         off = max((abs(d[i][j]) for d in (d1, d2) for i in span for j in span if i != j),
                   default=0.0)
-        if off <= DIAG_RESIDUAL_TOL * scale:
+        if off <= DIAG_RESIDUAL_TOL * max(1.0, *sizes):
             break
     else:
         raise CommutationError(
             f"simultaneous diagonalization residual above {DIAG_RESIDUAL_TOL}")
     fh, gh = ([sum(map(operator.mul, u, map(float, x))) for u in columns]
               for x in (model.f, model.g))
-    atoms1, atoms2, atoms = [], [], []
+    cut = lambda x, bound: x if abs(x) > bound else 0.0
+    sigma, jumps = (0.0, 0.0, 0.0), []
     for k in span:
-        s, t = d1[k][k], d2[k][k]
-        has_f, has_g = abs(fh[k]) > ATOM_WEIGHT_TOL, abs(gh[k]) > ATOM_WEIGHT_TOL
-        if has_f:
-            atoms1.append((s, t, fh[k] ** 2))
-        if has_g:
-            atoms2.append((s, t, gh[k] ** 2))
-        if has_f and has_g:  # t rho1 = s rho and s rho2 = t rho
-            atoms.append((s, t, fh[k] * gh[k]))
-    return LevyHincinData(
-        lam1, lam2,
-        DiscretePlanarMeasure.from_atoms(atoms1, kind=scalars.FLOAT),
-        DiscretePlanarMeasure.from_atoms(atoms2, kind=scalars.FLOAT),
-        DiscretePlanarMeasure.from_atoms(atoms, signed=True, kind=scalars.FLOAT),
-        scalars.FLOAT)
-
-
-def r_transform_from_lh(data: LevyHincinData, degree: int) -> CumulantTable:
-    """The R-transform of the triple to total degree `degree`, as its cumulants.
-
-    The coefficients of R(z, w) are the cumulants: z R_1(z) is the pure-z
-    row (rho1 moments), w R_2(w) the pure-w column (rho2), and the mixed
-    kernel zw/((1-zs)(1-wt)) integrated against rho fills the interior. So
-    it is lh_to_cumulants(data, degree), after the triple passes
-    validate_lh; coefficient (m, n) is the table's entry (m, n).
-    """
-    check = validate_lh(data)
-    if not check.ok:
-        raise RealizabilityError(f"triple fails validation: {check}")
-    return lh_to_cumulants(data, degree)
+        s, t = (cut(d[k][k], DIAG_RESIDUAL_TOL * size) for d, size in zip((d1, d2), sizes))
+        f, g = cut(fh[k], ATOM_WEIGHT_TOL), cut(gh[k], ATOM_WEIGHT_TOL)
+        if s == t == 0.0:
+            sigma = (sigma[0] + f * f, sigma[1] + f * g, sigma[2] + g * g)
+        else:
+            jumps.append((s, t, (f / s) ** 2 if abs(s) >= abs(t) else (g / t) ** 2))
+    return LevyHincinData._from_levy(float(model.lambda1), float(model.lambda2), sigma,
+                                     DiscretePlanarMeasure.from_atoms(jumps, kind=scalars.FLOAT))

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from . import scalars
 from .convolution import semigroup_scale
-from .cumulants import (CumulantTable, cumulants_to_moments, moments_to_cumulants,
-                        table_keys)
+from .cumulants import CumulantTable, cumulants_to_moments, moments_to_cumulants
 from .errors import RealizabilityError
-from .measures import DiscretePlanarMeasure, moment_table, point_mass
+from .measures import DiscretePlanarMeasure, levy_cumulants, moment_table, point_mass
 
 
 def bifree_gaussian(s1, s2, c, degree: int, kind: str = scalars.RATIONAL) -> CumulantTable:
@@ -29,10 +28,8 @@ def bifree_gaussian(s1, s2, c, degree: int, kind: str = scalars.RATIONAL) -> Cum
         raise ValueError("variances must be positive")
     if c * c > s1 * s2:
         raise RealizabilityError(f"covariance {c} violates Cauchy-Schwarz")
-    entries = dict.fromkeys(table_keys(degree, 1), scalars.zero(kind))
-    if degree >= 2:  # degree 1 keeps only the zero means
-        entries.update({(2, 0): s1, (0, 2): s2, (1, 1): c})
-    return CumulantTable(degree, kind, entries)
+    zero = scalars.zero(kind)  # no drift and no jumps
+    return levy_cumulants((zero, zero), (s1, c, s2), DiscretePlanarMeasure((), False, kind), degree)
 
 
 def bifree_poisson(rate, alpha, beta, degree: int, kind: str = scalars.RATIONAL) -> CumulantTable:
@@ -48,9 +45,10 @@ def compound_bifree_poisson(rate, jump: DiscretePlanarMeasure, degree: int) -> C
         raise ValueError("rate must be positive")
     if not jump.is_probability():
         raise ValueError("jump distribution must be a probability measure")
-    moments = jump.moments(degree)
-    entries = {(m, n): rate * moments[(m, n)] for m, n in table_keys(degree, 1)}
-    return CumulantTable(degree, kind, entries)
+    # the Levy measure rate * jump, its first moments the drift; no Gaussian part
+    nu = DiscretePlanarMeasure.from_atoms([(s, t, rate * w) for s, t, w in jump.atoms], kind=kind)
+    first, zero = nu.moments(1), scalars.zero(kind)
+    return levy_cumulants((first[(1, 0)], first[(0, 1)]), (zero, zero, zero), nu, degree)
 
 
 def poisson_family(rate, alpha, beta, kind: str = scalars.RATIONAL):

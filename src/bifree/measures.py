@@ -1,4 +1,4 @@
-"""Atomic planar measures and their moments.
+"""Atomic planar measures, their moments, and the Levy-Hincin cumulant kernel.
 
 Only purely atomic measures are representable; that covers every
 desk-scale object here (Gaussian and Poisson Levy data, compound jumps
@@ -11,10 +11,11 @@ t-coordinates and the weights are each put over their common denominator
 (L_s, L_t, L_w) once per measure, so the sum over atoms of W S^m T^n runs
 on Python ints. One kernel, `moment_rows`, returns these sums unreduced,
 as rows sums[m][n], with the three scales. `moments` and `moment` divide
-each entry back once, by L_w L_s^m L_t^n; `levy_hincin.lh_to_cumulants`
-compares its formulas on the rows themselves, by cross-multiplying. Float
-data is not scaled, and each float term is w * s**m * t**n summed in atom
-order.
+each entry back once, by L_w L_s^m L_t^n. Float data is not scaled, and
+each float term is w * s**m * t**n summed in atom order.
+
+`levy_cumulants` is the one cumulant kernel of a Levy triple: the
+Levy-Hincin triples, Gaussians and compound Poissons all go through it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import scalars
-from .cumulants import MomentTable, table_keys
+from .cumulants import CumulantTable, MomentTable, table_keys
 from .errors import UnsupportedMeasureError
 
 MERGE_TOL = 1e-12
@@ -103,12 +104,6 @@ class DiscretePlanarMeasure:
         return positive and scalars.close(self.moment(0, 0), scalars.one(self.kind), self.kind,
                                           PROBABILITY_TOL)
 
-    def weight_at(self, s, t):
-        for a, b, w in self.atoms:
-            if scalars.close(a, s, self.kind, MERGE_TOL) and scalars.close(b, t, self.kind, MERGE_TOL):
-                return w
-        return scalars.zero(self.kind)
-
     def to_jsonable(self):
         return {
             "atoms": [[scalars.to_jsonable(s, self.kind), scalars.to_jsonable(t, self.kind),
@@ -132,3 +127,27 @@ def point_mass(s, t, kind=scalars.RATIONAL) -> DiscretePlanarMeasure:
 def moment_table(mu: DiscretePlanarMeasure, degree: int) -> MomentTable:
     """Moments of mu collected into a table of the given total degree."""
     return MomentTable(degree, mu.kind, mu.moments(degree))
+
+
+def levy_cumulants(drift, sigma, nu: DiscretePlanarMeasure, degree: int) -> CumulantTable:
+    """The cumulants of the Levy triple (drift, sigma, nu), in nu's kind.
+
+    drift = (kappa10, kappa01) is degree 1; entry (m, n) of degree >= 2 is
+    nu's moment of s^m t^n, plus the Gaussian part sigma = (sigma20,
+    sigma11, sigma02) at degree 2, which joins nu's unreduced row entry over
+    both denominators: one Fraction per entry and no Fraction arithmetic.
+    """
+    kind = nu.kind
+    exact = kind == scalars.RATIONAL
+    scale_s, scale_t, scale_w, sums = nu.moment_rows(degree)
+    left = [scale_w * scale_s**m for m in range(degree + 1)]
+    right = [scale_t**n for n in range(degree + 1)]
+    gaussian = {key: scalars.coerce(v, kind) for key, v in zip(((2, 0), (1, 1), (0, 2)), sigma)}
+    entries = {(0, 1): scalars.coerce(drift[1], kind), (1, 0): scalars.coerce(drift[0], kind)}
+    for m, n in table_keys(degree, 2):
+        num, den = sums[m][n], left[m] * right[n]
+        if (m, n) in gaussian:  # float data has den = q = 1: num plus sigma's entry
+            p, q = gaussian[(m, n)].as_integer_ratio() if exact else (gaussian[(m, n)], 1)
+            num, den = num * q + p * den, den * q
+        entries[(m, n)] = scalars.over(num, den, kind)
+    return CumulantTable._unchecked(degree, kind, entries)

@@ -190,10 +190,12 @@ def float_copy(table):
 
 
 def numpy_extract_levy_measures(model):
-    """extract_levy_measures as numpy.linalg.eigh computed it: the Jacobi sweep's oracle.
+    """The extracted triple from numpy.linalg.eigh: the Jacobi sweep's oracle.
 
-    The same gamma draws from random.Random(0), the same DIAG_RESIDUAL_TOL
-    check and the same ATOM_WEIGHT_TOL cuts; the model must commute.
+    The same gamma draws from random.Random(0) and the same DIAG_RESIDUAL_TOL
+    check; each measure's weights are read straight off f and g (f_k^2,
+    g_k^2 and f_k g_k, cut at ATOM_WEIGHT_TOL), not derived from one jump
+    measure as extract_levy_measures derives them. The model must commute.
     """
     from bifree.levy_hincin import ATOM_WEIGHT_TOL, DIAG_RESIDUAL_TOL
     t1, t2, fvec, gvec = (np.array(x, dtype=float) for x in (model.t1, model.t2, model.f, model.g))

@@ -24,7 +24,7 @@ from bifree.cli import _verify_payload, build_parser, run
 from bifree.cumulants import CumulantTable, MomentTable
 from bifree.errors import RealizabilityError
 from bifree.fock import FockModel
-from bifree.levy_hincin import LevyHincinData, lh_to_cumulants, r_transform_from_lh
+from bifree.levy_hincin import LevyHincinData, lh_to_cumulants, validate_lh
 from bifree.limits import poisson_family, row_sum_moments
 from bifree.measures import DiscretePlanarMeasure
 
@@ -190,11 +190,12 @@ def test_one_tolerance_judges_a_float_triple(tmp_path, capsys, offset, valid):
     code, out = invoke(["lh-cumulants", path, "--degree", "4"])
     assert (code, bool(out)) == ((0, True) if valid else (2, False))
     data = LevyHincinData.from_jsonable(doc)
+    assert validate_lh(data).ok is valid
     if valid:
-        assert r_transform_from_lh(data, 4).entries == lh_to_cumulants(data, 4).entries
+        assert json.loads(out) == lh_to_cumulants(data, 4).to_jsonable()
     else:
-        with pytest.raises(RealizabilityError):
-            r_transform_from_lh(data, 4)
+        with pytest.raises(RealizabilityError, match="fails validation"):
+            lh_to_cumulants(data, 4)
     capsys.readouterr()
 
 
@@ -859,11 +860,13 @@ def test_model_document_states_its_kind(tmp_path):
 
 # What the package exports; perfbench reaches the program through these names.
 # SingularSeriesError is gone: no series step divides since the identity's
-# reciprocals were removed.
+# reciprocals were removed. InconsistentDataError and r_transform_from_lh are
+# gone: a valid triple converts once to its Levy form, whose one kernel leaves
+# no formulas to disagree, and lh_to_cumulants is the triple's R-transform.
 PUBLIC_NAMES = {
     "BifreeError", "ChiMap", "CommutationError", "CpsdReport",
     "CumulantTable", "DegreeError", "DiscretePlanarMeasure", "FlatnessReport", "FockModel",
-    "InconsistentDataError", "LevyHincinData", "LhValidation", "MomentTable", "OrderError",
+    "LevyHincinData", "LhValidation", "MomentTable", "OrderError",
     "Partition", "RealizabilityError", "ShapeError", "SizeLimitError",
     "UncertifiedScaleWarning", "UnsupportedMeasureError", "bifree_convolve",
     "bifree_gaussian", "bifree_poisson", "catalan", "check_commutation", "check_cond_bounded",
@@ -872,7 +875,7 @@ PUBLIC_NAMES = {
     "free_convolve_marginal", "gns_reconstruct", "is_noncrossing", "levy_marginal_model",
     "lh_to_cumulants", "mobius_cumulant", "mobius_nc", "mobius_top", "model_cumulants",
     "moment_seq_to_cumulant_seq", "moment_table", "moment_table_from_model",
-    "moments_to_cumulants", "point_mass", "poisson_family", "r_transform_from_lh",
+    "moments_to_cumulants", "point_mass", "poisson_family",
     "row_sum_moments", "semigroup_scale", "sigma_chi", "triangular_limit_estimate",
     "vacuum_moment", "validate_lh", "verify_voiculescu_identity",
 }

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -425,3 +426,20 @@ def test_fock_kernel_makes_no_fraction_arithmetic():
         single = vacuum_moment(model, 2, 3)
     assert table.entries == want
     assert single == want[(2, 3)]
+
+
+def test_float_symmetry_is_judged_relative_to_the_matrix():
+    # Q D Q^T with entries near 10^4: its mirrored entries differ by one ulp,
+    # 4.5e-13 to 1.8e-12, which an absolute 1e-12 refused; a 1e-6 relative
+    # asymmetry is still refused
+    rng = random.Random(0)
+    q, _ = np.linalg.qr(np.array([[rng.gauss(0, 1) for _ in range(3)] for _ in range(3)]))
+    d = [rng.uniform(5e3, 2e4) * rng.choice((-1, 1)) for _ in range(3)]
+    t = ((q * d) @ q.T).tolist()
+    assert max(abs(t[i][j] - t[j][i]) for i in range(3) for j in range(3)) > 1e-12
+    zero = [[0.0] * 3 for _ in range(3)]
+    model = FockModel.from_arrays([1.0] * 3, [1.0] * 3, t, zero, kind=scalars.FLOAT)
+    assert model.t1 == tuple(map(tuple, t))
+    t[0][1] = t[1][0] * (1 + 1e-6)
+    with pytest.raises(ShapeError, match="T1 is not symmetric"):
+        FockModel.from_arrays([1.0] * 3, [1.0] * 3, t, zero, kind=scalars.FLOAT)

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifree import levy_hincin, scalars
+from bifree.convolution import bifree_convolve
 from bifree.cumulants import CumulantTable, table_keys
-from bifree.errors import (CommutationError, DegreeError, InconsistentDataError,
-                           RealizabilityError)
+from bifree.errors import CommutationError, DegreeError, RealizabilityError
 from bifree.fock import FockModel, model_cumulants
 from bifree.levy_hincin import (LevyHincinData, check_cond_bounded, check_cpsd,
                                 extract_levy_measures, gns_reconstruct, lh_to_cumulants,
-                                r_transform_from_lh, validate_lh)
+                                validate_lh)
 from bifree.limits import (bifree_gaussian, bifree_poisson,
                            compound_bifree_poisson)
 from bifree.measures import DiscretePlanarMeasure
@@ -98,25 +98,34 @@ def test_lh_to_cumulants_point_distribution():
 
 
 def test_lh_to_cumulants_overlap_disagreement_names_index():
+    # the per-atom formulas first disagree at (1, 2); the refusal's report
+    # names both relations that the one atom breaks
     bad = LevyHincinData(Fraction(0), Fraction(0),
                          DiscretePlanarMeasure.from_atoms([(1, 1, 2)]),
                          DiscretePlanarMeasure.from_atoms([(1, 1, 2)]),
                          DiscretePlanarMeasure.from_atoms([(1, 1, 1)], signed=True))
-    with pytest.raises(InconsistentDataError, match=r"\(1, 2\)"):
+    with pytest.raises(RealizabilityError, match=r"^triple fails validation: LhValidation\("
+                       r"relation_rho1_ok=False, relation_rho2_ok=False, "
+                       r"atom_inequality_ok=True, positivity_ok=True, "
+                       r"max_relation_residual=1\.0\)$"):
         lh_to_cumulants(bad, 4)
 
 
 def test_lh_to_cumulants_compares_every_formula():
-    # at (2, 2) the rho1 and rho2 formulas agree (both 1) and the rho formula
-    # gives 0; every entry of total degree 3 has agreeing formulas
+    # every entry of total degree 3 has agreeing formulas and (2, 2) does not;
+    # the triple is judged atom by atom, not by its formulas, so it is refused
+    # at every degree
     bad = LevyHincinData(Fraction(0), Fraction(0),
                          DiscretePlanarMeasure.from_atoms([(1, 1, 1)]),
                          DiscretePlanarMeasure.from_atoms([(1, 1, 1)]),
                          DiscretePlanarMeasure.from_atoms([(1, 0, 1), (0, 1, 1)], signed=True))
-    lh_to_cumulants(bad, 3)
-    with pytest.raises(InconsistentDataError,
-                       match=r"^measure formulas disagree at index \(2, 2\): 1 vs 0$"):
-        lh_to_cumulants(bad, 4)
+    assert isinstance(oracle_lh_to_cumulants(bad, 3), dict)
+    assert oracle_lh_to_cumulants(bad, 4) == (
+        "measure formulas disagree at index (2, 2): 1 vs 0")
+    assert not validate_lh(bad).ok
+    for degree in (3, 4):
+        with pytest.raises(RealizabilityError, match="^triple fails validation"):
+            lh_to_cumulants(bad, degree)
 
 
 def perturbed_lh(seed):
@@ -138,19 +147,28 @@ def perturbed_lh(seed):
                                                                    signed=mu.signed)})
 
 
+def assert_refused_exactly_when_invalid(data, degree):
+    """lh_to_cumulants refuses a triple exactly when validate_lh does; else it is the oracle.
+
+    A triple whose per-atom formulas disagree is never valid.
+    """
+    want, report = oracle_lh_to_cumulants(data, degree), validate_lh(data)
+    if not report.ok:
+        with pytest.raises(RealizabilityError) as raised:
+            lh_to_cumulants(data, degree)
+        assert str(raised.value) == f"triple fails validation: {report}"
+    else:
+        assert not isinstance(want, str)
+        assert lh_to_cumulants(data, degree).entries == want
+    return want, report
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 8))
 def test_lh_to_cumulants_matches_per_atom_formulas(seed, degree):
-    # the same entries as every formula summed atom by atom, and the same
-    # message wherever those formulas disagree
-    data = perturbed_lh(seed)
-    want = oracle_lh_to_cumulants(data, degree)
-    if isinstance(want, str):
-        with pytest.raises(InconsistentDataError) as raised:
-            lh_to_cumulants(data, degree)
-        assert str(raised.value) == want
-    else:
-        assert lh_to_cumulants(data, degree).entries == want
+    # the entries of every formula summed atom by atom for a valid triple, and
+    # the validation report's refusal for any other
+    assert_refused_exactly_when_invalid(perturbed_lh(seed), degree)
 
 
 UNRELATED = (7, 11, 13, 10**30)
@@ -163,7 +181,8 @@ def unrelated_scales_lh(seed, denominators):
     denominators drawn from UNRELATED, rho = t rho1 / s and rho2 = t rho / s.
     Each measure also holds atoms that only its own formulas read, over its
     own denominator: rho1 at (u, 0) and the origin, rho2 at (0, u) and the
-    origin, rho at the origin. Returns the triple and its shared atom count.
+    origin, rho at the origin (over its own times 10^31, which keeps the
+    atom inequality). Returns the triple and its shared atom count.
     """
     rng = random.Random(seed)
     pick = lambda den: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), den)
@@ -179,11 +198,12 @@ def unrelated_scales_lh(seed, denominators):
     own1, own2, own = denominators
     extra1 = [(pick(own1), 0, abs(pick(own1))), (0, 0, abs(pick(own1)))]
     extra2 = [(0, pick(own2), abs(pick(own2))), (0, 0, abs(pick(own2)))]
+    # rho{0}^2 stays below 10^-62 and rho1{0} rho2{0} at least 10^-60: valid
     data = LevyHincinData(pick(own1), pick(own2),
                           DiscretePlanarMeasure.from_atoms(atoms1 + extra1),
                           DiscretePlanarMeasure.from_atoms(atoms2 + extra2),
-                          DiscretePlanarMeasure.from_atoms(atoms + [(0, 0, pick(own))],
-                                                           signed=True))
+                          DiscretePlanarMeasure.from_atoms(
+                              atoms + [(0, 0, pick(own) / 10**31)], signed=True))
     return data, len(shared)
 
 
@@ -191,35 +211,37 @@ def unrelated_scales_lh(seed, denominators):
 @given(st.integers(0, 2**32), st.permutations(UNRELATED), st.integers(3, 8),
        st.sampled_from(("rho1", "rho2", "rho")), st.integers(0, 2))
 def test_unreduced_comparison_across_unrelated_scales(seed, dens, degree, name, index):
-    # the rows of each measure sit over their own L_w L_s^m L_t^n; consistent
-    # triples give the per-atom entries, and 1/10^30 on one shared weight
-    # breaks a mixed entry with the per-atom formulas' exact message
+    # nu's rows sit over its own L_w L_s^m L_t^n and sigma over unrelated
+    # denominators; consistent triples give the per-atom entries, and
+    # 1/10^30 on one shared weight breaks a mixed entry's formulas and a
+    # relation, which refuses the triple
     data, count = unrelated_scales_lh(seed, dens[:3])
-    assert lh_to_cumulants(data, degree).entries == oracle_lh_to_cumulants(data, degree)
+    assert validate_lh(data).ok
+    assert_refused_exactly_when_invalid(data, degree)
     mu = getattr(data, name)
     s, t, _ = [a for a in mu.atoms if a[0] and a[1]][index % count]
     moved = [(a, b, v + Fraction(1, 10**30)) if (a, b) == (s, t) else (a, b, v)
              for a, b, v in mu.atoms]
     broken = replace(data, **{name: DiscretePlanarMeasure.from_atoms(moved, mu.signed)})
-    want = oracle_lh_to_cumulants(broken, degree)
-    assert isinstance(want, str)
-    with pytest.raises(InconsistentDataError) as raised:
-        lh_to_cumulants(broken, degree)
-    assert str(raised.value) == want
+    want, report = assert_refused_exactly_when_invalid(broken, degree)
+    assert isinstance(want, str) and not report.ok
 
 
 def test_rational_lh_to_cumulants_makes_no_fraction_arithmetic():
-    # fresh measures clear their data inside the block; each entry is one
-    # Fraction made from its numerator and denominator
+    # only the per-atom conversion to (sigma, nu) runs before the block; the
+    # fresh nu clears its data inside it, sigma joins each numerator over
+    # unrelated denominators, and each entry is one Fraction made from its
+    # numerator and denominator
     data, _ = unrelated_scales_lh(5, (13, 10**30, 7))
-    scales = {mu._cleared[:3] for mu in (data.rho1, data.rho2, data.rho)}
-    assert len(scales) == 3
     want = oracle_lh_to_cumulants(data, 8)
-    renew = lambda mu: DiscretePlanarMeasure(mu.atoms, mu.signed, mu.kind)
-    fresh = replace(data, rho1=renew(data.rho1), rho2=renew(data.rho2), rho=renew(data.rho))
+    fresh = replace(data)  # a new triple converts anew
+    assert validate_lh(fresh).ok
+    _, sigma, nu = fresh._levy
+    assert "_cleared" not in vars(nu)
     with no_fraction_arithmetic():
         got = lh_to_cumulants(fresh, 8)
-    assert got.entries == want
+    assert got.entries == want and "_cleared" in vars(nu)
+    assert {v.denominator for v in sigma} - {nu._cleared[2]}
 
 
 def float_lh(rho1_weight, rho2_weight, rho_weight):
@@ -230,16 +252,30 @@ def float_lh(rho1_weight, rho2_weight, rho_weight):
 
 
 def test_lh_to_cumulants_float_check_is_relative_to_the_entry():
-    # entries near 1000 agreeing to 1e-12 relative pass; 1e-6 relative fails
+    # weights near 1000 whose relations hold to 1e-12 relative pass, which an
+    # absolute RELATION_TOL refused; 1e-6 relative fails
     lh_to_cumulants(float_lh(1000.0, 1000.0, 1000.0 * (1 + 1e-12)), 6)
-    with pytest.raises(InconsistentDataError, match=r"\(1, 2\)"):
+    with pytest.raises(RealizabilityError, match="relation_rho1_ok=False, relation_rho2_ok=False"):
         lh_to_cumulants(float_lh(1000.0, 1000.0, 1000.0 * (1 + 1e-6)), 6)
+
+
+def test_a_float_point_within_merge_tol_of_the_origin_is_the_origin():
+    # rho1's atom at (1e-13, 0) belongs to the Gaussian part; read as a jump
+    # it would put 10^26 on nu
+    doc = {"kind": "float", "kappa10": 0.0, "kappa01": 0.0,
+           "rho1": {"atoms": [[1e-13, 0.0, 1.0]]}, "rho2": {"atoms": [[0.0, 0.0, 2.0]]},
+           "rho": {"atoms": [[0.0, 0.0, 0.5]]}}
+    data = LevyHincinData.from_jsonable(doc)
+    assert validate_lh(data).ok and data._levy[1] == (1.0, 0.5, 2.0)
+    assert data._levy[2].atoms == ()
+    gaussian = bifree_gaussian(1, 2, 0.5, 6, scalars.FLOAT)
+    assert lh_to_cumulants(data, 6).entries == gaussian.entries
 
 
 def test_round_trip_four_atom_triple_with_entries_in_the_hundreds():
     # kappa_{1,6} is about 184; the float triple extracted from the GNS model
-    # gives it by two formulas that differ by 1.2e-10, which an absolute
-    # 1e-10 cross-check refused
+    # once gave it by two formulas that differed by 1.2e-10, which an
+    # absolute 1e-10 cross-check refused; now its one nu integrates it
     coords = [(-2, Fraction(-3, 2)), (-1, Fraction(-3, 2)), (-1, -1), (Fraction(1, 2), -2)]
     weights = [Fraction(5, 3), Fraction(5, 3), Fraction(2, 3), Fraction(5, 3)]
     atoms1 = [(s, t, a) for (s, t), a in zip(coords, weights)]
@@ -341,6 +377,15 @@ def test_cpsd_degenerate_face_guard():
     entries[(4, 4)] = Fraction(1)
     table = CumulantTable(8, R, entries)
     assert not check_cpsd(table, 1).ok
+
+
+def test_float_faces_compare_exactly():
+    # kappa20 = 10^-12 is small, not 0: the float copy passes as the rational
+    # table does, where an absolute ZERO_VARIANCE_TOL of 1e-12 read its left
+    # face as degenerate and refused it for kappa11 = 1
+    table = bifree_poisson(10**12, Fraction(1, 10**12), 1, 4)
+    assert check_cpsd(float_copy(table), 1) == check_cpsd(table, 1) \
+        == levy_hincin.CpsdReport(True, 1, 1)
 
 
 def test_cpsd_needs_degree():
@@ -485,8 +530,8 @@ def test_extract_gaussian_concentrates_at_origin():
                                   [[0, 0], [0, 0]], [[0, 0], [0, 0]])
     data = extract_levy_measures(model)
     assert [(s, t) for s, t, _ in data.rho1.atoms] == [(0.0, 0.0)]
-    assert data.rho1.weight_at(0.0, 0.0) == pytest.approx(1.0)
-    assert data.rho.weight_at(0.0, 0.0) == pytest.approx(0.5)
+    assert data.rho1.atoms[0][2] == pytest.approx(1.0)
+    assert data.rho.atoms == ((0.0, 0.0, pytest.approx(0.5)),)
 
 
 def test_extract_poisson_atoms():
@@ -495,9 +540,9 @@ def test_extract_poisson_atoms():
     model = FockModel.from_arrays([root * a], [root * b], [[a]], [[b]],
                                   lam * a, lam * b, kind=scalars.FLOAT)
     data = extract_levy_measures(model)
-    assert data.rho1.weight_at(a, b) == pytest.approx(lam * a * a)
-    assert data.rho2.weight_at(a, b) == pytest.approx(lam * b * b)
-    assert data.rho.weight_at(a, b) == pytest.approx(lam * a * b)
+    assert data.rho1.atoms == ((a, b, pytest.approx(lam * a * a)),)
+    assert data.rho2.atoms == ((a, b, pytest.approx(lam * b * b)),)
+    assert data.rho.atoms == ((a, b, pytest.approx(lam * a * b)),)
     assert validate_lh(data).ok
 
 
@@ -507,6 +552,32 @@ def test_extract_zero_vectors_empty_measures():
     data = extract_levy_measures(model)
     assert data.rho1.atoms == () and data.rho2.atoms == () and data.rho.atoms == ()
     assert data.kappa10 == 5.0 and data.kappa01 == 1.0
+
+
+def test_extract_splits_a_mixed_model_into_its_gaussian_part_and_jumps():
+    # a Gaussian part (1, 1/2, 2) and two jump atoms of weight 3/4: the two
+    # eigenpairs at the origin read as exactly (0.0, 0.0), where the Jacobi
+    # sweep leaves them near 3e-17, and add up to sigma
+    jump = DiscretePlanarMeasure.from_atoms([(1, Fraction(1, 2), Fraction(1, 2)),
+                                             (Fraction(-1, 2), 2, Fraction(1, 2))])
+    table = bifree_convolve(bifree_gaussian(1, 2, Fraction(1, 2), 8),
+                            compound_bifree_poisson(Fraction(3, 2), jump, 8))
+    out = extract_levy_measures(gns_reconstruct(table, 3))
+    for mu, weight in ((out.rho1, 1.0), (out.rho2, 2.0), (out.rho, 0.5)):
+        assert len(mu.atoms) == 3
+        assert [w for s, t, w in mu.atoms if (s, t) == (0.0, 0.0)] == [pytest.approx(weight)]
+    _, sigma, nu = out._levy
+    assert sigma == pytest.approx((1.0, 0.5, 2.0))
+    assert [x for atom in nu.atoms for x in atom] == pytest.approx([-0.5, 2.0, 0.75,
+                                                                    1.0, 0.5, 0.75])
+    rebuilt = lh_to_cumulants(out, 8)
+    assert all(abs(rebuilt.get(*key) - float(value)) <= 1e-9
+               for key, value in table.entries.items())
+    # read back from its document, the triple converts to the same form
+    again = LevyHincinData.from_jsonable(out.to_jsonable())
+    assert validate_lh(again).ok and again._levy[1] == pytest.approx(sigma)
+    assert [x for atom in again._levy[2].atoms for x in atom] == pytest.approx(
+        [x for atom in nu.atoms for x in atom])
 
 
 def test_extract_requires_commutation():
@@ -548,14 +619,14 @@ def test_round_trip_measures_atom_by_atom(rng):
 
 
 def test_r_transform_from_lh_gaussian():
-    series = r_transform_from_lh(gaussian_lh(Fraction(1), Fraction(2), Fraction(1)), 5)
+    series = lh_to_cumulants(gaussian_lh(Fraction(1), Fraction(2), Fraction(1)), 5)
     assert series.get(2, 0) == 1 and series.get(0, 2) == 2 and series.get(1, 1) == 1
     assert all(series.get(m, t - m) == 0 for t in range(3, 6) for m in range(t + 1))
 
 
 def test_r_transform_from_lh_poisson():
     lam, a, b = Fraction(2), Fraction(1, 2), Fraction(3)
-    series = r_transform_from_lh(poisson_lh(lam, a, b), 6)
+    series = lh_to_cumulants(poisson_lh(lam, a, b), 6)
     for total in range(1, 7):
         for m in range(total + 1):
             assert series.get(m, total - m) == lam * a**m * b**(total - m)
@@ -574,17 +645,17 @@ def test_r_transform_from_lh_compound(rng):
                                            signed=True)
     data = LevyHincinData(lam * nu.moment(1, 0), lam * nu.moment(0, 1), rho1, rho2, rho)
     assert validate_lh(data).ok
-    series = r_transform_from_lh(data, 6)
+    series = lh_to_cumulants(data, 6)
     for total in range(1, 7):
         for m in range(total + 1):
             assert series.get(m, total - m) == lam * nu.moment(m, total - m)
-    # the series is the cumulant table
-    assert series.entries == lh_to_cumulants(data, 6).entries
+    # the series is the compound Poisson's cumulant table
+    assert series.entries == compound_bifree_poisson(lam, nu, 6).entries
 
 
 def test_r_transform_from_lh_rejects_invalid():
-    with pytest.raises(RealizabilityError):
-        r_transform_from_lh(gaussian_lh(Fraction(1), Fraction(1), Fraction(2)), 4)
+    with pytest.raises(RealizabilityError, match="^triple fails validation"):
+        lh_to_cumulants(gaussian_lh(Fraction(1), Fraction(1), Fraction(2)), 4)
 
 
 def test_gates_report_window():
@@ -760,8 +831,9 @@ def test_dilated_float_models_commute_and_extract_the_dilated_atoms():
     # dilating the measures by c scales the model's residuals with its
     # entries; at c = 10^4 they read 6.0e-8 and 4.3e-7, which an absolute
     # COMMUTATION_TOL refused. Worst gap seen 6.1e-15 of the largest atom
-    # entry. At c = 10^-8 rho's weights <f, u_k><g, u_k> are about 10^-16,
-    # under ATOM_WEIGHT_TOL, but rho keeps an atom wherever rho1 and rho2 do.
+    # entry. At c = 10^-8 rho's weights st nu are about 10^-16; the three
+    # measures derive from one nu, so each keeps every atom, and coordinates
+    # near 10^-8 stay clear of DIAG_RESIDUAL_TOL max|T_i|, about 10^-16.
     data = random_validated_lh(random.Random(7), 4)
     table = lh_to_cumulants(data, 8)
     for c in (Fraction(1, 10**8), Fraction(1, 10**4), 1, 10**4, 10**8):
@@ -845,12 +917,27 @@ def sha256_of(lines):
 # SHA-256 of the model lines, recorded once the float copies' gates took the
 # rational path and test_float_copy_models_match_the_rational_models passed
 FLOAT_MODEL_SHA256 = "05ebb131a6dbe2b920ea01563041aa1bba48e5cd762f92d90040ebf1c2dc7f11"
-# SHA-256 of the extract lines, which read those models, recorded with them;
-# the Jacobi extract passed test_jacobi_extract_matches_the_source_and_numpy
-FLOAT_EXTRACT_SHA256 = "6ea8e3a2eabf39ad68dd94c8f8f2fe1e7cf70926fe710742019848725056e777"
+# SHA-256 of the extract lines, which read those models, re-recorded when the
+# extract came to build each triple from its (sigma, nu); the Jacobi extract
+# passed test_jacobi_extract_matches_the_source_and_numpy, and the dilation
+# and twelve-atom tests passed
+FLOAT_EXTRACT_SHA256 = "bbb6f533bdaffae62c2354ec0be134bd42880d0126a0cb5b2c4a663ba131d9d6"
 
 
 def test_float_inverse_outputs_are_unchanged_bit_for_bit():
     model_lines, extract_lines = float_inverse_outputs()
     assert sha256_of(model_lines) == FLOAT_MODEL_SHA256
     assert sha256_of(extract_lines) == FLOAT_EXTRACT_SHA256
+
+
+def test_extracted_triples_read_back_convert_to_the_same_cumulants():
+    # an extracted triple carries its (sigma, nu); read back from its document
+    # it is validated and converted afresh, to the same table bit for bit on
+    # these seeds
+    for seed in range(12):
+        data = random_validated_lh(random.Random(seed), 1 + seed % 4)
+        out = extract_levy_measures(gns_reconstruct(float_copy(lh_to_cumulants(data, 8)), 3))
+        again = LevyHincinData.from_jsonable(out.to_jsonable())
+        assert validate_lh(again).ok and validate_lh(again).max_relation_residual < 1e-15
+        assert lh_to_cumulants(again, 8).entries == lh_to_cumulants(out, 8).entries
+
